@@ -25,12 +25,9 @@ def beta_related(g0, g, h):
 def all_ideals_directed(g0):
     """(verdict, None or (top, (a, b)) naming a non-directed ideal)."""
     for t in g0.arrows:
-        ideal = sorted(g0.principal_ideal(t))
-        for i, a in enumerate(ideal):
-            for b in ideal[i + 1:]:
-                if not any(g0.order.leq(k, a) and g0.order.leq(k, b)
-                           for k in ideal):
-                    return (False, (t, (a, b)))
+        pair = g0.order.undirected_pair(sorted(g0.principal_ideal(t)))
+        if pair is not None:
+            return (False, (t, pair))
     return (True, None)
 
 
@@ -58,47 +55,29 @@ def is_principally_directed(g0):
 
     The ideal-directedness test decides; transitivity of beta is run as
     a cross-check and must agree.  The counterexample (when any) is the
-    least failing beta chain (g, t, h), falling back to a non-directed
-    ideal record.
+    least failing beta chain (g, t, h).
     """
-    ideals_ok, bad_ideal = all_ideals_directed(g0)
+    ideals_ok, _ = all_ideals_directed(g0)
     chain_ok, bad_chain = beta_transitive(g0)
     if ideals_ok != chain_ok:
         raise StructuralDefect(
             "ideal directedness and beta transitivity disagree")
     if ideals_ok:
         return (True, None)
-    if bad_chain is not None:
-        return (False, {"kind": "beta-chain", "triple": bad_chain})
-    return (False, {"kind": "non-directed-ideal", "top": bad_ideal[0],
-                    "pair": bad_ideal[1]})
+    return (False, {"kind": "beta-chain", "triple": bad_chain})
 
 
 def beta_classes(g0):
-    """Partition of the arrows into beta-classes (beta must be
-    transitive); returns (classes by id, arrow -> class id).
+    """Partition of the arrows into beta-classes; returns (classes by
+    id, arrow -> class id).
 
-    Class ids are the lexicographically least member."""
-    parent = {a: a for a in g0.arrows}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for g in g0.arrows:
-        for h in g0.arrows:
-            if g < h and beta_witness(g0, g, h) is not None:
-                ra, rb = find(g), find(h)
-                if ra != rb:
-                    parent[ra] = rb
-    groups = {}
-    for a in g0.arrows:
-        groups.setdefault(find(a), []).append(a)
+    The classes of the equivalence generated by beta are the components
+    of the comparability graph: beta contains the order (take k = g),
+    and each beta step is a zig-zag k <= g, k <= h.  Class ids are the
+    lexicographically least member."""
     classes = {}
     class_of = {}
-    for members in groups.values():
+    for members in g0.order.comparability_components():
         cid = min(members)
         classes[cid] = sorted(members)
         for a in members:
@@ -124,14 +103,6 @@ class QuotientGroupoid:
 
     def __repr__(self):
         return "QuotientGroupoid(%d classes)" % len(self.classes)
-
-
-def _composition_identity(g0, g, h):
-    """Least identity below both r(g) and d(h); the classes of r(g) and
-    d(h) must coincide, so one exists."""
-    cands = [e for e in g0.identities
-             if g0.order.leq(e, g0.r[g]) and g0.order.leq(e, g0.d[h])]
-    return min(cands) if cands else None
 
 
 def _compose_via(g0, g, h, f):
@@ -164,11 +135,12 @@ def quotient(g0):
             if r[x] != d[y]:
                 continue
             g, h = xm[0], ym[0]
-            f = _composition_identity(g0, g, h)
-            if f is None:
+            common = g0.identity_lower_bounds(g0.r[g], g0.d[h])
+            if not common:
                 raise StructuralDefect(
                     "no identity below r(%s) and d(%s) despite matching "
                     "classes" % (g, h))
+            f = min(common)
             comp[(x, y)] = class_of[_compose_via(g0, g, h, f)]
     cand = GroupoidCandidate(idclasses, d, r, inv, comp,
                              {(c, c) for c in classes})
@@ -206,10 +178,8 @@ def check_quotient_welldefined(g0):
             expected = q.groupoid.compose(x, y)
             for g in xm:
                 for h in ym:
-                    cands = [e for e in g0.identities
-                             if g0.order.leq(e, g0.r[g])
-                             and g0.order.leq(e, g0.d[h])]
-                    for f in cands:
+                    for f in sorted(g0.identity_lower_bounds(
+                            g0.r[g], g0.d[h])):
                         got = class_of[_compose_via(g0, g, h, f)]
                         checked += 1
                         if got != expected:

@@ -53,12 +53,20 @@ def _select_modules(g0, lc, module_docs, wanted):
             for n in names]
 
 
-def _parse_degrees(text):
-    if text is None:
-        return [0, 1, 2]
-    if "," in text:
-        return sorted({int(p) for p in text.split(",") if p != ""})
-    return list(range(int(text) + 1))
+def _degrees(text):
+    """--degrees: "N" for 0..N, or a comma list; a usage error unless
+    every degree is a non-negative integer and at least one is given."""
+    try:
+        if "," in text:
+            degrees = sorted({int(p) for p in text.split(",") if p != ""})
+        else:
+            degrees = list(range(int(text) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer list: %r" % text)
+    if not degrees or degrees[0] < 0:
+        raise argparse.ArgumentTypeError(
+            "degrees must be non-negative and at least one: %r" % text)
+    return degrees
 
 
 def _form_doc(group):
@@ -214,8 +222,7 @@ def cmd_check(args):
                    "comparison_iso": report.iso}
             row_ok = report.ok
         else:
-            report = check_theorem(g0, lc, module,
-                                   _parse_degrees(args.degrees))
+            report = check_theorem(g0, lc, module, args.degrees)
             row = {"module": name, "degrees": report.rows}
             row_ok = report.ok
         rows.append(row)
@@ -294,7 +301,8 @@ def build_parser():
                    help="JSON path or fixture name (%s)"
                         % ", ".join(fixtures.names()))
     p.add_argument("--module", help="module name (default: all)")
-    p.add_argument("--degrees", help="N for 0..N, or comma list (theorem)")
+    p.add_argument("--degrees", type=_degrees, default="2",
+                   help="N for 0..N, or comma list (theorem; default 2)")
     p.add_argument("--hom-bound", type=int, default=64,
                    help="largest group order enumerated (default 64)")
     p.add_argument("--json", action="store_true",

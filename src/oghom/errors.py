@@ -22,6 +22,7 @@ class SchemaViolation(InputError):
 
     def __init__(self, pointer, message):
         self.pointer = pointer
+        self.message = message
         super().__init__("%s: %s" % (pointer or "/", message))
 
 

@@ -209,10 +209,10 @@ def expand(q, lc, b_module):
     return GModule(lc.category, groups, action)
 
 
-def expand_map(q, lc, xi, expanded_source=None, expanded_target=None):
+def expand_map(q, lc, xi):
     """Reindex a quotient-module map along the class projection."""
-    src = expanded_source or expand(q, lc, xi.source)
-    tgt = expanded_target or expand(q, lc, xi.target)
+    src = expand(q, lc, xi.source)
+    tgt = expand(q, lc, xi.target)
     comps = {e: xi.components[q.class_of[e]] for e in lc.groupoid.identities}
     return GMap(src, tgt, comps)
 
@@ -221,27 +221,27 @@ class ColimitPresentation:
     """Colimit of a module over a finite category.
 
     result = (direct sum of all groups) / (a - a ◁ m per morphism m);
-    canonical[o] maps M(o) into the result; relationmap holds the
-    relator columns; components pairs each connected component's objects
-    with its own colimit group.
+    canonical[o] maps M(o) into the result; components pairs each
+    connected component's objects with its own colimit group.
     """
 
-    def __init__(self, category, module, result, offsets, canonical,
-                 relationmap, components):
+    def __init__(self, category, module, result, canonical, components):
         self.category = category
         self.module = module
         self.result = result
-        self.offsets = offsets
         self.canonical = canonical
-        self.relationmap = relationmap
         self.components = components
 
     def __repr__(self):
         return "ColimitPresentation(%r)" % (self.result,)
 
 
-def colim_category(cat, module):
-    objs = list(cat.objects)
+def _presentation(cat, module, objs, morphisms):
+    """(group, offsets, injections) presenting the colimit of `module`
+    over `objs` along `morphisms`: the direct sum of the groups at objs
+    modulo one relator column a - a ◁ m per generator a at dom(m), in
+    the order given.  offsets[o] locates M(o)'s generators in the sum;
+    injections[o] is the map M(o) -> group."""
     groups = [module.groups[o] for o in objs]
     total, injs, _ = direct_sum(groups)
     offsets = {}
@@ -249,9 +249,8 @@ def colim_category(cat, module):
     for o, g in zip(objs, groups):
         offsets[o] = at
         at += g.ngens
-
     cols = []
-    for m in cat.nonidentity_morphisms():
+    for m in morphisms:
         src, tgt = cat.dom[m], cat.cod[m]
         amat = module.action[m].matrix
         for i in range(module.groups[src].ngens):
@@ -260,52 +259,31 @@ def colim_category(cat, module):
             for rix in range(amat.nrows):
                 col[offsets[tgt] + rix] -= amat.rows[rix][i]
             cols.append(col)
-    relationmap = ZMatrix.from_cols(cols, total.ngens)
-    result = FgAbGroup(total.ngens, total.relations.hstack(relationmap))
+    group = FgAbGroup(total.ngens, total.relations.hstack(
+        ZMatrix.from_cols(cols, total.ngens)))
+    injections = {o: AbHom(g, group, inj.matrix, checked=True)
+                  for o, g, inj in zip(objs, groups, injs)}
+    return group, offsets, injections
 
-    canonical = {}
-    for o, inj in zip(objs, injs):
-        canonical[o] = AbHom(module.groups[o], result, inj.matrix,
-                             checked=True)
-    for m in cat.nonidentity_morphisms():
-        src, tgt = cat.dom[m], cat.cod[m]
-        via = module.action[m].then(canonical[tgt])
-        if not via.equal_as_maps(canonical[src]):
+
+def colim_category(cat, module):
+    objs = list(cat.objects)
+    morphisms = cat.nonidentity_morphisms()
+    result, _, canonical = _presentation(cat, module, objs, morphisms)
+    for m in morphisms:
+        via = module.action[m].then(canonical[cat.cod[m]])
+        if not via.equal_as_maps(canonical[cat.dom[m]]):
             raise StructuralDefect(
                 "canonical maps fail to coequalize at %r" % (m,))
 
     components = []
     for comp_objs in cat.components():
-        comp_objs = [o for o in objs if o in set(comp_objs)]
-        sub_ngens = sum(module.groups[o].ngens for o in comp_objs)
-        suboff = {}
-        at = 0
-        for o in comp_objs:
-            suboff[o] = at
-            at += module.groups[o].ngens
-        subcols = []
-        for o in comp_objs:
-            block = module.groups[o].relations
-            for j in range(block.ncols):
-                col = [0] * sub_ngens
-                for i in range(block.nrows):
-                    col[suboff[o] + i] = block.rows[i][j]
-                subcols.append(col)
         inset = set(comp_objs)
-        for m in cat.nonidentity_morphisms():
-            src, tgt = cat.dom[m], cat.cod[m]
-            if src not in inset:
-                continue
-            amat = module.action[m].matrix
-            for i in range(module.groups[src].ngens):
-                col = [0] * sub_ngens
-                col[suboff[src] + i] += 1
-                for rix in range(amat.nrows):
-                    col[suboff[tgt] + rix] -= amat.rows[rix][i]
-                subcols.append(col)
-        components.append(
-            (comp_objs, FgAbGroup(sub_ngens,
-                                  ZMatrix.from_cols(subcols, sub_ngens))))
+        comp_objs = [o for o in objs if o in inset]
+        group, _, _ = _presentation(
+            cat, module, comp_objs,
+            [m for m in morphisms if cat.dom[m] in inset])
+        components.append((comp_objs, group))
 
     summed = FgAbGroup(
         sum(g.ngens for _, g in components),
@@ -313,8 +291,7 @@ def colim_category(cat, module):
     if summed.canonical_form() != result.canonical_form():
         raise StructuralDefect(
             "component decomposition disagrees with the total colimit")
-    return ColimitPresentation(cat, module, result, offsets, canonical,
-                               relationmap, components)
+    return ColimitPresentation(cat, module, result, canonical, components)
 
 
 class ColimEResult:
@@ -339,35 +316,6 @@ class ColimEResult:
 
     def __repr__(self):
         return "ColimEResult(%d classes)" % len(self.members)
-
-
-def _identity_lower_bounds(g0, e, f):
-    return sorted(w for w in g0.identities
-                  if g0.order.leq(w, e) and g0.order.leq(w, f))
-
-
-def _class_presentation(g0, a_module, members):
-    """(group, offsets, injection matrices) for one identity class."""
-    groups = [a_module.groups[e] for e in members]
-    total, injs, _ = direct_sum(groups)
-    offsets = {}
-    at = 0
-    for e, g in zip(members, groups):
-        offsets[e] = at
-        at += g.ngens
-    cols = []
-    for e in members:
-        for f in members:
-            if f != e and g0.order.leq(f, e):
-                amat = a_module.action[(e, f)].matrix
-                for i in range(a_module.groups[e].ngens):
-                    col = [0] * total.ngens
-                    col[offsets[e] + i] += 1
-                    for rix in range(amat.nrows):
-                        col[offsets[f] + rix] -= amat.rows[rix][i]
-                    cols.append(col)
-    rel = total.relations.hstack(ZMatrix.from_cols(cols, total.ngens))
-    return FgAbGroup(total.ngens, rel), offsets, injs
 
 
 def _quotient_action_column(g0, a_module, e, i, g, ell, tgt_group,
@@ -397,20 +345,19 @@ def colim_E(g0, lc, a_module, q=None):
     """
     q = q or quotient(g0)
     qc = groupoid_as_category(q.groupoid)
-    idset = set(g0.identities)
 
     members = {}
     offsets = {}
     alpha = {}
     groups = {}
     for x in qc.objects:
-        mem = sorted(a for a in q.classes[x] if a in idset)
+        mem = [a for a in q.classes[x] if g0.is_identity(a)]
         members[x] = mem
-        lx, offs, injs = _class_presentation(g0, a_module, mem)
-        groups[x] = lx
-        offsets[x] = offs
-        for e, inj in zip(mem, injs):
-            alpha[e] = AbHom(a_module.groups[e], lx, inj.matrix, checked=True)
+        order_morphisms = [(e, f) for e in mem for f in mem
+                           if f != e and g0.order.leq(f, e)]
+        groups[x], offsets[x], injs = _presentation(
+            lc.category, a_module, mem, order_morphisms)
+        alpha.update(injs)
 
     action = {}
     for m in qc.morphisms:
@@ -422,7 +369,7 @@ def colim_E(g0, lc, a_module, q=None):
         cols = []
         for e in members[x]:
             for i in range(a_module.groups[e].ngens):
-                ell = _identity_lower_bounds(g0, e, g0.d[g])[0]
+                ell = min(g0.identity_lower_bounds(e, g0.d[g]))
                 cols.append(_quotient_action_column(
                     g0, a_module, e, i, g, ell, groups[y], offsets[y]))
         mat = ZMatrix.from_cols(cols, groups[y].ngens)
@@ -447,7 +394,7 @@ class ActionChoiceReport:
         return "ActionChoiceReport(%s, %r)" % (word, self.counts)
 
 
-def check_quotient_action(g0, lc, a_module, colim=None):
+def check_quotient_action(g0, lc, a_module):
     """The three independence assertions for the quotient action.
 
     (1) the middle identity ell may be any common lower bound;
@@ -455,7 +402,7 @@ def check_quotient_action(g0, lc, a_module, colim=None):
         (independence of the preimage chosen for a class element);
     (3) the acting arrow may be any member of its class.
     """
-    colim = colim or colim_E(g0, lc, a_module)
+    colim = colim_E(g0, lc, a_module)
     q = colim.q
     qc = colim.module.base
     counts = {"ell": 0, "descent": 0, "representative": 0}
@@ -471,7 +418,7 @@ def check_quotient_action(g0, lc, a_module, colim=None):
         for e in colim.members[x]:
             for i in range(a_module.groups[e].ngens):
                 base_col = None
-                for ell in _identity_lower_bounds(g0, e, g0.d[m]):
+                for ell in sorted(g0.identity_lower_bounds(e, g0.d[m])):
                     col = _quotient_action_column(
                         g0, a_module, e, i, m, ell, ly, colim.offsets[y])
                     counts["ell"] += 1
@@ -490,7 +437,7 @@ def check_quotient_action(g0, lc, a_module, colim=None):
             cols = []
             for e in colim.members[x]:
                 for i in range(a_module.groups[e].ngens):
-                    ell = _identity_lower_bounds(g0, e, g0.d[rep])[0]
+                    ell = min(g0.identity_lower_bounds(e, g0.d[rep]))
                     cols.append(_quotient_action_column(
                         g0, a_module, e, i, rep, ell, ly, colim.offsets[y]))
             counts["representative"] += 1
@@ -597,12 +544,12 @@ class ColimCompositionReport:
                    self.rhs.result.canonical_form()))
 
 
-def check_colim_composition(g0, lc, a_module, q=None):
+def check_colim_composition(g0, lc, a_module):
     """Compare the one-step colimit over the groupoid category with the
     two-step colimit through the quotient, including an explicit
     comparison isomorphism induced by the universal property."""
     lhs = colim_category(lc.category, a_module)
-    colim = colim_E(g0, lc, a_module, q=q)
+    colim = colim_E(g0, lc, a_module)
     qc = colim.module.base
     rhs = colim_category(qc, colim.module)
 

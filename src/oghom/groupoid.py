@@ -26,27 +26,7 @@ when r(g) = d(h).  The axioms checked, with their witness shapes:
 """
 
 from .errors import PreconditionViolation, StructuralDefect
-from .poset import Poset
-
-
-def reflexive_transitive_closure(elements, pairs):
-    """Closure of `pairs` as a set of (lower, upper) tuples; no
-    antisymmetry enforcement (validation reports that instead)."""
-    elements = list(elements)
-    up = {e: {e} for e in elements}  # up[a] = {b : a <= b}
-    for lo, hi in pairs:
-        up[lo].add(hi)
-    changed = True
-    while changed:
-        changed = False
-        for a in elements:
-            acc = set(up[a])
-            for b in up[a]:
-                acc |= up[b]
-            if len(acc) != len(up[a]):
-                up[a] = acc
-                changed = True
-    return {(a, b) for a in elements for b in up[a]}
+from .poset import Poset, order_closure
 
 
 class Violation:
@@ -116,9 +96,8 @@ class GroupoidCandidate:
         for g in d:
             comp.setdefault((d[g], g), g)
             comp.setdefault((g, r[g]), g)
-        closed = reflexive_transitive_closure(
-            list(d), order_generators)
-        return cls(identities, d, r, inv, comp, closed)
+        return cls(identities, d, r, inv, comp,
+                   order_closure(d, order_generators))
 
     def leq(self, a, b):
         return (a, b) in self.order_pairs
@@ -248,13 +227,12 @@ class OrderedGroupoid:
         self.r = dict(cand.r)
         self.inv = dict(cand.inv)
         self._compose = dict(cand.compose)
-        self.order = Poset(self.arrows, list(cand.order_pairs), closed=True)
-        idset = set(self.identities)
+        self.order = Poset(self.arrows, cand.order_pairs)
+        self._idset = idset = frozenset(self.identities)
         self.identity_poset = Poset(
             self.identities,
             [(a, b) for (a, b) in cand.order_pairs
-             if a in idset and b in idset],
-            closed=True)
+             if a in idset and b in idset])
         self._restriction = {}
         for x in self.arrows:
             for e in self.identities:
@@ -268,14 +246,10 @@ class OrderedGroupoid:
         return cls(cand, validate(cand))
 
     def is_identity(self, x):
-        return x in self._idset()
-
-    def _idset(self):
-        return set(self.identities)
+        return x in self._idset
 
     def nonidentity_arrows(self):
-        ids = set(self.identities)
-        return [a for a in self.arrows if a not in ids]
+        return [a for a in self.arrows if a not in self._idset]
 
     def composable(self, g, h):
         return self.r[g] == self.d[h]
@@ -314,9 +288,6 @@ class OrderedGroupoid:
 
     def principal_ideal(self, t):
         return self.order.principal_ideal(t)
-
-    def is_directed(self, subset):
-        return self.order.is_directed_down(subset)
 
     def identity_lower_bounds(self, e, f):
         return self.identity_poset.lower_bounds(e, f)

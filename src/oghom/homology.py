@@ -174,10 +174,10 @@ class TheoremReport:
         return "TheoremReport(%s, %d degrees)" % (word, len(self.rows))
 
 
-def check_theorem(g0, lc, a_module, degrees, colim=None):
+def check_theorem(g0, lc, a_module, degrees):
     """Compare H_n over the groupoid's category with H_n of the class
     colimits over the quotient, degree by degree."""
-    colim = colim or colim_E(g0, lc, a_module)
+    colim = colim_E(g0, lc, a_module)
     qc = colim.module.base
     top = max(degrees)
     left_cx = nerve_complex(lc.category, a_module, top + 1)

@@ -1,18 +1,39 @@
 """Finite partial orders on hashable elements.
 
-Orders arrive as generating pairs; the constructor takes the
-reflexive-transitive closure and rejects antisymmetry failures.  The
-groupoid layer keeps one of these for its arrows and one for its
-identities.
+`order_closure` turns generating pairs into the reflexive-transitive
+closure; a Poset is built from closed pairs and rejects antisymmetry
+failures.  The groupoid layer keeps one of these for its arrows and one
+for its identities.
 """
 
 from .errors import StructuralDefect
 
 
-class Poset:
-    """A finite poset given by elements and relation pairs.
+def order_closure(elements, pairs):
+    """Reflexive-transitive closure of `pairs` as a set of (lower, upper)
+    tuples.  Antisymmetry is not enforced: a cycle closes to pairs both
+    ways, which groupoid validation reports as a violation."""
+    elements = list(elements)
+    up = {e: {e} for e in elements}  # up[a] = {b : a <= b}
+    for lo, hi in pairs:
+        up[lo].add(hi)
+    changed = True
+    while changed:
+        changed = False
+        for a in elements:
+            acc = set(up[a])
+            for b in up[a]:
+                acc |= up[b]
+            if len(acc) != len(up[a]):
+                up[a] = acc
+                changed = True
+    return {(a, b) for a in elements for b in up[a]}
 
-    >>> p = Poset("abc", [("a", "b"), ("b", "c")])
+
+class Poset:
+    """A finite poset given by elements and its closed relation pairs.
+
+    >>> p = Poset("abc", order_closure("abc", [("a", "b"), ("b", "c")]))
     >>> p.leq("a", "c")
     True
     >>> p.glb("b", "c")
@@ -21,7 +42,7 @@ class Poset:
     ['a', 'b']
     """
 
-    def __init__(self, elements, pairs, closed=False):
+    def __init__(self, elements, pairs):
         self.elements = list(elements)
         index = {}
         for e in self.elements:
@@ -39,8 +60,6 @@ class Poset:
             if hi not in index:
                 raise StructuralDefect("order pair mentions unknown element %r" % (hi,))
             below[index[hi]].add(index[lo])
-        if not closed:
-            self._transitive_close(below)
         for i in range(n):
             for j in below[i]:
                 if i != j and i in below[j]:
@@ -48,19 +67,6 @@ class Poset:
                         "antisymmetry fails: %r and %r are comparable both ways"
                         % (self.elements[i], self.elements[j]))
         self._below = below
-
-    @staticmethod
-    def _transitive_close(below):
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(below)):
-                acc = set(below[i])
-                for j in below[i]:
-                    acc |= below[j]
-                if len(acc) != len(below[i]):
-                    below[i] = acc
-                    changed = True
 
     def __contains__(self, e):
         return e in self._index
@@ -95,15 +101,16 @@ class Poset:
                 return self.elements[j]
         return None
 
-    def is_directed_down(self, subset):
-        """True iff every pair in `subset` has a lower bound inside it."""
+    def undirected_pair(self, subset):
+        """The first pair (a, b) of `subset`, in its order, with no lower
+        bound inside `subset`; None when `subset` is directed down."""
         idxs = [self._index[e] for e in subset]
         for x, i in enumerate(idxs):
             for k in idxs[x + 1:]:
                 if not any(j in self._below[i] and j in self._below[k]
                            for j in idxs):
-                    return False
-        return True
+                    return (self.elements[i], self.elements[k])
+        return None
 
     def covers(self):
         """Covering pairs (a, b): a < b with nothing strictly between."""
@@ -114,16 +121,6 @@ class Poset:
                 if not any(k != j and j in self._below[k] for k in strict):
                     out.append((self.elements[j], e))
         return out
-
-    def minimal_elements(self):
-        return [e for i, e in enumerate(self.elements)
-                if len(self._below[i]) == 1]
-
-    def linear_extension(self):
-        """Elements listed so that smaller ones come first."""
-        order = sorted(range(len(self.elements)),
-                       key=lambda i: (len(self._below[i]), i))
-        return [self.elements[i] for i in order]
 
     def comparability_components(self):
         """Partition of the elements into connected components of the

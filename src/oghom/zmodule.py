@@ -760,10 +760,6 @@ def homology_at(f, g):
     return FgAbGroup(kbasis.ncols, q)
 
 
-def canonical_form(group):
-    return group.canonical_form()
-
-
 def enumerate_homs(source, target, max_count=200000):
     """Every homomorphism source -> target, as AbHom objects.
 

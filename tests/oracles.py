@@ -192,3 +192,38 @@ def random_zero_composite(rng, max_elements=512):
     gbar = random_hom(rng, coker, c, c_diag)
     g = AbHom(b, c, gbar.matrix)
     return f, g
+
+
+# ---------------------------------------------------------------- beta-classes
+
+
+def beta_classes_by_pairs(g0):
+    """Beta-classes by union-find over every beta-related pair of arrows,
+    the relation read straight off the order: g beta h when some k lies
+    below both.  Same (classes, class_of) shape as beta.beta_classes."""
+    leq = g0.order.leq
+    parent = {a: a for a in g0.arrows}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for g in g0.arrows:
+        for h in g0.arrows:
+            if g < h and any(leq(k, g) and leq(k, h) for k in g0.arrows):
+                ra, rb = find(g), find(h)
+                if ra != rb:
+                    parent[ra] = rb
+    groups = {}
+    for a in g0.arrows:
+        groups.setdefault(find(a), []).append(a)
+    classes = {}
+    class_of = {}
+    for members in groups.values():
+        cid = min(members)
+        classes[cid] = sorted(members)
+        for a in members:
+            class_of[a] = cid
+    return classes, class_of

@@ -1,5 +1,7 @@
 """The common-lower-bound relation, its classes, and the quotient."""
 
+import random
+
 import pytest
 
 from oghom import fixtures
@@ -17,6 +19,9 @@ from oghom.errors import NotPrincipallyDirected
 from oghom.groupoid import validate
 from oghom.io import groupoid_to_doc
 from oghom.lcat import build_lcat
+from oghom.randgen import random_og
+
+from .oracles import beta_classes_by_pairs
 
 
 def test_beta_witness_clifford():
@@ -33,6 +38,24 @@ def test_beta_classes_clifford():
     classes, class_of = beta_classes(g)
     assert classes == {"1": ["1", "f"], "s": ["s", "t"]}
     assert class_of["t"] == "s" and class_of["f"] == "1"
+
+
+def test_beta_classes_match_pairwise_oracle():
+    # the comparability components must equal the union-find over all
+    # beta-related pairs, in content and in dict order, directed or not
+    instances = [fixtures.load(n).groupoid for n in fixtures.names()]
+    rng = random.Random(2024)
+    for directed in (True, False):
+        for _ in range(40):
+            instances.append(random_og(
+                rng, n_identities=rng.randint(1, 5),
+                max_group=rng.randint(1, 4), directed=directed).groupoid)
+    assert any(not is_principally_directed(g)[0] for g in instances)
+    for g in instances:
+        got = beta_classes(g)
+        want = beta_classes_by_pairs(g)
+        assert got == want
+        assert list(got[0]) == list(want[0])
 
 
 def test_directedness_verdicts():

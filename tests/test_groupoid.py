@@ -68,6 +68,16 @@ def test_from_parts_inserts_units():
     assert validate(c).ok
 
 
+def test_from_parts_keeps_order_cycles_for_validation():
+    # closing generating pairs must not reject a cycle; the validator
+    # reports it as an axiom violation with a witness
+    c = GroupoidCandidate.from_parts(
+        ["e", "f"], {}, {}, [("e", "f"), ("f", "e")])
+    rep = validate(c)
+    assert rep.has("order-antisymmetry", ("e", "f"))
+    assert rep.axioms() == ["order-antisymmetry"]
+
+
 def test_clifford_structure():
     g = fixtures.load("clifford").groupoid
     assert g.identities == ["1", "f"]

@@ -176,6 +176,25 @@ def test_cli_exit_code_on_bad_input(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_cli_bad_group_spec_is_input_error(tmp_path, capsys):
+    doc = mutated("clifford", lambda d: d["modules"]["sign"]["groups"]
+                  .update({"1": {"ngens": 2, "relations": [[1]]}}))
+    p = tmp_path / "bad.json"
+    p.write_text(io.dumps(doc))
+    assert main(["colim", str(p), "--module", "sign"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error at /modules/sign/groups/1: ")
+    assert "ngens rows" in err
+
+
+@pytest.mark.parametrize("degrees", ["x", "-1", ",", "0,-2"])
+def test_cli_bad_degrees_is_usage_error(degrees, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "theorem", "z2", "--degrees", degrees])
+    assert exc.value.code == 2
+    assert "--degrees" in capsys.readouterr().err
+
+
 def test_cli_beta(capsys):
     assert main(["beta", "twofold", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
