@@ -69,6 +69,21 @@ def _degrees(text):
     return degrees
 
 
+def _at_least(low):
+    """argparse type: an integer no smaller than `low`, else a usage
+    error."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("not an integer: %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d: %r" % (low, text))
+        return value
+    return parse
+
+
 def _form_doc(group):
     rank, torsion = group.canonical_form()
     return {"rank": rank, "torsion": list(torsion)}
@@ -291,7 +306,7 @@ def build_parser():
 
     p = add("homology", cmd_homology, "homology profile over the category")
     p.add_argument("--module", help="module name (default: all)")
-    p.add_argument("--max-degree", type=int, default=2,
+    p.add_argument("--max-degree", type=_at_least(0), default=2,
                    help="highest degree to compute (default 2)")
 
     p = sub.add_parser("check", help="run a named verification")
@@ -303,7 +318,7 @@ def build_parser():
     p.add_argument("--module", help="module name (default: all)")
     p.add_argument("--degrees", type=_degrees, default="2",
                    help="N for 0..N, or comma list (theorem; default 2)")
-    p.add_argument("--hom-bound", type=int, default=64,
+    p.add_argument("--hom-bound", type=_at_least(1), default=64,
                    help="largest group order enumerated (default 64)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
@@ -312,8 +327,8 @@ def build_parser():
     p = add("gen", cmd_gen, "emit a random instance as JSON",
             with_input=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--identities", type=int, default=3)
-    p.add_argument("--max-group", type=int, default=4)
+    p.add_argument("--identities", type=_at_least(1), default=3)
+    p.add_argument("--max-group", type=_at_least(1), default=4)
     p.add_argument("--free", action="store_true",
                    help="arbitrary identity order (may fail directedness)")
     p.add_argument("--module", action="store_true",

@@ -5,12 +5,13 @@ brute-force homology works on explicit element tuples with modular
 counting, never touching Smith forms; the cyclic-group answers come
 from the two-periodic resolution, where every boundary map is
 multiplication by a single integer and the whole computation is gcd
-arithmetic.
+arithmetic; the dense homology solves the unreduced boundaries,
+skipping the unit-pivot elimination of `ChainComplex.homology`.
 """
 
 from math import gcd
 
-from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
+from oghom.zmodule import AbHom, FgAbGroup, ZMatrix, homology_at
 
 
 # ---------------------------------------------------------------- element-level homology
@@ -83,6 +84,20 @@ def brute_force_homology(f, g):
         chain.append(d)
     chain.reverse()
     return (0, tuple(chain))
+
+
+# ---------------------------------------------------------------- dense homology
+
+
+def dense_homology(cx, n):
+    """Canonical form of H_n of a ChainComplex from one dense solve on
+    its unreduced boundaries, with no pivot elimination."""
+    f = cx.boundaries[n + 1]
+    if n == 0:
+        g = AbHom.zero(cx.groups[0], FgAbGroup.trivial())
+    else:
+        g = cx.boundaries[n]
+    return homology_at(f, g).canonical_form()
 
 
 # ---------------------------------------------------------------- periodic resolution

@@ -195,6 +195,37 @@ def test_cli_bad_degrees_is_usage_error(degrees, capsys):
     assert "--degrees" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["homology", "z2", "--max-degree", "-1"], "--max-degree"),
+    (["check", "adjunction", "clifford", "--hom-bound", "-1"],
+     "--hom-bound"),
+    (["check", "adjunction", "clifford", "--hom-bound", "0"],
+     "--hom-bound"),
+    (["gen", "--max-group", "0"], "--max-group"),
+    (["gen", "--identities", "-3"], "--identities"),
+    (["gen", "--identities", "0"], "--identities"),
+    (["gen", "--identities", "x"], "--identities"),
+])
+def test_cli_bad_integer_option_is_usage_error(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: " % option in err
+    assert "Traceback" not in err
+
+
+def test_cli_smallest_integer_options(capsys):
+    assert main(["homology", "z2", "--module", "const",
+                 "--max-degree", "0", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["modules"]["const"] == [
+        {"degree": 0, "rank": 1, "torsion": []}]
+    assert main(["gen", "--identities", "1", "--max-group", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["identities"] == ["e0"] and doc["arrows"] == []
+
+
 def test_cli_beta(capsys):
     assert main(["beta", "twofold", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

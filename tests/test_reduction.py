@@ -1,0 +1,174 @@
+"""Unit-pivot reduction of chain complexes against the dense solve.
+
+`ChainComplex.homology` solves a reduced complex; `dense_homology`
+solves the unreduced boundaries.  Every comparison is of canonical
+forms, degree by degree below the top.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oghom import fixtures, io
+from oghom.gmodules import colim_E
+from oghom.groupoid import OrderedGroupoid
+from oghom.homology import (
+    ChainComplex,
+    _relation_support,
+    _summand_orders,
+    homology_profile,
+    nerve_complex,
+)
+from oghom.lcat import build_lcat
+from oghom.randgen import _cyclic_group, random_module, random_og
+from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
+from .oracles import dense_homology, periodic_cyclic_homology
+
+
+def assert_matches_dense(cx):
+    for n in range(cx.top_degree):
+        assert cx.homology(n).canonical_form() == dense_homology(cx, n), n
+    # entries in a row of finite cyclic order k stay in [0, k)
+    red = cx.reduced()
+    for n in range(1, red.top_degree + 1):
+        target = red.groups[n - 1]
+        orders = _summand_orders(target.ngens, _relation_support(target))
+        for k, row in zip(orders, red.boundaries[n].matrix.rows):
+            assert not k or all(0 <= v < k for v in row), (n, k, row)
+
+
+def non_summands(cx):
+    """Generators that no cyclic summand carries, so never pivots."""
+    return sum(_summand_orders(g.ngens, _relation_support(g)).count(None)
+               for g in cx.groups)
+
+
+def cyclic_bundle(m, spec):
+    _, cand, module_docs = io.load(fixtures.cyclic_doc(m, {"a": spec}))
+    g0 = OrderedGroupoid.from_candidate(cand)
+    lc = build_lcat(g0)
+    return lc.category, io.build_module(g0, lc, module_docs["a"])
+
+
+def theorem_complexes(seed, finite, top):
+    """Both complexes `check_theorem` solves, on a seeded instance."""
+    rng = random.Random(seed)
+    rog = random_og(rng, n_identities=rng.randint(1, 4),
+                    max_group=rng.randint(1, 3))
+    lc = build_lcat(rog.groupoid)
+    module = random_module(rng, rog, lc, finite=finite, max_order=6)
+    colim = colim_E(rog.groupoid, lc, module)
+    return (nerve_complex(lc.category, module, top),
+            nerve_complex(colim.module.base, colim.module, top))
+
+
+def test_fixtures_match_dense():
+    for name in fixtures.names():
+        bundle = fixtures.load(name)
+        for module in bundle.modules.values():
+            assert_matches_dense(
+                nerve_complex(bundle.lc.category, module, 3))
+
+
+def test_cyclic_groups_match_dense_and_closed_form():
+    for m in range(1, 7):
+        for k in [0] + list(range(2, 8)):
+            for unit in (1, -1):
+                if unit == -1 and m % 2 and k != 2:
+                    continue  # -1 is not an m-th root of unity here
+                spec = fixtures.cyclic_module_spec(
+                    m, 0 if k else 1, [k] if k else [], unit)
+                cat, module = cyclic_bundle(m, spec)
+                cx = nerve_complex(cat, module, 3)
+                assert_matches_dense(cx)
+                assert [cx.homology(n).canonical_form()
+                        for n in range(3)] == [
+                    periodic_cyclic_homology(m, k, unit, n)
+                    for n in range(3)], (m, k, unit)
+
+
+def test_theorem_complexes_match_dense():
+    tied = 0
+    for seed in range(40):
+        for finite in (True, False):
+            for cx in theorem_complexes(seed, finite, 3):
+                assert_matches_dense(cx)
+                tied += non_summands(cx)
+    assert tied > 0  # the quotient side has non-diagonal colimit groups
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_theorem_complexes_match_dense_hypothesis(seed, finite):
+    for cx in theorem_complexes(seed, finite, 3):
+        assert_matches_dense(cx)
+
+
+def test_equal_order_rule():
+    # Z --1--> Z/2: the entry is a unit, but Z and Z/2 are not the same
+    # summand, and H_1 = 2Z is free; cancelling would give 0
+    z2 = FgAbGroup.from_invariants(0, [2])
+    z = FgAbGroup.free(1)
+    zero = FgAbGroup.trivial()
+    cx = ChainComplex([z2, z, zero],
+                      [None, AbHom(z, z2, ZMatrix([[1]])),
+                       AbHom.zero(zero, z)])
+    assert [g.ngens for g in cx.reduced().groups] == [1, 1, 0]
+    assert cx.homology(1).canonical_form() == (1, ())
+    assert cx.homology(0).canonical_form() == (0, ())
+    assert_matches_dense(cx)
+
+
+def test_non_pm1_unit():
+    # 3 is a unit mod 7 but not mod 6: the Z/7 pair cancels, Z/6 stays
+    zero = FgAbGroup.trivial()
+    for k, ranks, h in [(7, [0, 0, 0], [(0, ()), (0, ())]),
+                        (6, [1, 1, 0], [(0, (3,)), (0, (3,))])]:
+        zk = FgAbGroup.from_invariants(0, [k])
+        cx = ChainComplex([zk, zk, zero],
+                          [None, AbHom(zk, zk, ZMatrix([[3]])),
+                           AbHom.zero(zero, zk)])
+        assert [g.ngens for g in cx.reduced().groups] == ranks
+        assert [cx.homology(n).canonical_form() for n in range(2)] == h
+        assert_matches_dense(cx)
+    # Z/3 acting on Z/7 through the unit 2
+    cat, module = cyclic_bundle(3, fixtures.cyclic_module_spec(3, 0, [7], 2))
+    assert homology_profile(cat, module, 3) == [
+        periodic_cyclic_homology(3, 7, 2, n) for n in range(4)]
+
+
+def test_non_summand_generators_are_kept():
+    # Z^2/(2, 2) = Z + Z/2: neither generator spans a summand
+    spec = {"groups": {"1": {"ngens": 2, "relations": [[2], [2]]}},
+            "poset_maps": {},
+            "arrow_maps": {"t%d" % i: [[1, 0], [0, 1]] for i in (1, 2, 3)}}
+    cat, module = cyclic_bundle(4, spec)
+    cx = nerve_complex(cat, module, 4)
+    assert non_summands(cx) == sum(g.ngens for g in cx.groups)
+    assert ([g.ngens for g in cx.reduced().groups][:-1]
+            == [g.ngens for g in cx.groups][:-1])
+    assert [cx.homology(n).canonical_form() for n in range(4)] == [
+        (1, (2,)), (0, (2, 4)), (0, (2,)), (0, (2, 4))]
+    assert_matches_dense(cx)
+
+
+def test_dead_generators_are_dropped():
+    dead = _cyclic_group(1)
+    z = FgAbGroup.free(1)
+    zero = FgAbGroup.trivial()
+    # Z <-0- (dead) <-3- Z <- 0: the dead generator carries nothing
+    cx = ChainComplex([z, dead, z, zero],
+                      [None, AbHom(dead, z, ZMatrix([[0]])),
+                       AbHom(z, dead, ZMatrix([[3]])), AbHom.zero(zero, z)])
+    assert [g.ngens for g in cx.reduced().groups] == [1, 0, 1, 0]
+    assert [cx.homology(n).canonical_form() for n in range(3)] == [
+        (1, ()), (0, ()), (1, ())]
+    assert_matches_dense(cx)
+    spec = {"groups": {"1": {"ngens": 1, "relations": [[1]]}},
+            "poset_maps": {},
+            "arrow_maps": {"t1": [[1]], "t2": [[1]]}}
+    cx = nerve_complex(*cyclic_bundle(3, spec), 3)
+    assert [g.ngens for g in cx.groups] == [1, 2, 4, 8]
+    assert [g.ngens for g in cx.reduced().groups] == [0, 0, 0, 0]
+    assert_matches_dense(cx)
