@@ -224,31 +224,28 @@ def _reduce(groups, boundaries):
         # nonzero columns, on free generators
         keep[top] = [j for j in keep[top] if cols[top][j]]
         supports[top] = []
+    index = [{i: x for x, i in enumerate(kept)} for kept in keep]
+
+    def dense(entries, n):
+        # a sparse column over the generators of C_n that were kept
+        out = [0] * len(keep[n])
+        for i, v in entries:
+            out[index[n][i]] = v
+        return out
+
     new_groups = []
     for n, support in enumerate(supports):
-        index = {i: x for x, i in enumerate(keep[n])}
-        rel_cols = []
-        for col in support:
-            # a relation on a removed generator involves no other one
-            if col and col[0][0] in index:
-                dense = [0] * len(keep[n])
-                for i, v in col:
-                    dense[index[i]] = v
-                rel_cols.append(dense)
+        # a relation on a removed generator involves no other one
+        rel_cols = [dense(col, n) for col in support
+                    if col and col[0][0] in index[n]]
         new_groups.append(FgAbGroup(len(keep[n]), ZMatrix.from_cols(
             rel_cols, len(keep[n]))))
     new_boundaries = [None]
     for n in range(1, top + 1):
-        index = {i: x for x, i in enumerate(keep[n - 1])}
-        dense = []
-        for j in keep[n]:
-            col = [0] * len(keep[n - 1])
-            for r, v in cols[n][j].items():
-                col[index[r]] = v
-            dense.append(col)
-        new_boundaries.append(AbHom(
-            new_groups[n], new_groups[n - 1],
-            ZMatrix.from_cols(dense, len(keep[n - 1])), checked=True))
+        mat = ZMatrix.from_cols([dense(cols[n][j].items(), n - 1)
+                                 for j in keep[n]], len(keep[n - 1]))
+        new_boundaries.append(AbHom(new_groups[n], new_groups[n - 1], mat,
+                                    checked=True))
     return ChainComplex(new_groups, new_boundaries, checked=True)
 
 
