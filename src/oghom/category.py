@@ -18,6 +18,10 @@ class FiniteCategory:
         self.cod = dict(cod)
         self.identity = dict(identity)
         self._compose = dict(compose)
+        # outgoing[o]: the morphisms with domain o, in morphism order
+        self.outgoing = {o: [] for o in self.objects}
+        for m in self.morphisms:
+            self.outgoing.setdefault(self.dom[m], []).append(m)
         problems = self.check()
         if problems:
             raise StructuralDefect("not a category: %s" % problems[0])
@@ -33,15 +37,16 @@ class FiniteCategory:
             if self.dom[m] not in self.objects or self.cod[m] not in self.objects:
                 out.append("morphism %r has unknown endpoints" % (m,))
         for m1 in self.morphisms:
-            for m2 in self.morphisms:
-                if self.cod[m1] == self.dom[m2]:
-                    k = self._compose.get((m1, m2))
-                    if k is None or k not in self.dom:
-                        out.append("composite (%r, %r) missing" % (m1, m2))
-                    elif self.dom[k] != self.dom[m1] or self.cod[k] != self.cod[m2]:
-                        out.append("composite (%r, %r) mistyped" % (m1, m2))
-                elif (m1, m2) in self._compose:
-                    out.append("composite (%r, %r) defined illegally" % (m1, m2))
+            for m2 in self.outgoing.get(self.cod[m1], ()):
+                k = self._compose.get((m1, m2))
+                if k is None or k not in self.dom:
+                    out.append("composite (%r, %r) missing" % (m1, m2))
+                elif self.dom[k] != self.dom[m1] or self.cod[k] != self.cod[m2]:
+                    out.append("composite (%r, %r) mistyped" % (m1, m2))
+        for (m1, m2) in self._compose:
+            if (m1 in self.dom and m2 in self.dom
+                    and self.cod[m1] != self.dom[m2]):
+                out.append("composite (%r, %r) defined illegally" % (m1, m2))
         if out:
             return out
         for m in self.morphisms:
@@ -50,13 +55,9 @@ class FiniteCategory:
             if self._compose[(m, self.identity[self.cod[m]])] != m:
                 out.append("right unit fails at %r" % (m,))
         for m1 in self.morphisms:
-            for m2 in self.morphisms:
-                if self.cod[m1] != self.dom[m2]:
-                    continue
+            for m2 in self.outgoing[self.cod[m1]]:
                 m12 = self._compose[(m1, m2)]
-                for m3 in self.morphisms:
-                    if self.cod[m2] != self.dom[m3]:
-                        continue
+                for m3 in self.outgoing[self.cod[m2]]:
                     if (self._compose[(m12, m3)]
                             != self._compose[(m1, self._compose[(m2, m3)])]):
                         out.append("associativity fails at (%r, %r, %r)"
@@ -80,13 +81,9 @@ class FiniteCategory:
     def left_cancellative(self):
         """(verdict, witness): witness is (m, h1, h2) with m h1 = m h2,
         h1 != h2 when cancellation fails."""
-        by_dom = {}
-        for h in self.morphisms:
-            by_dom.setdefault(self.dom[h], []).append(h)
         for m in self.morphisms:
-            outgoing = by_dom.get(self.cod[m], [])
             seen = {}
-            for h in outgoing:
+            for h in self.outgoing[self.cod[m]]:
                 k = self._compose[(m, h)]
                 if k in seen and seen[k] != h:
                     return (False, (m, seen[k], h))
@@ -133,13 +130,9 @@ class FiniteCategory:
 
 def groupoid_as_category(g0):
     """A groupoid's underlying category (objects = identities)."""
-    comp = {}
-    for g in g0.arrows:
-        for h in g0.arrows:
-            if g0.composable(g, h):
-                comp[(g, h)] = g0.compose(g, h)
-    return FiniteCategory(g0.identities, g0.arrows, dict(g0.d), dict(g0.r),
-                          {e: e for e in g0.identities}, comp)
+    return FiniteCategory(g0.identities, g0.arrows, g0.d, g0.r,
+                          {e: e for e in g0.identities},
+                          g0.composition_table())
 
 
 def group_category(m, names=None):

@@ -84,11 +84,6 @@ def _at_least(low):
     return parse
 
 
-def _form_doc(group):
-    rank, torsion = group.canonical_form()
-    return {"rank": rank, "torsion": list(torsion)}
-
-
 def cmd_validate(args):
     _, cand, _ = io.load(_resolve(args.input))
     report = validate(cand)
@@ -162,7 +157,7 @@ def cmd_colim(args):
     out = {}
     for name, module in _select_modules(g0, lc, module_docs, args.module):
         colim = colim_E(g0, lc, module, q=q)
-        out[name] = {x: _form_doc(colim.module.groups[x])
+        out[name] = {x: io.group_to_doc(colim.module.groups[x])
                      for x in colim.module.base.objects}
     if args.json:
         _emit({"modules": out})
@@ -231,8 +226,8 @@ def cmd_check(args):
         elif args.kind == "colim-composition":
             report = check_colim_composition(g0, lc, module)
             row = {"module": name,
-                   "total_colimit": _form_doc(report.lhs.result),
-                   "through_quotient": _form_doc(report.rhs.result),
+                   "total_colimit": io.group_to_doc(report.lhs.result),
+                   "through_quotient": io.group_to_doc(report.rhs.result),
                    "equal_canonical": report.equal_canonical,
                    "comparison_iso": report.iso}
             row_ok = report.ok

@@ -104,13 +104,17 @@ class GroupoidCandidate:
 
 
 def validate(cand):
-    """Check every axiom instance; violations come back as data."""
+    """Check every axiom instance; violations come back as data.
+
+    Order pairs are visited in sorted order, so the violation list does
+    not depend on set iteration order."""
     out = []
     arrows = cand.arrows
     idset = set(cand.identities)
     d, r, inv = cand.d, cand.r, cand.inv
     comp = cand.compose
     pairs = cand.order_pairs
+    sorted_pairs = sorted(pairs)
 
     def leq(a, b):
         return (a, b) in pairs
@@ -119,11 +123,11 @@ def validate(cand):
     for x in arrows:
         if not leq(x, x):
             out.append(Violation("order-reflexive", (x,)))
-    for (a, b) in pairs:
+    for (a, b) in sorted_pairs:
         for c in arrows:
             if leq(b, c) and not leq(a, c):
                 out.append(Violation("order-transitive", (a, b, c)))
-    for (a, b) in pairs:
+    for (a, b) in sorted_pairs:
         if a != b and leq(b, a):
             if a < b:  # report each bad pair once
                 out.append(Violation("order-antisymmetry", (a, b)))
@@ -139,13 +143,16 @@ def validate(cand):
             out.append(Violation("arrow-typing", (x,)))
 
     # composition table on exactly the composable pairs
+    leaving = {}  # leaving[e]: the arrows with domain e, sorted
+    for h in arrows:
+        leaving.setdefault(d[h], []).append(h)
     for g in arrows:
-        for h in arrows:
-            if r[g] == d[h]:
-                if (g, h) not in comp or comp[(g, h)] not in d:
-                    out.append(Violation("compose-domain", (g, h)))
-            elif (g, h) in comp:
+        for h in leaving.get(r[g], ()):
+            if comp.get((g, h)) not in d:
                 out.append(Violation("compose-domain", (g, h)))
+    for (g, h) in sorted(k for k in comp
+                         if k[0] in d and k[1] in d and r[k[0]] != d[k[1]]):
+        out.append(Violation("compose-domain", (g, h)))
 
     def cmp2(g, h):
         if r.get(g) == d.get(h):
@@ -154,12 +161,14 @@ def validate(cand):
                 return k
         return None
 
+    # defined[g]: the pairs (h, gh) with gh in the table
+    defined = {g: [(h, comp[(g, h)]) for h in leaving.get(r[g], ())
+                   if comp.get((g, h)) in d]
+               for g in arrows}
+
     # units, inverses, associativity
     for g in arrows:
-        for h in arrows:
-            k = cmp2(g, h)
-            if k is None:
-                continue
+        for h, k in defined[g]:
             if d[k] != d[g] or r[k] != r[h]:
                 out.append(Violation("compose-typing", (g, h, k)))
                 continue
@@ -171,29 +180,26 @@ def validate(cand):
         if cmp2(x, inv[x]) != d[x] or cmp2(inv[x], x) != r[x]:
             out.append(Violation("inverse-law", (x,)))
     for g in arrows:
-        for h in arrows:
-            gh = cmp2(g, h)
-            if gh is None:
-                continue
-            for k in arrows:
-                hk = cmp2(h, k)
-                if hk is None:
-                    continue
+        for h, gh in defined[g]:
+            for k, hk in defined[h]:
                 if cmp2(gh, k) != cmp2(g, hk):
                     out.append(Violation("associativity", (g, h, k)))
 
     # OG1: inversion is monotone
-    for (x, y) in pairs:
+    for (x, y) in sorted_pairs:
         if not leq(inv[x], inv[y]):
             out.append(Violation("OG1", (x, y)))
 
-    # OG2: composition is monotone
-    for (x, y) in pairs:
-        for (u, v) in pairs:
-            if r[x] == d[u] and r[y] == d[v]:
-                xu, yv = cmp2(x, u), cmp2(y, v)
-                if xu is not None and yv is not None and not leq(xu, yv):
-                    out.append(Violation("OG2", (x, y, u, v)))
+    # OG2: composition is monotone; above[(e, f)] holds the pairs
+    # u <= v with d(u) = e and d(v) = f
+    above = {}
+    for (u, v) in sorted_pairs:
+        above.setdefault((d[u], d[v]), []).append((u, v))
+    for (x, y) in sorted_pairs:
+        for (u, v) in above.get((r[x], r[y]), ()):
+            xu, yv = cmp2(x, u), cmp2(y, v)
+            if xu is not None and yv is not None and not leq(xu, yv):
+                out.append(Violation("OG2", (x, y, u, v)))
 
     # OG3/OG4: unique restriction and corestriction
     for x in arrows:
@@ -233,13 +239,9 @@ class OrderedGroupoid:
             self.identities,
             [(a, b) for (a, b) in cand.order_pairs
              if a in idset and b in idset])
-        self._restriction = {}
-        for x in self.arrows:
-            for e in self.identities:
-                if self.order.leq(e, self.d[x]):
-                    ys = [y for y in self.arrows
-                          if self.order.leq(y, x) and self.d[y] == e]
-                    self._restriction[(e, x)] = ys[0]
+        # OG3 makes y the only arrow below x with domain d(y)
+        self._restriction = {(self.d[y], x): y for x in self.arrows
+                             for y in self.principal_ideal(x)}
 
     @classmethod
     def from_candidate(cls, cand):

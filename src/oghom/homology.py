@@ -252,12 +252,13 @@ def _reduce(groups, boundaries):
 def _chain_tuples(cat, maxdeg):
     """chains[0] = objects; chains[n] = composable non-identity tuples."""
     chains = [list(cat.objects)]
-    nonid = sorted(cat.nonidentity_morphisms())
     if maxdeg >= 1:
-        chains.append([(m,) for m in nonid])
+        chains.append([(m,) for m in sorted(cat.nonidentity_morphisms())])
+    after = {o: sorted(m for m in ms if not cat.is_identity(m))
+             for o, ms in cat.outgoing.items()}
     for n in range(2, maxdeg + 1):
-        chains.append([c + (m,) for c in chains[n - 1] for m in nonid
-                       if cat.cod[c[-1]] == cat.dom[m]])
+        chains.append([c + (m,) for c in chains[n - 1]
+                       for m in after[cat.cod[c[-1]]]])
     return chains
 
 

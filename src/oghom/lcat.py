@@ -44,19 +44,14 @@ def lcat_compose(g0, m1, m2):
 def build_lcat(g0):
     """Enumerate all morphisms (e, g) with d(g) <= e and tabulate
     composition; the result is validated as a category."""
-    morphisms = []
-    for e in g0.identities:
-        for g in g0.arrows:
-            if g0.order.leq(g0.d[g], e):
-                morphisms.append((e, g))
+    leaving = {e: [(e, g) for g in g0.arrows if g0.order.leq(g0.d[g], e)]
+               for e in g0.identities}
+    morphisms = [m for e in g0.identities for m in leaving[e]]
     dom = {(e, g): e for (e, g) in morphisms}
     cod = {(e, g): g0.r[g] for (e, g) in morphisms}
     identity = {e: (e, e) for e in g0.identities}
-    compose = {}
-    for m1 in morphisms:
-        for m2 in morphisms:
-            if cod[m1] == m2[0]:
-                compose[(m1, m2)] = lcat_compose(g0, m1, m2)
+    compose = {(m1, m2): lcat_compose(g0, m1, m2)
+               for m1 in morphisms for m2 in leaving[cod[m1]]}
     cat = FiniteCategory(g0.identities, morphisms, dom, cod, identity,
                          compose)
     return LCat(g0, cat)

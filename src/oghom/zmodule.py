@@ -65,9 +65,6 @@ class ZMatrix:
     def col(self, j):
         return tuple(row[j] for row in self.rows)
 
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
-
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %sx%s @ %sx%s"
@@ -100,9 +97,6 @@ class ZMatrix:
         return ZMatrix([[a - b for a, b in zip(r1, r2)]
                         for r1, r2 in zip(self.rows, other.rows)], ncols=self.ncols)
 
-    def neg(self):
-        return ZMatrix([[-a for a in row] for row in self.rows], ncols=self.ncols)
-
     def scale(self, k):
         k = int(k)
         return ZMatrix([[k * a for a in row] for row in self.rows], ncols=self.ncols)
@@ -112,11 +106,6 @@ class ZMatrix:
             raise ValueError("row count mismatch")
         return ZMatrix([r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
                        ncols=self.ncols + other.ncols)
-
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        return ZMatrix(self.rows + other.rows, ncols=self.ncols)
 
     def transpose(self):
         return ZMatrix([self.col(j) for j in range(self.ncols)], ncols=self.nrows)
@@ -747,10 +736,7 @@ def homology_at(f, g):
         if not csolver.contains(comp.col(j)):
             raise CompositeNonzero("composite g o f is not zero")
 
-    w = g.matrix.hstack(prune_columns(g.target.relations))
-    ker = kernel_basis(w)
-    top = ZMatrix([ker.rows[i] for i in range(b.ngens)], ncols=ker.ncols)
-    kbasis = lattice_basis(top)
+    kbasis = preimage_lattice(g.matrix, g.target.relations)
     if kbasis.ncols == 0:
         return FgAbGroup.trivial()
     rhs = f.matrix.hstack(prune_columns(b.relations))

@@ -6,7 +6,9 @@ counting, never touching Smith forms; the cyclic-group answers come
 from the two-periodic resolution, where every boundary map is
 multiplication by a single integer and the whole computation is gcd
 arithmetic; the dense homology solves the unreduced boundaries,
-skipping the unit-pivot elimination of `ChainComplex.homology`.
+skipping the unit-pivot elimination of `ChainComplex.homology`.  The
+all-pairs scans visit every pair or triple of arrows or morphisms where
+the library reads only composable ones from per-object buckets.
 """
 
 from math import gcd
@@ -242,3 +244,193 @@ def beta_classes_by_pairs(g0):
         for a in members:
             class_of[a] = cid
     return classes, class_of
+
+
+# ---------------------------------------------------------------- all-pairs scans
+#
+# The loops the composability index replaced: each scans every pair or
+# triple and discards those that cannot compose.
+
+
+def validate_by_scan(cand):
+    """Axiom violations as sorted (axiom, witness) pairs, every loop
+    running over all pairs or triples of arrows and order pairs."""
+    out = []
+    arrows = cand.arrows
+    idset = set(cand.identities)
+    d, r, inv = cand.d, cand.r, cand.inv
+    comp = cand.compose
+    pairs = cand.order_pairs
+
+    def leq(a, b):
+        return (a, b) in pairs
+
+    # order is a partial order
+    for x in arrows:
+        if not leq(x, x):
+            out.append(("order-reflexive", (x,)))
+    for (a, b) in pairs:
+        for c in arrows:
+            if leq(b, c) and not leq(a, c):
+                out.append(("order-transitive", (a, b, c)))
+    for (a, b) in pairs:
+        if a != b and leq(b, a):
+            if a < b:  # report each bad pair once
+                out.append(("order-antisymmetry", (a, b)))
+
+    # typing of identities, inverses, d and r
+    for e in cand.identities:
+        if e not in d or d[e] != e or r[e] != e or inv[e] != e:
+            out.append(("identity-typing", (e,)))
+    for x in arrows:
+        bad = (d[x] not in idset or r[x] not in idset or inv[x] not in d
+               or inv[inv[x]] != x or d[inv[x]] != r[x] or r[inv[x]] != d[x])
+        if bad:
+            out.append(("arrow-typing", (x,)))
+
+    # composition table on exactly the composable pairs
+    for g in arrows:
+        for h in arrows:
+            if r[g] == d[h]:
+                if (g, h) not in comp or comp[(g, h)] not in d:
+                    out.append(("compose-domain", (g, h)))
+            elif (g, h) in comp:
+                out.append(("compose-domain", (g, h)))
+
+    def cmp2(g, h):
+        if r.get(g) == d.get(h):
+            k = comp.get((g, h))
+            if k in d:
+                return k
+        return None
+
+    # units, inverses, associativity
+    for g in arrows:
+        for h in arrows:
+            k = cmp2(g, h)
+            if k is None:
+                continue
+            if d[k] != d[g] or r[k] != r[h]:
+                out.append(("compose-typing", (g, h, k)))
+                continue
+            if g in idset and k != h:
+                out.append(("identity-law", (g, h)))
+            if h in idset and k != g:
+                out.append(("identity-law", (g, h)))
+    for x in arrows:
+        if cmp2(x, inv[x]) != d[x] or cmp2(inv[x], x) != r[x]:
+            out.append(("inverse-law", (x,)))
+    for g in arrows:
+        for h in arrows:
+            gh = cmp2(g, h)
+            if gh is None:
+                continue
+            for k in arrows:
+                hk = cmp2(h, k)
+                if hk is None:
+                    continue
+                if cmp2(gh, k) != cmp2(g, hk):
+                    out.append(("associativity", (g, h, k)))
+
+    # OG1: inversion is monotone
+    for (x, y) in pairs:
+        if not leq(inv[x], inv[y]):
+            out.append(("OG1", (x, y)))
+
+    # OG2: composition is monotone
+    for (x, y) in pairs:
+        for (u, v) in pairs:
+            if r[x] == d[u] and r[y] == d[v]:
+                xu, yv = cmp2(x, u), cmp2(y, v)
+                if xu is not None and yv is not None and not leq(xu, yv):
+                    out.append(("OG2", (x, y, u, v)))
+
+    # OG3/OG4: unique restriction and corestriction
+    for x in arrows:
+        for e in cand.identities:
+            if leq(e, d[x]):
+                found = [y for y in arrows if leq(y, x) and d[y] == e]
+                if len(found) != 1:
+                    out.append(("OG3", (x, e)))
+            if leq(e, r[x]):
+                found = [y for y in arrows if leq(y, x) and r[y] == e]
+                if len(found) != 1:
+                    out.append(("OG4", (x, e)))
+
+    return sorted(out)
+
+
+def category_problems_by_scan(cat):
+    """FiniteCategory.check over all pairs and triples of morphisms,
+    problems sorted."""
+    out = []
+    for o in cat.objects:
+        i = cat.identity.get(o)
+        if i is None or cat.dom.get(i) != o or cat.cod.get(i) != o:
+            out.append("identity of %r is broken" % (o,))
+    for m in cat.morphisms:
+        if cat.dom[m] not in cat.objects or cat.cod[m] not in cat.objects:
+            out.append("morphism %r has unknown endpoints" % (m,))
+    comp = cat._compose
+    for m1 in cat.morphisms:
+        for m2 in cat.morphisms:
+            if cat.cod[m1] == cat.dom[m2]:
+                k = comp.get((m1, m2))
+                if k is None or k not in cat.dom:
+                    out.append("composite (%r, %r) missing" % (m1, m2))
+                elif cat.dom[k] != cat.dom[m1] or cat.cod[k] != cat.cod[m2]:
+                    out.append("composite (%r, %r) mistyped" % (m1, m2))
+            elif (m1, m2) in comp:
+                out.append("composite (%r, %r) defined illegally" % (m1, m2))
+    if out:
+        return sorted(out)
+    for m in cat.morphisms:
+        if comp[(cat.identity[cat.dom[m]], m)] != m:
+            out.append("left unit fails at %r" % (m,))
+        if comp[(m, cat.identity[cat.cod[m]])] != m:
+            out.append("right unit fails at %r" % (m,))
+    for m1 in cat.morphisms:
+        for m2 in cat.morphisms:
+            if cat.cod[m1] != cat.dom[m2]:
+                continue
+            m12 = comp[(m1, m2)]
+            for m3 in cat.morphisms:
+                if cat.cod[m2] != cat.dom[m3]:
+                    continue
+                if comp[(m12, m3)] != comp[(m1, comp[(m2, m3)])]:
+                    out.append("associativity fails at (%r, %r, %r)"
+                               % (m1, m2, m3))
+    return sorted(out)
+
+
+def beta_transitive_by_scan(g0):
+    """beta_transitive over every triple of arrows, the relation read
+    off common lower bounds pair by pair."""
+    related = {(g, h): bool(g0.order.lower_bounds(g, h))
+               for g in g0.arrows for h in g0.arrows}
+    worst = None
+    for g in g0.arrows:
+        for t in g0.arrows:
+            if not related[(g, t)]:
+                continue
+            for h in g0.arrows:
+                if related[(t, h)] and not related[(g, h)]:
+                    triple = (g, t, h)
+                    if worst is None or triple < worst:
+                        worst = triple
+    return (worst is None, worst)
+
+
+def chain_tuples_by_scan(cat, maxdeg):
+    """Nerve chains, extending each chain by every non-identity
+    morphism and keeping the composable ones."""
+    chains = [list(cat.objects)]
+    nonid = sorted(m for m in cat.morphisms
+                   if not (cat.identity.get(cat.dom[m]) == m
+                           and cat.dom[m] == cat.cod[m]))
+    if maxdeg >= 1:
+        chains.append([(m,) for m in nonid])
+    for n in range(2, maxdeg + 1):
+        chains.append([c + (m,) for c in chains[n - 1] for m in nonid
+                       if cat.cod[c[-1]] == cat.dom[m]])
+    return chains

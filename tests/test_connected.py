@@ -1,0 +1,112 @@
+"""An ordered groupoid with arrows between distinct identities.
+
+Every fixture and generated instance has only loops, so code that
+buckets arrows by range where it should bucket them by domain passes on
+all of them.  Here a: e -> f and its inverse a_inv: f -> e join two
+identities, and the identity 0 lies below every arrow.  This is the
+groupoid of the five-element Brandt semigroup: it is principally
+directed and beta has a single class.
+"""
+
+import pytest
+
+from oghom import io
+from oghom.beta import check_quotient_welldefined, quotient
+from oghom.errors import StructuralDefect
+from oghom.gmodules import colim_E
+from oghom.groupoid import OrderedGroupoid, validate
+from oghom.homology import check_theorem
+from oghom.lcat import build_lcat
+
+Z = {"rank": 1, "torsion": []}
+Z2 = {"rank": 0, "torsion": [2]}
+
+
+def connected_doc(group_at_0=Z):
+    return {
+        "schema": 1,
+        "groupoid": {
+            "identities": ["0", "e", "f"],
+            "arrows": [{"id": "a", "d": "e", "r": "f", "inv": "a_inv"},
+                       {"id": "a_inv", "d": "f", "r": "e", "inv": "a"}],
+            "compose": [["a", "a_inv", "e"], ["a_inv", "a", "f"]],
+            "order": [["0", "e"], ["0", "f"], ["0", "a"], ["0", "a_inv"]],
+        },
+        "modules": {
+            "m": {"groups": {"0": group_at_0, "e": Z, "f": Z},
+                  "poset_maps": {"e>0": [[1]], "f>0": [[1]]},
+                  "arrow_maps": {"a": [[1]], "a_inv": [[1]]}},
+        },
+    }
+
+
+def connected_candidate():
+    _, cand, _ = io.load(connected_doc())
+    return cand
+
+
+def connected_groupoid():
+    return OrderedGroupoid.from_candidate(connected_candidate())
+
+
+def test_validates():
+    rep = validate(connected_candidate())
+    assert rep.ok, rep.violations
+
+
+def test_lcat_is_left_cancellative():
+    g0 = connected_groupoid()
+    cat = build_lcat(g0).category
+    # (e, a): e -> f and (0, a), reaching f from 0 through the restriction
+    assert cat.dom[("e", "a")] == "e" and cat.cod[("e", "a")] == "f"
+    assert cat.compose(("e", "a"), ("f", "a_inv")) == ("e", "e")
+    assert cat.compose(("f", "f"), ("f", "a_inv")) == ("f", "a_inv")
+    assert cat.left_cancellative() == (True, None)
+
+
+def test_quotient_has_one_class():
+    g0 = connected_groupoid()
+    q = quotient(g0)
+    assert q.classes == {"0": ["0", "a", "a_inv", "e", "f"]}
+    assert q.groupoid.arrows == ["0"]
+    rep = check_quotient_welldefined(g0)
+    assert rep.ok and rep.checked > 0
+
+
+@pytest.mark.parametrize("group_at_0, h0", [(Z, (1, ())), (Z2, (0, (2,)))])
+def test_theorem_degrees_0_to_2(group_at_0, h0):
+    _, cand, mdocs = io.load(connected_doc(group_at_0))
+    g0 = OrderedGroupoid.from_candidate(cand)
+    lc = build_lcat(g0)
+    module = io.build_module(g0, lc, mdocs["m"])
+    report = check_theorem(g0, lc, module, [0, 1, 2])
+    assert report.ok, report.rows
+    forms = [(r["left"]["rank"], tuple(r["left"]["torsion"]))
+             for r in report.rows]
+    assert forms == [h0, (0, ()), (0, ())]
+    colim = colim_E(g0, lc, module)
+    assert colim.module.groups["0"].canonical_form() == h0
+
+
+def test_module_must_be_functorial_across_identities():
+    # a acting by -1 and a_inv by 1 makes (e, a)(f, a_inv) = (e, e) act
+    # by -1 on Z
+    doc = connected_doc()
+    doc["modules"]["m"]["arrow_maps"]["a"] = [[-1]]
+    _, cand, mdocs = io.load(doc)
+    g0 = OrderedGroupoid.from_candidate(cand)
+    with pytest.raises(StructuralDefect, match="functoriality fails"):
+        io.build_module(g0, build_lcat(g0), mdocs["m"])
+
+
+def test_dropped_composite_is_compose_domain():
+    cand = connected_candidate()
+    del cand.compose[("a", "a_inv")]
+    assert validate(cand).has("compose-domain", ("a", "a_inv"))
+
+
+def test_illegal_composite_is_compose_domain():
+    cand = connected_candidate()
+    cand.compose[("a", "a")] = "f"  # r(a) = f but d(a) = e
+    rep = validate(cand)
+    assert rep.has("compose-domain", ("a", "a"))

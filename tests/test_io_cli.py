@@ -2,9 +2,13 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import oghom
 from oghom import fixtures, io
 from oghom.cli import main
 from oghom.errors import DanglingReference, SchemaViolation
@@ -165,6 +169,29 @@ def test_cli_validate_rejects(tmp_path, capsys):
     assert payload["valid"] is False
     assert {"axiom": "compose-typing", "witness": ["s", "s", "f"]} in (
         payload["violations"])
+
+
+def test_cli_validate_order_ignores_hash_seed(tmp_path):
+    # without e<1 and f<1 twofold breaks OG2 many times over; the
+    # violation list must not follow the iteration order of string sets
+    doc = mutated("twofold", lambda d: [
+        d["groupoid"]["order"].remove(pair) for pair in (["e", "1"],
+                                                         ["f", "1"])])
+    p = tmp_path / "bad.json"
+    p.write_text(io.dumps(doc))
+    src = os.path.dirname(os.path.dirname(oghom.__file__))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from oghom.cli import main; sys.exit(main())",
+             "validate", str(p), "--json"],
+            env=env, capture_output=True, timeout=60)
+        assert run.returncode == 1, run.stderr
+        outs.append(run.stdout)
+    assert b'"OG2"' in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_cli_exit_code_on_bad_input(tmp_path, capsys):
