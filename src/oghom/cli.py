@@ -336,9 +336,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except InputError as exc:
-        pointer = getattr(exc, "pointer", "")
-        where = " at %s" % pointer if pointer else ""
-        print("input error%s: %s" % (where, exc), file=sys.stderr)
+        # errors with a pointer already start with it
+        where = " at" if hasattr(exc, "pointer") else ":"
+        print("input error%s %s" % (where, exc), file=sys.stderr)
         return 2
     except NotPrincipallyDirected as exc:
         print("check failed: %s" % exc, file=sys.stderr)

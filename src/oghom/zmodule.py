@@ -425,7 +425,7 @@ class FgAbGroup:
     True
     """
 
-    __slots__ = ("ngens", "relations", "_decomp", "_solver")
+    __slots__ = ("ngens", "relations", "_decomp")
 
     def __init__(self, ngens, relations=None):
         self.ngens = int(ngens)
@@ -435,7 +435,6 @@ class FgAbGroup:
             raise ValueError("relation matrix height must equal ngens")
         self.relations = relations
         self._decomp = None
-        self._solver = None
 
     @classmethod
     def free(cls, n):
@@ -450,7 +449,7 @@ class FgAbGroup:
         torsion = [int(d) for d in torsion]
         if any(d < 2 for d in torsion):
             raise ValueError("torsion entries must be >= 2")
-        n = rank + len(torsion)
+        n = int(rank) + len(torsion)
         cols = []
         for i, d in enumerate(torsion):
             col = [0] * n
@@ -493,9 +492,6 @@ class FgAbGroup:
     def is_trivial(self):
         return self.canonical_form() == (0, ())
 
-    def zero(self):
-        return (0,) * self.ngens
-
     def to_canonical(self, x):
         orders, u, _ = self._decomposition()
         y = list(u.apply(x))
@@ -532,13 +528,24 @@ class FgAbGroup:
         orders = self.canonical_orders()
         return tuple((k * x) % d if d else k * x for x, d in zip(a, orders))
 
-    def relation_solver(self):
-        if self._solver is None:
-            self._solver = ColumnSolver(prune_columns(self.relations))
-        return self._solver
-
     def in_relation_span(self, vec):
-        return self.relation_solver().contains(vec)
+        """True iff every canonical coordinate of vec is zero."""
+        return not any(self.to_canonical(vec))
+
+    def kills(self, matrix):
+        """True iff every column of `matrix` lies in the relation span.
+
+        Zero columns are accepted without touching the Smith form.
+
+        >>> FgAbGroup.from_invariants(1, [4]).kills(ZMatrix([[0, 8], [0, 3]]))
+        False
+        >>> FgAbGroup.from_invariants(0, [4]).kills(ZMatrix([[0, 8, -4]]))
+        True
+        """
+        if matrix.nrows != self.ngens:
+            raise ValueError("matrix height must equal ngens")
+        return all(self.in_relation_span(c)
+                   for c in zip(*matrix.rows) if any(c))
 
     def same_invariants(self, other):
         return self.canonical_form() == other.canonical_form()
@@ -560,9 +567,7 @@ def hom_welldefined(source, target, matrix):
     relation span of the target."""
     if matrix.nrows != target.ngens or matrix.ncols != source.ngens:
         return False
-    image = matrix.mul(source.relations)
-    solver = target.relation_solver()
-    return all(solver.contains(image.col(j)) for j in range(image.ncols))
+    return target.kills(matrix.mul(source.relations))
 
 
 class AbHom:
@@ -624,29 +629,19 @@ class AbHom:
     def equal_as_maps(self, other):
         """True iff the two homs agree as maps of the quotients."""
         self._parallel(other)
-        diff = self.matrix.sub(other.matrix)
-        solver = self.target.relation_solver()
-        return all(solver.contains(diff.col(j)) for j in range(diff.ncols))
+        return self.target.kills(self.matrix.sub(other.matrix))
 
     def is_zero_map(self):
-        solver = self.target.relation_solver()
-        return all(solver.contains(self.matrix.col(j))
-                   for j in range(self.matrix.ncols))
+        return self.target.kills(self.matrix)
 
     def is_surjective(self):
-        reach = ColumnSolver(self.matrix.hstack(prune_columns(self.target.relations)))
-        n = self.target.ngens
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            if not reach.contains(e):
-                return False
-        return True
+        """True iff the cokernel Z^n / (image + relations) is trivial."""
+        return FgAbGroup(self.target.ngens, self.matrix.hstack(
+            self.target.relations)).is_trivial()
 
     def is_injective(self):
-        pre = preimage_lattice(self.matrix, self.target.relations)
-        solver = self.source.relation_solver()
-        return all(solver.contains(pre.col(j)) for j in range(pre.ncols))
+        return self.source.kills(
+            preimage_lattice(self.matrix, self.target.relations))
 
     def is_isomorphism(self):
         return self.is_surjective() and self.is_injective()
@@ -730,11 +725,8 @@ def homology_at(f, g):
     if f.target != g.source:
         raise PreconditionViolation("maps are not consecutive")
     b = f.target
-    comp = g.matrix.mul(f.matrix)
-    csolver = g.target.relation_solver()
-    for j in range(comp.ncols):
-        if not csolver.contains(comp.col(j)):
-            raise CompositeNonzero("composite g o f is not zero")
+    if not g.target.kills(g.matrix.mul(f.matrix)):
+        raise CompositeNonzero("composite g o f is not zero")
 
     kbasis = preimage_lattice(g.matrix, g.target.relations)
     if kbasis.ncols == 0:

@@ -6,14 +6,24 @@ counting, never touching Smith forms; the cyclic-group answers come
 from the two-periodic resolution, where every boundary map is
 multiplication by a single integer and the whole computation is gcd
 arithmetic; the dense homology solves the unreduced boundaries,
-skipping the unit-pivot elimination of `ChainComplex.homology`.  The
-all-pairs scans visit every pair or triple of arrows or morphisms where
-the library reads only composable ones from per-object buckets.
+skipping the unit-pivot elimination of `ChainComplex.homology`.
+Relation-span membership is decided by solving R x = v against a Smith
+form of its own, where the library reads the group's canonical
+coordinates.  The all-pairs scans visit every pair or triple of arrows
+or morphisms where the library reads only composable ones from
+per-object buckets.
 """
 
 from math import gcd
 
-from oghom.zmodule import AbHom, FgAbGroup, ZMatrix, homology_at
+from oghom.zmodule import (
+    AbHom,
+    ColumnSolver,
+    FgAbGroup,
+    ZMatrix,
+    homology_at,
+    prune_columns,
+)
 
 
 # ---------------------------------------------------------------- element-level homology
@@ -100,6 +110,15 @@ def dense_homology(cx, n):
     else:
         g = cx.boundaries[n]
     return homology_at(f, g).canonical_form()
+
+
+# ---------------------------------------------------------------- relation span
+
+
+def in_relation_span_by_solve(group, vec):
+    """True iff some integer x has R x = vec, for the pruned relations R
+    of the group, found by a solve on a separate Smith form."""
+    return ColumnSolver(prune_columns(group.relations)).contains(vec)
 
 
 # ---------------------------------------------------------------- periodic resolution

@@ -12,6 +12,7 @@ from oghom.gmodules import (
     GMap,
     GModule,
     check_colim_composition,
+    check_functorial,
     check_quotient_action,
     colim_E,
     colim_E_map,
@@ -24,6 +25,7 @@ from oghom.gmodules import (
 )
 from oghom.randgen import random_module, random_og, random_ses
 from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
+from .test_reduction import cyclic_bundle
 
 
 def clifford_parts():
@@ -61,6 +63,25 @@ def test_functoriality_rejected():
     arrows = {"s": ZMatrix([[2]]), "t": ZMatrix([[-1]])}
     with pytest.raises(StructuralDefect):
         module_from_parts(lc, groups, poset, arrows)
+
+
+@pytest.mark.parametrize("case", ["cyclic3-const", "cyclic4-z5-unit2"])
+def test_corrupted_action_is_reported(case):
+    if case == "cyclic3-const":
+        bundle = fixtures.load("cyclic3")
+        cat, module = bundle.lc.category, bundle.modules["const"]
+    else:
+        cat, module = cyclic_bundle(
+            4, fixtures.cyclic_module_spec(4, 0, [5], 2))
+    assert check_functorial(cat, module.groups, module.action) == []
+    for m in cat.morphisms:
+        h = module.action[m]
+        rows = [list(r) for r in h.matrix.rows]
+        rows[0][0] += 1
+        action = dict(module.action)
+        action[m] = AbHom(h.source, h.target, ZMatrix(rows), checked=True)
+        problems = check_functorial(cat, module.groups, action)
+        assert any(repr(m) in p for p in problems), (m, problems)
 
 
 def test_naturality_rejected():

@@ -14,7 +14,8 @@ from oghom.homology import (
     nerve_complex,
 )
 from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
-from .oracles import periodic_cyclic_homology
+from .oracles import in_relation_span_by_solve, periodic_cyclic_homology
+from .test_reduction import cyclic_bundle
 
 
 def test_chain_complex_rejects_bad_square():
@@ -40,6 +41,52 @@ def test_chain_complex_zero_mod_relations():
         cx.homology(2)  # needs chains one degree higher
     with pytest.raises(StructuralDefect):
         ChainComplex([z2, z4], [None, b1, b2])
+
+
+def corrupted(cx, n, i, j):
+    """The boundaries of cx with entry (i, j) of the n-th raised by one."""
+    rows = [list(r) for r in cx.boundaries[n].matrix.rows]
+    rows[i][j] += 1
+    boundaries = list(cx.boundaries)
+    boundaries[n] = AbHom(cx.groups[n], cx.groups[n - 1], ZMatrix(rows),
+                          checked=True)
+    return boundaries
+
+
+def squares_to_zero_by_solve(groups, boundaries):
+    for n in range(2, len(groups)):
+        comp = boundaries[n - 1].matrix.mul(boundaries[n].matrix)
+        if not all(in_relation_span_by_solve(groups[n - 2], comp.col(j))
+                   for j in range(comp.ncols)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("case", ["cyclic3-const", "cyclic4-z5-unit2"])
+def test_corrupted_nerve_boundary_is_rejected(case):
+    # nerve composites are mostly zero columns; one changed entry must
+    # still be caught wherever the solve oracle finds ∂² nonzero
+    if case == "cyclic3-const":
+        bundle = fixtures.load("cyclic3")
+        cat, module = bundle.lc.category, bundle.modules["const"]
+    else:
+        cat, module = cyclic_bundle(
+            4, fixtures.cyclic_module_spec(4, 0, [5], 2))
+    cx = nerve_complex(cat, module, 3)
+    ChainComplex(cx.groups, cx.boundaries)
+    caught = 0
+    for n in range(1, 4):
+        mat = cx.boundaries[n].matrix
+        for i in range(mat.nrows):
+            for j in range(mat.ncols):
+                boundaries = corrupted(cx, n, i, j)
+                if squares_to_zero_by_solve(cx.groups, boundaries):
+                    ChainComplex(cx.groups, boundaries)
+                    continue
+                with pytest.raises(StructuralDefect):
+                    ChainComplex(cx.groups, boundaries)
+                caught += 1
+    assert caught >= 40
 
 
 def test_chain_tuples_counts():

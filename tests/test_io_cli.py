@@ -214,6 +214,37 @@ def test_cli_bad_group_spec_is_input_error(tmp_path, capsys):
     assert "ngens rows" in err
 
 
+@pytest.mark.parametrize("mutate,pointer,message", [
+    (lambda d: d["modules"]["sign"]["groups"].update(
+        {"1": {"ngens": 2, "relations": [[1], [1, 2]]}}),
+     "/modules/sign/groups/1", "ragged relation matrix"),
+    (lambda d: d["groupoid"]["order"].append(["nope", "s"]),
+     "/groupoid/order/0/0", "unresolved id 'nope'"),
+])
+def test_cli_input_error_prints_pointer_once(tmp_path, capsys, mutate,
+                                             pointer, message):
+    p = tmp_path / "bad.json"
+    p.write_text(io.dumps(mutated("z2", mutate)))
+    assert main(["colim", str(p), "--module", "sign"]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error at %s: %s\n" % (pointer, message)
+
+
+@pytest.mark.parametrize("command", ["homology", "colim"])
+def test_cli_reads_integral_float_rank(tmp_path, capsys, command):
+    # JSON Schema counts 1.0 as an integer, so the rank must load as 1
+    outs = []
+    for rank in (1, 1.0):
+        p = tmp_path / ("z2-%r.json" % rank)
+        p.write_text(io.dumps(mutated(
+            "z2", lambda d: d["modules"]["sign"]["groups"].update(
+                {"1": {"rank": rank}}))))
+        assert ('"rank": %r' % rank) in p.read_text()
+        assert main([command, str(p), "--module", "sign"]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and outs[0].out
+
+
 @pytest.mark.parametrize("degrees", ["x", "-1", ",", "0,-2"])
 def test_cli_bad_degrees_is_usage_error(degrees, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -25,7 +25,12 @@ from oghom.zmodule import (
     prune_columns,
     snf,
 )
-from .oracles import brute_force_homology, random_int_matrix, random_zero_composite
+from .oracles import (
+    brute_force_homology,
+    in_relation_span_by_solve,
+    random_int_matrix,
+    random_zero_composite,
+)
 
 
 def test_doctests():
@@ -175,6 +180,77 @@ def test_relation_span():
     assert g.in_relation_span([2, 3])
     assert not g.in_relation_span([1, 0])
     assert g.same_invariants(FgAbGroup(1, ZMatrix([[6]])))
+    assert g.kills(ZMatrix([[0, 4, -2], [0, 9, 3]]))
+    assert not g.kills(ZMatrix([[0, 4, 1], [0, 9, 0]]))
+    with pytest.raises(ValueError):
+        g.kills(ZMatrix.zeros(3, 1))
+
+
+def assert_membership_agrees(group, vectors):
+    """in_relation_span and kills against the solve oracle; returns the
+    oracle's verdict per vector."""
+    expected = [in_relation_span_by_solve(group, v) for v in vectors]
+    assert [group.in_relation_span(v) for v in vectors] == expected
+    matrix = ZMatrix.from_cols(vectors, group.ngens)
+    assert group.kills(matrix) == all(expected)
+    for v, inside in zip(vectors, expected):
+        assert group.kills(ZMatrix.from_cols([v], group.ngens)) == inside
+    return expected
+
+
+def presentation(ngens, cols, dup, zero):
+    """The group Z^ngens / <cols>, with a negated copy of column `dup`
+    and a zero column appended on request."""
+    cols = [list(c) for c in cols]
+    if dup is not None and cols:
+        cols.append([-v for v in cols[dup % len(cols)]])
+    if zero:
+        cols.append([0] * ngens)
+    return FgAbGroup(ngens, ZMatrix.from_cols(cols, ngens)), cols
+
+
+def span_vector(cols, ngens, coeffs):
+    return [sum(k * c[i] for k, c in zip(coeffs, cols)) for i in range(ngens)]
+
+
+def test_membership_matches_solve_seeded():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        cols = [[rng.randint(-6, 6) for _ in range(n)]
+                for _ in range(rng.randint(0, 5))]
+        g, cols = presentation(n, cols, rng.randint(0, 4)
+                               if rng.random() < 0.5 else None,
+                               rng.random() < 0.5)
+        inside = [span_vector(cols, n, [rng.randint(-3, 3) for _ in cols])
+                  for _ in range(3)]
+        outside = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(3)]
+        expected = assert_membership_agrees(g, inside + outside)
+        assert all(expected[:3])
+        seen.update((n == 0, not cols, any(map(any, inside)), x)
+                    for x in expected[3:])
+    # ngens 0, empty relations, nonzero span vectors, vectors outside
+    assert (True, True, False, True) in seen
+    assert (False, True, False, False) in seen
+    assert (False, False, True, False) in seen
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_membership_matches_solve_hypothesis(data):
+    n = data.draw(st.integers(0, 4))
+    entry = st.integers(-8, 8)
+    cols = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              max_size=5))
+    g, cols = presentation(n, cols, data.draw(st.none() | st.integers(0, 4)),
+                           data.draw(st.booleans()))
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=len(cols),
+                                max_size=len(cols)))
+    inside = span_vector(cols, n, coeffs)
+    other = data.draw(st.lists(entry, min_size=n, max_size=n))
+    expected = assert_membership_agrees(g, [inside, other, [0] * n])
+    assert expected[0] and expected[2]
 
 
 # ---------------------------------------------------------------- homomorphisms
