@@ -189,8 +189,8 @@ def cmd_homology(args):
     return 0
 
 
-def _check_adjunction(args, g0, lc, name, module):
-    q = quotient(g0)
+def _check_adjunction(args, g0, lc, name, module, q=None):
+    q = q or quotient(g0)
     colim = colim_E(g0, lc, module, q=q)
     b_module = colim.module
     for grp in list(module.groups.values()) + list(b_module.groups.values()):
@@ -219,12 +219,14 @@ def cmd_check(args):
     lc = build_lcat(g0)
     rows = []
     ok = True
-    for name, module in _select_modules(g0, lc, module_docs, args.module):
+    modules = _select_modules(g0, lc, module_docs, args.module)
+    q = quotient(g0)  # one quotient serves every module
+    for name, module in modules:
         if args.kind == "adjunction":
-            row = _check_adjunction(args, g0, lc, name, module)
+            row = _check_adjunction(args, g0, lc, name, module, q=q)
             row_ok = row["counts_equal"] and row["round_trip"]
         elif args.kind == "colim-composition":
-            report = check_colim_composition(g0, lc, module)
+            report = check_colim_composition(g0, lc, module, q=q)
             row = {"module": name,
                    "total_colimit": io.group_to_doc(report.lhs.result),
                    "through_quotient": io.group_to_doc(report.rhs.result),
@@ -232,7 +234,7 @@ def cmd_check(args):
                    "comparison_iso": report.iso}
             row_ok = report.ok
         else:
-            report = check_theorem(g0, lc, module, args.degrees)
+            report = check_theorem(g0, lc, module, args.degrees, q=q)
             row = {"module": name, "degrees": report.rows}
             row_ok = report.ok
         rows.append(row)

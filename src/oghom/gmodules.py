@@ -536,12 +536,13 @@ class ColimCompositionReport:
                    self.rhs.result.canonical_form()))
 
 
-def check_colim_composition(g0, lc, a_module):
+def check_colim_composition(g0, lc, a_module, q=None):
     """Compare the one-step colimit over the groupoid category with the
     two-step colimit through the quotient, including an explicit
-    comparison isomorphism induced by the universal property."""
+    comparison isomorphism induced by the universal property.  `q` is
+    the quotient of g0 when the caller already has it."""
     lhs = colim_category(lc.category, a_module)
-    colim = colim_E(g0, lc, a_module)
+    colim = colim_E(g0, lc, a_module, q=q)
     qc = colim.module.base
     rhs = colim_category(qc, colim.module)
 

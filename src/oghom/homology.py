@@ -363,10 +363,11 @@ class TheoremReport:
         return "TheoremReport(%s, %d degrees)" % (word, len(self.rows))
 
 
-def check_theorem(g0, lc, a_module, degrees):
+def check_theorem(g0, lc, a_module, degrees, q=None):
     """Compare H_n over the groupoid's category with H_n of the class
-    colimits over the quotient, degree by degree."""
-    colim = colim_E(g0, lc, a_module)
+    colimits over the quotient, degree by degree.  `q` is the quotient
+    of g0 when the caller already has it."""
+    colim = colim_E(g0, lc, a_module, q=q)
     qc = colim.module.base
     top = max(degrees)
     left_cx = nerve_complex(lc.category, a_module, top + 1)

@@ -1,10 +1,12 @@
 """Exact linear algebra over the integers for finitely generated abelian groups.
 
-Groups are presented as cokernels of integer relation matrices, maps are
-integer matrices on generators, and every structural question (canonical
-form, membership, kernels, homology) reduces to Smith normal form with
-tracked unimodular transforms.  All arithmetic uses Python's unbounded
-integers; nothing here may silently overflow or round.
+Groups are presented as cokernels of integer relation matrices and maps
+are integer matrices on generators.  A canonical form needs only the
+invariant factors, which `invariant_factors` computes without transforms
+by elimination modulo a nonzero maximal minor.  Questions that need
+coordinates (membership, kernels, solves, homology) go through Smith
+normal form with tracked unimodular transforms.  All arithmetic uses
+Python's unbounded integers; nothing here may silently overflow or round.
 """
 
 from math import gcd
@@ -47,12 +49,24 @@ class ZMatrix:
         raise AttributeError("ZMatrix is immutable")
 
     @classmethod
+    def _trusted(cls, rows, ncols):
+        """A matrix from equal-length rows of ints that the library built
+        itself, taken without the conversion and checks of __init__."""
+        self = object.__new__(cls)
+        rows = tuple(map(tuple, rows))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "nrows", len(rows))
+        object.__setattr__(self, "ncols", ncols)
+        return self
+
+    @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._trusted([[1 if i == j else 0 for j in range(n)]
+                             for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._trusted([(0,) * ncols] * nrows, ncols)
 
     @classmethod
     def from_cols(cls, cols, nrows):
@@ -60,7 +74,8 @@ class ZMatrix:
         for c in cols:
             if len(c) != nrows:
                 raise ValueError("column of wrong height")
-        return cls([[c[i] for c in cols] for i in range(nrows)], ncols=len(cols))
+        rows = zip(*cols) if cols else [()] * nrows
+        return cls._trusted(rows, len(cols))
 
     def col(self, j):
         return tuple(row[j] for row in self.rows)
@@ -79,7 +94,7 @@ class ZMatrix:
                     for j in range(other.ncols):
                         acc[j] += a * orow[j]
             out.append(acc)
-        return ZMatrix(out, ncols=other.ncols)
+        return ZMatrix._trusted(out, other.ncols)
 
     def apply(self, vec):
         """Matrix times column vector, returned as a tuple."""
@@ -89,26 +104,29 @@ class ZMatrix:
 
     def add(self, other):
         self._same_shape(other)
-        return ZMatrix([[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.rows, other.rows)], ncols=self.ncols)
+        return ZMatrix._trusted([[a + b for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(self.rows, other.rows)],
+                                self.ncols)
 
     def sub(self, other):
         self._same_shape(other)
-        return ZMatrix([[a - b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.rows, other.rows)], ncols=self.ncols)
+        return ZMatrix._trusted([[a - b for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(self.rows, other.rows)],
+                                self.ncols)
 
     def scale(self, k):
         k = int(k)
-        return ZMatrix([[k * a for a in row] for row in self.rows], ncols=self.ncols)
+        return ZMatrix._trusted([[k * a for a in row] for row in self.rows],
+                                self.ncols)
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return ZMatrix([r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-                       ncols=self.ncols + other.ncols)
+        return ZMatrix._trusted([r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
+                                self.ncols + other.ncols)
 
     def transpose(self):
-        return ZMatrix([self.col(j) for j in range(self.ncols)], ncols=self.nrows)
+        return ZMatrix.from_cols(self.rows, self.ncols)
 
     def is_zero(self):
         return all(all(a == 0 for a in row) for row in self.rows)
@@ -120,31 +138,8 @@ class ZMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                mik = m[i][k]
-                mi = m[i]
-                mk = m[k]
-                for j in range(k + 1, n):
-                    mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
-                mi[k] = 0
-            prev = pivot
-        return sign * m[n - 1][n - 1]
+        rank, minor = _rank_and_minor(self.rows, self.ncols)
+        return minor if rank == self.nrows else 0
 
     def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -172,7 +167,7 @@ def block_diag(blocks):
             out[r0 + i][c0:c0 + b.ncols] = list(row)
         r0 += b.nrows
         c0 += b.ncols
-    return ZMatrix(out, ncols=ncols)
+    return ZMatrix._trusted(out, ncols)
 
 
 def prune_columns(m):
@@ -339,13 +334,148 @@ def snf(m):
             continue
         t += 1
 
-    return SNFResult(ZMatrix(a, ncols=nc), ZMatrix(u, ncols=nr),
-                     ZMatrix(v, ncols=nc), ZMatrix(uinv, ncols=nr),
-                     ZMatrix(vinv, ncols=nc))
+    return SNFResult(ZMatrix._trusted(a, nc), ZMatrix._trusted(u, nr),
+                     ZMatrix._trusted(v, nc), ZMatrix._trusted(uinv, nr),
+                     ZMatrix._trusted(vinv, nc))
 
 
 def is_unimodular(m):
     return m.nrows == m.ncols and abs(m.det()) == 1
+
+
+def _rank_and_minor(rows, ncols):
+    """Rank r of a matrix and one nonzero r x r minor (1 when r = 0), by
+    fraction-free (Bareiss) row echelon elimination: each pivot is the
+    minor on the pivot rows and columns so far, and the sign follows the
+    row swaps, so a square matrix of full rank gives its determinant."""
+    a = [list(row) for row in rows]
+    rank, prev, sign = 0, 1, 1
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, len(a)):
+            x = a[i][c]
+            a[i] = [(p * y - x * z) // prev for y, z in zip(a[i], top)]
+        prev = p
+        rank += 1
+    return rank, sign * prev
+
+
+def _cyclic_orders_mod(rows, d):
+    """Orders of the cyclic summands of (Z/d)^n modulo the column span of
+    `rows` (n rows), one divisor of d per row.
+
+    Invertible row and column operations over Z/d keep that cokernel, so
+    the elimination keeps every entry in [0, d).  The pivot is an entry x
+    of least g = gcd(x, d), a unit if there is one.  When g divides every
+    entry of the pivot's row and column, the pivot clears its column and
+    leaves with order g (column operations would clear its row without
+    touching any other).  Otherwise a Bezout step with an entry that g
+    does not divide makes an entry of smaller g.  Rows that end all zero
+    are Z/d each.
+    """
+    a = [[x % d for x in row] for row in rows]
+    orders = []
+    while True:
+        nonzero = [row for row in a if any(row)]
+        orders += [d] * (len(a) - len(nonzero))
+        a = nonzero
+        if not a:
+            return orders
+        g, i, j = _least_gcd_entry(a, d)
+        k = next((k for k, row in enumerate(a) if row[j] % g), None)
+        if k is not None:
+            s, t, p, q = _bezout(a[i][j], a[k][j])
+            ri, rk = a[i], a[k]
+            a[i] = [(s * v + t * w) % d for v, w in zip(ri, rk)]
+            a[k] = [(p * v - q * w) % d for v, w in zip(ri, rk)]
+            continue
+        k = next((k for k, y in enumerate(a[i]) if y % g), None)
+        if k is not None:
+            s, t, p, q = _bezout(a[i][j], a[i][k])
+            for row in a:
+                v, w = row[j], row[k]
+                row[j] = (s * v + t * w) % d
+                row[k] = (p * v - q * w) % d
+            continue
+        # x c = y (mod d) is solved by c = (y/g) (x/g)^-1 mod d/g; the
+        # cleared column is dropped with the pivot row
+        top = a.pop(i)
+        inv = pow(top.pop(j) // g, -1, d // g)
+        for k, row in enumerate(a):
+            y = row.pop(j)
+            if y:
+                c = y // g * inv % (d // g)
+                a[k] = [(v - c * w) % d for v, w in zip(row, top)]
+        orders.append(g)
+
+
+def _least_gcd_entry(a, d):
+    """(g, i, j) for a nonzero entry x = a[i][j] of least g = gcd(x, d),
+    stopping at the first unit."""
+    best = None
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x:
+                g = gcd(x, d)
+                if g == 1:
+                    return 1, i, j
+                if best is None or g < best[0]:
+                    best = g, i, j
+    return best
+
+
+def _bezout(x, y):
+    """(s, t, p, q) with s x + t y = gcd(x, y) = h, p = y / h, q = x / h;
+    [[s, t], [p, -q]] is unimodular and sends (x, y) to (h, 0)."""
+    s0, s1, t0, t1, a, b = 1, 0, 0, 1, x, y
+    while b:
+        quo = a // b
+        a, b = b, a - quo * b
+        s0, s1 = s1, s0 - quo * s1
+        t0, t1 = t1, t0 - quo * t1
+    return s0, t0, y // a, x // a
+
+
+def invariant_factors(m):
+    """The Smith diagonal of m padded with zeros to m.nrows: the order of
+    each canonical coordinate of Z^nrows modulo the columns of m (0 for a
+    free one), computed without transforms.
+
+    Fraction-free elimination gives the rank r and a nonzero r x r minor
+    D.  The product d_1 ... d_r of the nonzero invariant factors divides
+    every r x r minor, so each d_i divides D, and Z^nrows modulo the
+    columns of m and D Z^nrows is Z/d_1 + ... + Z/d_r + (Z/D)^(nrows - r).
+    That group is read off by elimination modulo D, so no entry grows past
+    D (Domich, Kannan and Trotter 1987; Hafner and McCurley 1991).
+
+    >>> invariant_factors(ZMatrix([[4, 2], [2, 2]]))
+    (2, 2)
+    >>> invariant_factors(ZMatrix([[2, 4], [0, 0], [6, 3]]))
+    (1, 18, 0)
+    """
+    n = m.nrows
+    rank, d = _rank_and_minor(m.rows, m.ncols)
+    d = abs(d)
+    if d == 1:
+        return (1,) * rank + (0,) * (n - rank)
+    orders = _cyclic_orders_mod(m.rows, d)
+    # Z/a + Z/b = Z/gcd + Z/lcm merges the summands into a divisibility
+    # chain; the summands Z/D are already at its top
+    tops = sum(1 for g in orders if g == d)
+    mid = sorted(g for g in orders if 1 < g < d)
+    for i in range(len(mid)):
+        for k in range(i + 1, len(mid)):
+            h = gcd(mid[i], mid[k])
+            mid[i], mid[k] = h, mid[i] * mid[k] // h
+    chain = [1] * (n - tops - len(mid)) + mid + [d] * tops
+    return tuple(chain[:rank]) + (0,) * (n - rank)
 
 
 class ColumnSolver:
@@ -425,7 +555,7 @@ class FgAbGroup:
     True
     """
 
-    __slots__ = ("ngens", "relations", "_decomp")
+    __slots__ = ("ngens", "relations", "_decomp", "_orders")
 
     def __init__(self, ngens, relations=None):
         self.ngens = int(ngens)
@@ -435,6 +565,7 @@ class FgAbGroup:
             raise ValueError("relation matrix height must equal ngens")
         self.relations = relations
         self._decomp = None
+        self._orders = None
 
     @classmethod
     def free(cls, n):
@@ -470,8 +601,16 @@ class FgAbGroup:
         return self._decomp
 
     def canonical_orders(self):
-        """Order of each canonical coordinate, 0 meaning a free factor."""
-        return self._decomposition()[0]
+        """Order of each canonical coordinate, 0 meaning a free factor.
+
+        Read from the Smith form when coordinates were already asked
+        for; otherwise computed without transforms.
+        """
+        if self._decomp is not None:
+            return self._decomp[0]
+        if self._orders is None:
+            self._orders = invariant_factors(prune_columns(self.relations))
+        return self._orders
 
     def canonical_form(self):
         """(free rank, ascending invariant factors > 1)."""
@@ -504,30 +643,6 @@ class FgAbGroup:
         _, _, uinv = self._decomposition()
         return uinv.apply(y)
 
-    def element_vectors(self, limit=None):
-        """All elements in canonical coordinates; error if infinite or
-        past `limit`."""
-        n = self.order()
-        if n is None:
-            raise PreconditionViolation("group is infinite")
-        if limit is not None and n > limit:
-            raise PreconditionViolation("group has %d elements, limit %d" % (n, limit))
-        orders = self.canonical_orders()
-        elems = [()]
-        for d in orders:
-            span = range(d if d else 1)
-            elems = [e + (v,) for e in elems for v in span]
-        return elems
-
-    def add_canonical(self, a, b):
-        orders = self.canonical_orders()
-        return tuple((x + y) % d if d else x + y
-                     for x, y, d in zip(a, b, orders))
-
-    def scale_canonical(self, k, a):
-        orders = self.canonical_orders()
-        return tuple((k * x) % d if d else k * x for x, d in zip(a, orders))
-
     def in_relation_span(self, vec):
         """True iff every canonical coordinate of vec is zero."""
         return not any(self.to_canonical(vec))
@@ -546,9 +661,6 @@ class FgAbGroup:
             raise ValueError("matrix height must equal ngens")
         return all(self.in_relation_span(c)
                    for c in zip(*matrix.rows) if any(c))
-
-    def same_invariants(self, other):
-        return self.canonical_form() == other.canonical_form()
 
     def __eq__(self, other):
         return (isinstance(other, FgAbGroup) and self.ngens == other.ngens
@@ -654,7 +766,7 @@ def preimage_lattice(matrix, target_relations):
     """Generators of {x : matrix @ x lies in the span of target_relations}."""
     w = matrix.hstack(prune_columns(target_relations))
     ker = kernel_basis(w)
-    top = ZMatrix([ker.rows[i] for i in range(matrix.ncols)], ncols=ker.ncols)
+    top = ZMatrix._trusted(ker.rows[:matrix.ncols], ker.ncols)
     return lattice_basis(top)
 
 

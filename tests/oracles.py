@@ -9,13 +9,16 @@ arithmetic; the dense homology solves the unreduced boundaries,
 skipping the unit-pivot elimination of `ChainComplex.homology`.
 Relation-span membership is decided by solving R x = v against a Smith
 form of its own, where the library reads the group's canonical
-coordinates.  The all-pairs scans visit every pair or triple of arrows
+coordinates.  Canonical orders come from the diagonal of a Smith form
+with transforms, where the library eliminates modulo a maximal minor.
+The all-pairs scans visit every pair or triple of arrows
 or morphisms where the library reads only composable ones from
 per-object buckets.
 """
 
 from math import gcd
 
+from oghom.errors import PreconditionViolation
 from oghom.zmodule import (
     AbHom,
     ColumnSolver,
@@ -23,7 +26,47 @@ from oghom.zmodule import (
     ZMatrix,
     homology_at,
     prune_columns,
+    snf,
 )
+
+
+# ---------------------------------------------------------------- canonical coordinates
+
+
+def canonical_orders_by_snf(group):
+    """Orders of the canonical coordinates from the diagonal of a Smith
+    form with transforms, padded with zeros to the number of generators."""
+    diag = snf(prune_columns(group.relations)).diagonal
+    return tuple(diag) + (0,) * (group.ngens - len(diag))
+
+
+def element_vectors(group, limit=None):
+    """All elements in canonical coordinates; error if infinite or past
+    `limit`."""
+    n = group.order()
+    if n is None:
+        raise PreconditionViolation("group is infinite")
+    if limit is not None and n > limit:
+        raise PreconditionViolation("group has %d elements, limit %d" % (n, limit))
+    elems = [()]
+    for d in group.canonical_orders():
+        span = range(d if d else 1)
+        elems = [e + (v,) for e in elems for v in span]
+    return elems
+
+
+def add_canonical(group, a, b):
+    return tuple((x + y) % d if d else x + y
+                 for x, y, d in zip(a, b, group.canonical_orders()))
+
+
+def scale_canonical(group, k, a):
+    return tuple((k * x) % d if d else k * x
+                 for x, d in zip(a, group.canonical_orders()))
+
+
+def same_invariants(g, h):
+    return g.canonical_form() == h.canonical_form()
 
 
 # ---------------------------------------------------------------- element-level homology
@@ -55,8 +98,8 @@ def brute_force_homology(f, g):
     """
     b = f.target
     czero = tuple(0 for _ in g.target.canonical_orders())
-    kernel = [x for x in b.element_vectors() if g.apply_canonical(x) == czero]
-    image = {f.apply_canonical(a) for a in f.source.element_vectors()}
+    kernel = [x for x in element_vectors(b) if g.apply_canonical(x) == czero]
+    image = {f.apply_canonical(a) for a in element_vectors(f.source)}
     kset = set(kernel)
     if not image <= kset:
         raise AssertionError("composite is not zero on elements")
@@ -67,7 +110,7 @@ def brute_force_homology(f, g):
         sizes = [len(image)]
         while True:
             hit = sum(
-                1 for x in kernel if b.scale_canonical(p ** len(sizes), x) in image
+                1 for x in kernel if scale_canonical(b, p ** len(sizes), x) in image
             )
             if hit == sizes[-1]:
                 break

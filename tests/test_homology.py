@@ -1,5 +1,7 @@
 """Nerve chain complexes and the class-colimit comparison of homology."""
 
+import sys
+
 import pytest
 
 from oghom import fixtures
@@ -13,7 +15,7 @@ from oghom.homology import (
     homology_profile,
     nerve_complex,
 )
-from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
+from oghom.zmodule import AbHom, FgAbGroup, ZMatrix, direct_sum
 from .oracles import in_relation_span_by_solve, periodic_cyclic_homology
 from .test_reduction import cyclic_bundle
 
@@ -87,6 +89,27 @@ def test_corrupted_nerve_boundary_is_rejected(case):
                     ChainComplex(cx.groups, boundaries)
                 caught += 1
     assert caught >= 40
+
+
+@pytest.mark.parametrize("extra", [FgAbGroup.free(1),
+                                   FgAbGroup.from_invariants(0, [2])])
+def test_wrong_colimit_fails_the_h0_check(extra, monkeypatch):
+    # the H_0 cross-check must reject a colimit that differs from H_0
+    bundle = fixtures.load("cyclic3")
+    cat, module = bundle.lc.category, bundle.modules["const"]
+    homology_module = sys.modules["oghom.homology"]
+    true_colimit = homology_module.colim_category
+
+    def wrong_colimit(cat, module):
+        colim = true_colimit(cat, module)
+        colim.result = direct_sum([colim.result, extra])[0]
+        return colim
+
+    monkeypatch.setattr(homology_module, "colim_category", wrong_colimit)
+    cx = nerve_complex(cat, module, 2)
+    with pytest.raises(StructuralDefect, match="H_0"):
+        homology(cat, module, 0, complex_=cx)
+    assert homology(cat, module, 1, complex_=cx).canonical_form() == (0, (3,))
 
 
 def test_chain_tuples_counts():

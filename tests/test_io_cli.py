@@ -335,6 +335,25 @@ def test_cli_check_theorem(capsys):
     assert "theorem: pass" in out
 
 
+@pytest.mark.parametrize("kind", ["theorem", "colim-composition",
+                                  "adjunction"])
+def test_cli_check_builds_one_quotient(kind, monkeypatch, capsys):
+    # clifford carries two modules; both share one quotient
+    beta = sys.modules["oghom.beta"]
+    calls = []
+    decide = beta.is_principally_directed
+
+    def counted(g0):
+        calls.append(g0)
+        return decide(g0)
+
+    monkeypatch.setattr(beta, "is_principally_directed", counted)
+    assert len(fixtures.doc("clifford")["modules"]) == 2
+    main(["check", kind, "clifford", "--json"])
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_cli_check_colim_composition(capsys):
     assert main(["check", "colim-composition", "chain2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -4,8 +4,10 @@ import doctest
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 import oghom.zmodule as zm
 from oghom.errors import CompositeNonzero, NotInduced, PreconditionViolation
@@ -19,6 +21,7 @@ from oghom.zmodule import (
     enumerate_homs,
     homology_at,
     induced_on_cokernel,
+    invariant_factors,
     is_unimodular,
     kernel_basis,
     lattice_basis,
@@ -26,10 +29,15 @@ from oghom.zmodule import (
     snf,
 )
 from .oracles import (
+    add_canonical,
     brute_force_homology,
+    canonical_orders_by_snf,
+    element_vectors,
     in_relation_span_by_solve,
     random_int_matrix,
     random_zero_composite,
+    same_invariants,
+    scale_canonical,
 )
 
 
@@ -110,6 +118,14 @@ def test_unimodular_and_det():
     assert not is_unimodular(ZMatrix([[1, 0]]))
     assert ZMatrix([[2, 1], [1, 1]]).det() == 1
     assert ZMatrix([[0, 1], [1, 0]]).det() == -1
+    assert ZMatrix.zeros(0, 0).det() == 1
+    rng = random.Random(7)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            rows[-1] = list(rows[0])
+        assert ZMatrix(rows).det() == sympy.Matrix(rows).det()
 
 
 def test_block_diag_and_prune():
@@ -118,6 +134,159 @@ def test_block_diag_and_prune():
     assert block_diag([]) == ZMatrix.zeros(0, 0)
     p = prune_columns(ZMatrix([[1, 0, 1], [0, 0, 2]]))
     assert p.ncols == 2 and p.nrows == 2
+
+
+def test_constructors_and_empty_shapes():
+    # the public constructor converts and checks; internal builders keep
+    # shapes with no rows or no columns
+    m = ZMatrix([[1.0, True], [3, 4]])
+    assert m.rows == ((1, 1), (3, 4))
+    assert all(type(v) is int for row in m.rows for v in row)
+    with pytest.raises(ValueError):
+        ZMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        ZMatrix([[1, 2]], ncols=3)
+    with pytest.raises(ValueError):
+        ZMatrix.from_cols([(1, 2), (3,)], 2)
+    for nrows, ncols in [(0, 0), (0, 3), (2, 0), (2, 3)]:
+        z = ZMatrix.zeros(nrows, ncols)
+        t = z.transpose()
+        assert (t.nrows, t.ncols) == (ncols, nrows)
+        assert t.transpose() == z
+        assert z.hstack(ZMatrix.zeros(nrows, 1)).ncols == ncols + 1
+        assert ZMatrix.from_cols([], nrows) == ZMatrix.zeros(nrows, 0)
+    assert ZMatrix.identity(0) == ZMatrix.zeros(0, 0)
+    assert ZMatrix([[1, 2], [3, 4]]).scale(-2).add(
+        ZMatrix.identity(2)).sub(ZMatrix.zeros(2, 2)) == ZMatrix([[-1, -4], [-6, -7]])
+
+
+# ---------------------------------------------------------------- invariant factors
+
+
+def sympy_orders(m):
+    """sympy's invariant factors of m, padded with zeros to m.nrows."""
+    if m.nrows == 0 or m.ncols == 0:
+        return (0,) * m.nrows
+    got = sympy_invariant_factors(sympy.Matrix(m.to_lists()), domain=sympy.ZZ)
+    return tuple(int(d) for d in got) + (0,) * (m.nrows - len(got))
+
+
+def assert_orders_agree(m):
+    """invariant_factors and canonical_orders against the Smith form with
+    transforms and against sympy; returns the orders."""
+    want = canonical_orders_by_snf(FgAbGroup(m.nrows, m))
+    assert invariant_factors(m) == want
+    assert invariant_factors(prune_columns(m)) == want
+    assert FgAbGroup(m.nrows, m).canonical_orders() == want
+    assert sympy_orders(m) == want
+    return want
+
+
+def scrambled(rng, diagonal, nrows, ncols, steps=12):
+    """U diag(diagonal) V for random unimodular U, V built from row and
+    column additions, so the Smith form is known and hidden."""
+    a = [[diagonal[i] if i == j and i < len(diagonal) else 0
+          for j in range(ncols)] for i in range(nrows)]
+    for _ in range(steps):
+        if nrows > 1:
+            i, k = rng.sample(range(nrows), 2)
+            q = rng.randint(-3, 3)
+            a[i] = [x + q * y for x, y in zip(a[i], a[k])]
+        if ncols > 1:
+            j, l = rng.sample(range(ncols), 2)
+            q = rng.randint(-3, 3)
+            for row in a:
+                row[j] += q * row[l]
+    return ZMatrix(a, ncols=ncols)
+
+
+def test_invariant_factors_square_nonsingular():
+    rng = random.Random(17)
+    for n in [1, 2, 3, 5, 8, 13, 20, 30, 40]:
+        m = ZMatrix([[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)])
+        orders = assert_orders_agree(m)
+        assert 0 not in orders
+        product = 1
+        for d in orders:
+            product *= d
+        assert product == abs(m.det())
+
+
+def test_invariant_factors_singular_wide_tall():
+    rng = random.Random(29)
+    for _ in range(60):
+        nrows, ncols, inner = (rng.randint(1, 9), rng.randint(1, 9),
+                               rng.randint(1, 5))
+        # a product through `inner` dimensions has rank at most `inner`
+        left = [[rng.randint(-6, 6) for _ in range(inner)] for _ in range(nrows)]
+        right = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(inner)]
+        orders = assert_orders_agree(ZMatrix(left).mul(ZMatrix(right)))
+        assert sum(1 for d in orders if d) <= inner
+    for _ in range(60):
+        assert_orders_agree(random_int_matrix(rng, max_dim=10, span=30))
+
+
+def test_invariant_factors_hidden_torsion():
+    # every pivot is a non-unit modulo D, so Bezout steps do the work
+    rng = random.Random(41)
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        diagonal = [rng.choice([0, 1, 2, 3, 4, 6, 8, 9, 12, 36, 64])
+                    for _ in range(min(nrows, ncols))]
+        assert_orders_agree(scrambled(rng, diagonal, nrows, ncols))
+
+
+def test_invariant_factors_edge_shapes():
+    assert assert_orders_agree(ZMatrix.zeros(3, 4)) == (0, 0, 0)
+    assert assert_orders_agree(ZMatrix.zeros(0, 0)) == ()
+    assert assert_orders_agree(ZMatrix.zeros(0, 3)) == ()
+    assert assert_orders_agree(ZMatrix.zeros(4, 0)) == (0, 0, 0, 0)
+    assert FgAbGroup(0).canonical_orders() == ()
+    # |D| = 1: unimodular, and a wide matrix with a unit maximal minor
+    assert assert_orders_agree(scrambled(random.Random(3), [1] * 6, 6, 6,
+                                         steps=40)) == (1,) * 6
+    assert assert_orders_agree(ZMatrix([[2, 3, 4], [5, 7, 9]])) == (1, 1)
+    assert assert_orders_agree(ZMatrix([[2, 4], [3, 6], [5, 10]])) == (1, 0, 0)
+
+
+def test_invariant_factors_huge_entries():
+    rng = random.Random(53)
+    big = 2 ** 200
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        m = ZMatrix([[big + rng.randint(-9, 9) for _ in range(n)]
+                     for _ in range(n)])
+        assert_orders_agree(m)
+        diagonal = [rng.choice([1, 2, 6]) * (big + rng.choice([0, 1, 3]))
+                    for _ in range(n - 1)]
+        assert_orders_agree(scrambled(rng, diagonal, n, n + 1))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_invariant_factors_hypothesis(data):
+    nrows = data.draw(st.integers(0, 7))
+    ncols = data.draw(st.integers(0, 7))
+    scale = data.draw(st.sampled_from([1, 1, 2, 6, 2 ** 70]))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-30, 30).map(lambda v: v * scale),
+                 min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows))
+    assert_orders_agree(ZMatrix(rows, ncols=ncols))
+
+
+def test_canonical_orders_before_or_after_coordinates():
+    rng = random.Random(61)
+    for _ in range(40):
+        m = random_int_matrix(rng, max_dim=6, span=12)
+        want = canonical_orders_by_snf(FgAbGroup(m.nrows, m))
+        first = FgAbGroup(m.nrows, m)
+        assert first.canonical_orders() == want
+        first.to_canonical([1] * m.nrows)
+        assert first.canonical_orders() == want
+        second = FgAbGroup(m.nrows, m)
+        second.to_canonical([1] * m.nrows)
+        assert second.canonical_orders() == want
 
 
 # ---------------------------------------------------------------- presented groups
@@ -150,14 +319,14 @@ def test_element_count_matches_order(cols):
     g = FgAbGroup(n, ZMatrix.from_cols(cols, n))
     if g.order() is None or g.order() > 600:
         return
-    assert len(g.element_vectors()) == g.order()
+    assert len(element_vectors(g)) == g.order()
 
 
 def test_element_vectors_infinite_guard():
     with pytest.raises(PreconditionViolation):
-        FgAbGroup.free(1).element_vectors()
+        element_vectors(FgAbGroup.free(1))
     with pytest.raises(PreconditionViolation):
-        FgAbGroup.from_invariants(0, [5]).element_vectors(limit=4)
+        element_vectors(FgAbGroup.from_invariants(0, [5]), limit=4)
 
 
 def test_canonical_coordinates_roundtrip():
@@ -170,16 +339,16 @@ def test_canonical_coordinates_roundtrip():
         assert g.to_canonical(g.from_canonical(y)) == y
     a = g.to_canonical([1, 0])
     b = g.to_canonical([0, 1])
-    lhs = g.add_canonical(a, b)
+    lhs = add_canonical(g, a, b)
     assert lhs == g.to_canonical([1, 1])
-    assert g.scale_canonical(3, a) == g.to_canonical([3, 0])
+    assert scale_canonical(g, 3, a) == g.to_canonical([3, 0])
 
 
 def test_relation_span():
     g = FgAbGroup(2, ZMatrix([[2, 0], [0, 3]]))
     assert g.in_relation_span([2, 3])
     assert not g.in_relation_span([1, 0])
-    assert g.same_invariants(FgAbGroup(1, ZMatrix([[6]])))
+    assert same_invariants(g, FgAbGroup(1, ZMatrix([[6]])))
     assert g.kills(ZMatrix([[0, 4, -2], [0, 9, 3]]))
     assert not g.kills(ZMatrix([[0, 4, 1], [0, 9, 0]]))
     with pytest.raises(ValueError):
