@@ -8,6 +8,7 @@ exactly when cod(m1) = dom(m2).
 """
 
 from .errors import NotComposable, StructuralDefect
+from .poset import connected_components
 
 
 class FiniteCategory:
@@ -92,22 +93,8 @@ class FiniteCategory:
 
     def components(self):
         """Object partition by zig-zags of morphisms."""
-        parent = {o: o for o in self.objects}
-
-        def find(o):
-            while parent[o] != o:
-                parent[o] = parent[parent[o]]
-                o = parent[o]
-            return o
-
-        for m in self.morphisms:
-            a, b = find(self.dom[m]), find(self.cod[m])
-            if a != b:
-                parent[a] = b
-        groups = {}
-        for o in self.objects:
-            groups.setdefault(find(o), []).append(o)
-        return list(groups.values())
+        return connected_components(
+            self.objects, ((self.dom[m], self.cod[m]) for m in self.morphisms))
 
     def full_subcategory(self, objs):
         objs = list(objs)

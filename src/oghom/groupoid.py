@@ -119,13 +119,21 @@ def validate(cand):
     def leq(a, b):
         return (a, b) in pairs
 
+    # up[x] / down[x]: the arrows above / below x, in sorted order
+    up, down = {}, {}
+    for (a, b) in sorted_pairs:
+        if b in d:
+            up.setdefault(a, []).append(b)
+        if a in d:
+            down.setdefault(b, []).append(a)
+
     # order is a partial order
     for x in arrows:
         if not leq(x, x):
             out.append(Violation("order-reflexive", (x,)))
     for (a, b) in sorted_pairs:
-        for c in arrows:
-            if leq(b, c) and not leq(a, c):
+        for c in up.get(b, ()):
+            if not leq(a, c):
                 out.append(Violation("order-transitive", (a, b, c)))
     for (a, b) in sorted_pairs:
         if a != b and leq(b, a):
@@ -203,15 +211,12 @@ def validate(cand):
 
     # OG3/OG4: unique restriction and corestriction
     for x in arrows:
+        below = down.get(x, ())
         for e in cand.identities:
-            if leq(e, d[x]):
-                found = [y for y in arrows if leq(y, x) and d[y] == e]
-                if len(found) != 1:
-                    out.append(Violation("OG3", (x, e)))
-            if leq(e, r[x]):
-                found = [y for y in arrows if leq(y, x) and r[y] == e]
-                if len(found) != 1:
-                    out.append(Violation("OG4", (x, e)))
+            if leq(e, d[x]) and sum(d[y] == e for y in below) != 1:
+                out.append(Violation("OG3", (x, e)))
+            if leq(e, r[x]) and sum(r[y] == e for y in below) != 1:
+                out.append(Violation("OG4", (x, e)))
 
     return ValidationReport(out)
 

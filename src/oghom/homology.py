@@ -7,15 +7,20 @@ identity contribute nothing), and drops the last entry, with alternating
 signs.  Degree zero is one summand per object and H_0 is checked against
 the colimit presentation every time it is computed.
 
+A `ChainComplex` keeps only sparse columns (see its docstring):
+`nerve_complex` emits them, ∂² = 0 is checked on them and the reduction
+below reads and returns them; dense matrices are views built on demand.
+
 Homology is not solved on the nerve itself.  Nerve boundaries are mostly
 0/±1, so `ChainComplex.homology` first shrinks the complex by
 unit-pivot elimination (the Gaussian-elimination lemma of Kaczynski,
-Mrozek & Ślusarek, 1998), working on sparse columns: a generator a of
+Mrozek & Ślusarek, 1998), working on the sparse columns: a generator a of
 C_n and a generator b of C_(n-1) that span cyclic direct summands of the
 same order k, with u = <∂a, b> a unit mod k (±1 when k = 0), are
 cancelled together, and every other column a' of ∂_n becomes
 a' - <∂a', b> u⁻¹ ∂a.  Generators of order 1 are dropped.  Only the
-small residual is handed to the dense Smith-form solver `homology_at`.
+small residual is handed, through its dense views, to the Smith-form
+solver `homology_at`.
 Homology is asked only below the top degree, where just the image of
 the top boundary counts, so the residual keeps only its nonzero
 columns, on free generators.
@@ -26,46 +31,111 @@ complex built with checked=True must satisfy it already.
 import os
 import warnings
 from collections import deque
-from itertools import compress
 from math import gcd
 
 from .errors import StructuralDefect
 from .gmodules import colim_category, colim_E
-from .zmodule import AbHom, FgAbGroup, ZMatrix, block_diag, homology_at
+from .zmodule import AbHom, FgAbGroup, ZMatrix, homology_at
 
 RANK_ENV = "OG_MAX_CHAIN_RANK"
 DEFAULT_MAX_CHAIN_RANK = 10000
 
 
-class ChainComplex:
-    """groups[0..N] with boundaries[n]: groups[n] -> groups[n-1].
+def _columns(matrix):
+    """The columns of a ZMatrix as {row: entry} dicts of nonzero entries."""
+    return [{i: v for i, v in enumerate(matrix.col(j)) if v}
+            for j in range(matrix.ncols)]
 
-    boundaries[0] is None.  Consecutive boundaries must compose to the
-    zero map (zero modulo the relations of the target, not the zero
-    matrix)."""
+
+def _matrix(columns, nrows):
+    """The ZMatrix whose columns are the given {row: entry} dicts."""
+    rows = [[0] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows[i][j] = v
+    return ZMatrix._trusted(rows, len(columns))
+
+
+class ChainComplex:
+    """Degree n has `ngens[n]` generators, relation columns `relations[n]`
+    and, for n >= 1, boundary columns `columns[n]` (one per generator;
+    columns[0] is None), each a {row: entry} dict of nonzero entries.
+
+    Consecutive boundaries must compose to the zero map (zero modulo the
+    relations of the target, not the zero matrix).  `groups` and
+    `boundaries` are dense views, built on first use."""
 
     def __init__(self, groups, boundaries, checked=False):
-        self.groups = list(groups)
-        self.boundaries = list(boundaries)
-        self._reduced = None
+        groups, boundaries = list(groups), list(boundaries)
         if not checked:
-            if len(self.boundaries) != len(self.groups):
+            if len(boundaries) != len(groups):
                 raise StructuralDefect("one boundary per degree expected")
-            for n in range(1, len(self.groups)):
-                b = self.boundaries[n]
-                if (b.source != self.groups[n]
-                        or b.target != self.groups[n - 1]):
+            for n in range(1, len(groups)):
+                b = boundaries[n]
+                if b.source != groups[n] or b.target != groups[n - 1]:
                     raise StructuralDefect(
                         "boundary %d has wrong endpoints" % n)
-            for n in range(2, len(self.groups)):
-                squared = self.boundaries[n].then(self.boundaries[n - 1])
-                if not squared.is_zero_map():
-                    raise StructuralDefect(
-                        "boundary squared is nonzero at degree %d" % n)
+        self.ngens = [g.ngens for g in groups]
+        self.relations = [_columns(g.relations) for g in groups]
+        self.columns = [None] + [_columns(b.matrix) for b in boundaries[1:]]
+        self._groups, self._boundaries, self._reduced = groups, boundaries, None
+        if not checked:
+            self._check_square()
+
+    @classmethod
+    def from_columns(cls, ngens, relations, columns, checked=False):
+        """The complex in its sparse form, checked as by the constructor."""
+        self = cls.__new__(cls)
+        self.ngens, self.relations = list(ngens), list(relations)
+        self.columns = list(columns)
+        self._groups, self._boundaries = [None] * len(self.ngens), None
+        self._reduced = None
+        if not checked:
+            self._check_square()
+        return self
+
+    def _check_square(self):
+        # compose column by column; only the nonzero composites reach
+        # the target group, whose dense form is built just for them
+        for n in range(2, len(self.ngens)):
+            lower = self.columns[n - 1]
+            nonzero = []
+            for col in self.columns[n]:
+                comp = {}
+                for r, v in col.items():
+                    for s, w in lower[r].items():
+                        comp[s] = comp.get(s, 0) + v * w
+                if any(comp.values()):
+                    nonzero.append(comp)
+            if nonzero and not self._group(n - 2).kills(
+                    _matrix(nonzero, self.ngens[n - 2])):
+                raise StructuralDefect(
+                    "boundary squared is nonzero at degree %d" % n)
+
+    def _group(self, n):
+        if self._groups[n] is None:
+            self._groups[n] = FgAbGroup(
+                self.ngens[n], _matrix(self.relations[n], self.ngens[n]))
+        return self._groups[n]
+
+    @property
+    def groups(self):
+        return [self._group(n) for n in range(len(self.ngens))]
+
+    @property
+    def boundaries(self):
+        if self._boundaries is None:
+            groups = self.groups
+            self._boundaries = [None] + [
+                AbHom(groups[n], groups[n - 1],
+                      _matrix(self.columns[n], self.ngens[n - 1]),
+                      checked=True)
+                for n in range(1, len(groups))]
+        return list(self._boundaries)
 
     @property
     def top_degree(self):
-        return len(self.groups) - 1
+        return len(self.ngens) - 1
 
     def reduced(self):
         """The complex with unit pivots cancelled, built on first use and
@@ -74,27 +144,27 @@ class ChainComplex:
         >>> from oghom import fixtures
         >>> b = fixtures.load("cyclic3")
         >>> cx = nerve_complex(b.lc.category, b.modules["const"], 3)
-        >>> [g.ngens for g in cx.groups]
+        >>> cx.ngens
         [1, 2, 4, 8]
         >>> cx.boundaries[2].matrix
         ZMatrix([[2, 1, 1, -1], [-1, 1, 1, 2]])
         >>> red = cx.reduced()
-        >>> [g.ngens for g in red.groups]
+        >>> red.ngens
         [1, 1, 1, 0]
-        >>> red.boundaries[2].matrix
-        ZMatrix([[3]])
+        >>> red.columns[2]
+        [{0: 3}]
         """
         if self._reduced is None:
-            self._reduced = _reduce(self.groups, self.boundaries)
+            self._reduced = _reduce(self)
             self._reduced._reduced = self._reduced  # no unit pivot left
         return self._reduced
 
     def homology(self, n):
         """ker ∂_n / im ∂_(n+1); requires degree n+1 to be present.
 
-        Solved by `homology_at` on `reduced()`: the elimination lemma it
-        rests on holds because ∂² = 0 was checked at construction (or
-        promised by checked=True)."""
+        Solved by `homology_at` on the dense views of `reduced()`: the
+        elimination lemma it rests on holds because ∂² = 0 was checked
+        at construction (or promised by checked=True)."""
         if n < 0 or n + 1 > self.top_degree:
             raise StructuralDefect(
                 "homology at %d needs chains up to %d" % (n, n + 1))
@@ -107,55 +177,45 @@ class ChainComplex:
         return homology_at(f, g)
 
 
-def _relation_support(group):
-    """The nonzero (row, entry) pairs of each relation column."""
-    support = [[] for _ in range(group.relations.ncols)]
-    span = range(group.relations.ncols)
-    for i, row in enumerate(group.relations.rows):
-        for j in compress(span, row):
-            support[j].append((i, row[j]))
-    return support
-
-
-def _summand_orders(ngens, support):
+def _summand_orders(ngens, relations):
     """Per generator: the order of the cyclic direct summand it spans (0
     for infinite), or None when a relation ties it to another generator."""
     orders = [0] * ngens
-    for col in support:
+    for col in relations:
         if len(col) == 1:
-            i, v = col[0]
+            (i, v), = col.items()
             if orders[i] is not None:
                 orders[i] = gcd(orders[i], v)
         else:
-            for i, _ in col:
+            for i in col:
                 orders[i] = None
     return orders
 
 
-def _reduce(groups, boundaries):
-    """Cancel unit pivots degree by degree, lowest first, on sparse
-    columns; returns the residual as a dense ChainComplex."""
-    top = len(groups) - 1
-    supports = [_relation_support(g) for g in groups]
-    orders = [_summand_orders(g.ngens, sup)
-              for g, sup in zip(groups, supports)]
-    alive = [[True] * g.ngens for g in groups]
-    # cols[n][j]: {row: entry} of column j of ∂_n, entries of a row of
+def _reduce(cx):
+    """Cancel unit pivots degree by degree, lowest first, on the sparse
+    columns of cx; returns the residual in the same form."""
+    top = cx.top_degree
+    orders = [_summand_orders(n, rels)
+              for n, rels in zip(cx.ngens, cx.relations)]
+    alive = [[True] * n for n in cx.ngens]
+    # cols[n][j]: column j of ∂_n, rows ascending, entries of a row of
     # finite order k kept mod k; rows[n][i]: columns of ∂_n nonzero in row i
     cols = [None]
     rows = [None]
     for n in range(1, top + 1):
         k_rows = orders[n - 1]
-        cn = [{} for _ in range(groups[n].ngens)]
-        rn = [set() for _ in range(groups[n - 1].ngens)]
-        span = range(groups[n].ngens)
-        for i, row in enumerate(boundaries[n].matrix.rows):
-            k = k_rows[i]
-            for j in compress(span, row):
-                v = row[j] % k if k else row[j]
+        cn = []
+        rn = [set() for _ in range(cx.ngens[n - 1])]
+        for j, col in enumerate(cx.columns[n]):
+            cj = {}
+            for i, v in sorted(col.items()):
+                k = k_rows[i]
+                v = v % k if k else v
                 if v:
-                    cn[j][i] = v
+                    cj[i] = v
                     rn[i].add(j)
+            cn.append(cj)
         cols.append(cn)
         rows.append(rn)
 
@@ -219,34 +279,21 @@ def _reduce(groups, boundaries):
             drop(n - 1, b)
 
     keep = [[i for i, on in enumerate(live) if on] for live in alive]
+    relations = list(cx.relations)
     if top:
         # below the top degree only the image of ∂_top counts: keep its
         # nonzero columns, on free generators
         keep[top] = [j for j in keep[top] if cols[top][j]]
-        supports[top] = []
+        relations[top] = []
     index = [{i: x for x, i in enumerate(kept)} for kept in keep]
-
-    def dense(entries, n):
-        # a sparse column over the generators of C_n that were kept
-        out = [0] * len(keep[n])
-        for i, v in entries:
-            out[index[n][i]] = v
-        return out
-
-    new_groups = []
-    for n, support in enumerate(supports):
-        # a relation on a removed generator involves no other one
-        rel_cols = [dense(col, n) for col in support
-                    if col and col[0][0] in index[n]]
-        new_groups.append(FgAbGroup(len(keep[n]), ZMatrix.from_cols(
-            rel_cols, len(keep[n]))))
-    new_boundaries = [None]
-    for n in range(1, top + 1):
-        mat = ZMatrix.from_cols([dense(cols[n][j].items(), n - 1)
-                                 for j in keep[n]], len(keep[n - 1]))
-        new_boundaries.append(AbHom(new_groups[n], new_groups[n - 1], mat,
-                                    checked=True))
-    return ChainComplex(new_groups, new_boundaries, checked=True)
+    # a relation on a removed generator involves no other one
+    new_relations = [[{index[n][i]: v for i, v in col.items()}
+                      for col in rels if col and next(iter(col)) in index[n]]
+                     for n, rels in enumerate(relations)]
+    new_columns = [None] + [[{index[n - 1][i]: v for i, v in cols[n][j].items()}
+                             for j in keep[n]] for n in range(1, top + 1)]
+    return ChainComplex.from_columns([len(kept) for kept in keep],
+                                     new_relations, new_columns, checked=True)
 
 
 def _chain_tuples(cat, maxdeg):
@@ -262,66 +309,60 @@ def _chain_tuples(cat, maxdeg):
     return chains
 
 
-def _chain_group(cat, module, chain, degree):
-    if degree == 0:
-        return module.groups[chain]
-    return module.groups[cat.dom[chain[0]]]
-
-
 def nerve_complex(cat, module, maxdeg):
-    """Chain complex of the normalized nerve up to degree maxdeg."""
+    """Chain complex of the normalized nerve up to degree maxdeg; a chain's
+    relation columns are its coefficient group's, shifted to its offset."""
     if maxdeg < 1:
         raise StructuralDefect("a complex needs at least degree 1")
     limit = int(os.environ.get(RANK_ENV, DEFAULT_MAX_CHAIN_RANK))
     chains = _chain_tuples(cat, maxdeg)
+    group_rels = {o: _columns(g.relations) for o, g in module.groups.items()}
 
-    groups = []
-    offsets = []
+    ngens, relations, offsets = [], [], []
     for n, chain_list in enumerate(chains):
         offs = {}
         at = 0
         rels = []
         for c in chain_list:
-            g = _chain_group(cat, module, c, n)
+            base = c if n == 0 else cat.dom[c[0]]
             offs[c] = at
-            at += g.ngens
-            rels.append(g.relations)
+            rels.extend({at + i: v for i, v in col.items()}
+                        for col in group_rels[base])
+            at += module.groups[base].ngens
         if at > limit:
             warnings.warn(
                 "chain group at degree %d has rank %d (limit %d; raise %s"
                 " to silence)" % (n, at, limit, RANK_ENV))
-        groups.append(FgAbGroup(at, block_diag(rels)))
+        ngens.append(at)
+        relations.append(rels)
         offsets.append(offs)
 
-    boundaries = [None]
+    pushed = {m: _columns(module.action[m].matrix)
+              for m in cat.nonidentity_morphisms()}
+    columns = [None]
     for n in range(1, maxdeg + 1):
+        below = offsets[n - 1]
         cols = []
         for c in chains[n]:
-            src_group = _chain_group(cat, module, c, n)
-            for i in range(src_group.ngens):
-                col = [0] * groups[n - 1].ngens
-                # push the coefficient along the first entry
-                pushed = module.action[c[0]].matrix.col(i)
-                head = c[1:] if n > 1 else cat.cod[c[0]]
-                base = offsets[n - 1][head]
-                for rix, v in enumerate(pushed):
-                    col[base + rix] += v
-                # compose interior pairs; identity composites vanish
-                for j in range(1, n):
-                    comp = cat.compose(c[j - 1], c[j])
-                    if cat.is_identity(comp):
-                        continue
-                    merged = c[:j - 1] + (comp,) + c[j + 1:]
-                    sign = -1 if j % 2 else 1
-                    col[offsets[n - 1][merged] + i] += sign
-                # drop the last entry
-                tail = c[:-1] if n > 1 else cat.dom[c[0]]
-                sign = -1 if n % 2 else 1
-                col[offsets[n - 1][tail] + i] += sign
-                cols.append(col)
-        mat = ZMatrix.from_cols(cols, groups[n - 1].ngens)
-        boundaries.append(AbHom(groups[n], groups[n - 1], mat, checked=True))
-    return ChainComplex(groups, boundaries)
+            # the coefficient is pushed along the first entry; composing
+            # interior pairs (identity composites vanish) and dropping
+            # the last entry keep generator i, at these offsets and signs
+            head = below[c[1:] if n > 1 else cat.cod[c[0]]]
+            terms = []
+            for j in range(1, n):
+                comp = cat.compose(c[j - 1], c[j])
+                if not cat.is_identity(comp):
+                    terms.append((below[c[:j - 1] + (comp,) + c[j + 1:]],
+                                  -1 if j % 2 else 1))
+            terms.append((below[c[:-1] if n > 1 else cat.dom[c[0]]],
+                          -1 if n % 2 else 1))
+            for i, push in enumerate(pushed[c[0]]):
+                col = {head + r: v for r, v in push.items()}
+                for at, sign in terms:
+                    col[at + i] = col.get(at + i, 0) + sign
+                cols.append({r: v for r, v in col.items() if v})
+        columns.append(cols)
+    return ChainComplex.from_columns(ngens, relations, columns)
 
 
 def homology(cat, module, n, complex_=None):

@@ -172,12 +172,21 @@ def candidate_from_doc(gdoc, base=""):
     return GroupoidCandidate.from_parts(identities, arrows, compose, order)
 
 
+# Larger groups are refused before any matrix is allocated; a group is a
+# summand of a chain group in every degree, whose default limit this is.
+MAX_GENERATORS = 10000
+
+
 def group_from_spec(spec):
+    ngens = (int(spec["rank"]) + len(spec.get("torsion", []))
+             if "rank" in spec else spec["ngens"])
+    if ngens > MAX_GENERATORS:
+        raise SchemaViolation("", "group has %d generators; at most %d are"
+                              " supported" % (ngens, MAX_GENERATORS))
     if "rank" in spec:
         return FgAbGroup.from_invariants(spec["rank"],
                                          spec.get("torsion", []))
     rels = spec["relations"]
-    ngens = spec["ngens"]
     for row in rels:
         if len(row) != len(rels[0]):
             raise SchemaViolation("", "ragged relation matrix")

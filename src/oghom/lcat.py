@@ -18,17 +18,9 @@ class LCat:
         self.groupoid = groupoid
         self.category = category
 
-    @property
-    def objects(self):
-        return self.category.objects
-
-    @property
-    def morphisms(self):
-        return self.category.morphisms
-
     def __repr__(self):
         return "LCat(%d objects, %d morphisms)" % (
-            len(self.objects), len(self.morphisms))
+            len(self.category.objects), len(self.category.morphisms))
 
 
 def lcat_compose(g0, m1, m2):

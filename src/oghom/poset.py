@@ -125,21 +125,26 @@ class Poset:
     def comparability_components(self):
         """Partition of the elements into connected components of the
         comparability graph."""
-        n = len(self.elements)
-        parent = list(range(n))
+        return connected_components(self.elements, self.pairs())
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
 
-        for i in range(n):
-            for j in self._below[i]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-        groups = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(self.elements[i])
-        return list(groups.values())
+def connected_components(elements, edges):
+    """Partition of `elements` by the undirected `edges` (a, b): each
+    part in element order, the parts in the order of their first
+    elements."""
+    parent = {e: e for e in elements}
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    parts = {}
+    for e in elements:
+        parts.setdefault(find(e), []).append(e)
+    return list(parts.values())

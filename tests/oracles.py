@@ -6,7 +6,9 @@ counting, never touching Smith forms; the cyclic-group answers come
 from the two-periodic resolution, where every boundary map is
 multiplication by a single integer and the whole computation is gcd
 arithmetic; the dense homology solves the unreduced boundaries,
-skipping the unit-pivot elimination of `ChainComplex.homology`.
+skipping the unit-pivot elimination of `ChainComplex.homology`, and the
+dense nerve builds block-diagonal relation matrices and dense boundary
+columns, where the library emits sparse columns.
 Relation-span membership is decided by solving R x = v against a Smith
 form of its own, where the library reads the group's canonical
 coordinates.  Canonical orders come from the diagonal of a Smith form
@@ -16,14 +18,23 @@ or morphisms where the library reads only composable ones from
 per-object buckets.
 """
 
+import os
+import warnings
 from math import gcd
 
-from oghom.errors import PreconditionViolation
+from oghom.errors import PreconditionViolation, StructuralDefect
+from oghom.homology import (
+    DEFAULT_MAX_CHAIN_RANK,
+    RANK_ENV,
+    ChainComplex,
+    _chain_tuples,
+)
 from oghom.zmodule import (
     AbHom,
     ColumnSolver,
     FgAbGroup,
     ZMatrix,
+    block_diag,
     homology_at,
     prune_columns,
     snf,
@@ -153,6 +164,73 @@ def dense_homology(cx, n):
     else:
         g = cx.boundaries[n]
     return homology_at(f, g).canonical_form()
+
+
+# ---------------------------------------------------------------- dense nerve
+
+
+def _chain_group(cat, module, chain, degree):
+    if degree == 0:
+        return module.groups[chain]
+    return module.groups[cat.dom[chain[0]]]
+
+
+def dense_nerve_complex(cat, module, maxdeg):
+    """Chain complex of the normalized nerve up to degree maxdeg, built
+    from dense block-diagonal relations and dense boundary columns and
+    handed to the dense-input ChainComplex constructor."""
+    if maxdeg < 1:
+        raise StructuralDefect("a complex needs at least degree 1")
+    limit = int(os.environ.get(RANK_ENV, DEFAULT_MAX_CHAIN_RANK))
+    chains = _chain_tuples(cat, maxdeg)
+
+    groups = []
+    offsets = []
+    for n, chain_list in enumerate(chains):
+        offs = {}
+        at = 0
+        rels = []
+        for c in chain_list:
+            g = _chain_group(cat, module, c, n)
+            offs[c] = at
+            at += g.ngens
+            rels.append(g.relations)
+        if at > limit:
+            warnings.warn(
+                "chain group at degree %d has rank %d (limit %d; raise %s"
+                " to silence)" % (n, at, limit, RANK_ENV))
+        groups.append(FgAbGroup(at, block_diag(rels)))
+        offsets.append(offs)
+
+    boundaries = [None]
+    for n in range(1, maxdeg + 1):
+        cols = []
+        for c in chains[n]:
+            src_group = _chain_group(cat, module, c, n)
+            for i in range(src_group.ngens):
+                col = [0] * groups[n - 1].ngens
+                # push the coefficient along the first entry
+                pushed = module.action[c[0]].matrix.col(i)
+                head = c[1:] if n > 1 else cat.cod[c[0]]
+                base = offsets[n - 1][head]
+                for rix, v in enumerate(pushed):
+                    col[base + rix] += v
+                # compose interior pairs; identity composites vanish
+                for j in range(1, n):
+                    comp = cat.compose(c[j - 1], c[j])
+                    if cat.is_identity(comp):
+                        continue
+                    merged = c[:j - 1] + (comp,) + c[j + 1:]
+                    sign = -1 if j % 2 else 1
+                    col[offsets[n - 1][merged] + i] += sign
+                # drop the last entry
+                tail = c[:-1] if n > 1 else cat.dom[c[0]]
+                sign = -1 if n % 2 else 1
+                col[offsets[n - 1][tail] + i] += sign
+                cols.append(col)
+        mat = ZMatrix.from_cols(cols, groups[n - 1].ngens)
+        boundaries.append(AbHom(groups[n], groups[n - 1], mat, checked=True))
+    return ChainComplex(groups, boundaries)
 
 
 # ---------------------------------------------------------------- relation span

@@ -11,11 +11,13 @@ from oghom.errors import StructuralDefect
 from oghom.gmodules import (
     GMap,
     GModule,
+    _presentation,
     check_colim_composition,
     check_functorial,
     check_quotient_action,
     colim_E,
     colim_E_map,
+    colim_category,
     enumerate_gmaps,
     expand,
     expand_map,
@@ -24,8 +26,8 @@ from oghom.gmodules import (
     tau,
 )
 from oghom.randgen import random_module, random_og, random_ses
-from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
-from .test_reduction import cyclic_bundle
+from oghom.zmodule import AbHom, FgAbGroup, ZMatrix, direct_sum
+from .test_reduction import cyclic_bundle, theorem_inputs
 
 
 def clifford_parts():
@@ -258,3 +260,28 @@ def test_ses_colim_exact_small():
             assert fx.is_injective()
             assert gx.is_surjective()
             assert homology_at(fx, gx).is_trivial()
+
+
+@pytest.mark.parametrize("which", [0, -1])
+@pytest.mark.parametrize("extra", [FgAbGroup.free(1),
+                                   FgAbGroup.from_invariants(0, [2])])
+def test_corrupted_component_fails_the_sum_check(which, extra, monkeypatch):
+    # one component colimit gains a summand; the sum of the components
+    # must then disagree with the total colimit
+    cat, module = theorem_inputs(0, True)[1]  # four one-object components
+    assert len(cat.components()) == 4
+    colim_category(cat, module)
+    calls = []
+
+    def corrupt_one(cat, module, objs, morphisms):
+        calls.append(objs)
+        out = _presentation(cat, module, objs, morphisms)
+        if len(calls) - 2 == which % 4:  # call 1 presents the total
+            return (direct_sum([out[0], extra])[0],) + out[1:]
+        return out
+
+    monkeypatch.setattr("oghom.gmodules._presentation", corrupt_one)
+    with pytest.raises(StructuralDefect,
+                       match="component decomposition disagrees"):
+        colim_category(cat, module)
+    assert len(calls) == 5

@@ -64,17 +64,19 @@ def squares_to_zero_by_solve(groups, boundaries):
     return True
 
 
+def corruption_case(case):
+    if case == "cyclic3-const":
+        bundle = fixtures.load("cyclic3")
+        return nerve_complex(bundle.lc.category, bundle.modules["const"], 3)
+    cat, module = cyclic_bundle(4, fixtures.cyclic_module_spec(4, 0, [5], 2))
+    return nerve_complex(cat, module, 3)
+
+
 @pytest.mark.parametrize("case", ["cyclic3-const", "cyclic4-z5-unit2"])
 def test_corrupted_nerve_boundary_is_rejected(case):
     # nerve composites are mostly zero columns; one changed entry must
     # still be caught wherever the solve oracle finds ∂² nonzero
-    if case == "cyclic3-const":
-        bundle = fixtures.load("cyclic3")
-        cat, module = bundle.lc.category, bundle.modules["const"]
-    else:
-        cat, module = cyclic_bundle(
-            4, fixtures.cyclic_module_spec(4, 0, [5], 2))
-    cx = nerve_complex(cat, module, 3)
+    cx = corruption_case(case)
     ChainComplex(cx.groups, cx.boundaries)
     caught = 0
     for n in range(1, 4):
@@ -87,6 +89,29 @@ def test_corrupted_nerve_boundary_is_rejected(case):
                     continue
                 with pytest.raises(StructuralDefect):
                     ChainComplex(cx.groups, boundaries)
+                caught += 1
+    assert caught >= 40
+
+
+@pytest.mark.parametrize("case", ["cyclic3-const", "cyclic4-z5-unit2"])
+def test_corrupted_nerve_column_is_rejected(case):
+    # the same corruptions, made on the sparse columns and rebuilt from
+    # them, against the same solve oracle
+    cx = corruption_case(case)
+    ChainComplex.from_columns(cx.ngens, cx.relations, cx.columns)
+    caught = 0
+    for n in range(1, 4):
+        for j in range(cx.ngens[n]):
+            for i in range(cx.ngens[n - 1]):
+                columns = [None] + [list(c) for c in cx.columns[1:]]
+                col = dict(columns[n][j])
+                col[i] = col.get(i, 0) + 1
+                columns[n][j] = {r: v for r, v in col.items() if v}
+                if squares_to_zero_by_solve(cx.groups, corrupted(cx, n, i, j)):
+                    ChainComplex.from_columns(cx.ngens, cx.relations, columns)
+                    continue
+                with pytest.raises(StructuralDefect):
+                    ChainComplex.from_columns(cx.ngens, cx.relations, columns)
                 caught += 1
     assert caught >= 40
 

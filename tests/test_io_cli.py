@@ -214,6 +214,21 @@ def test_cli_bad_group_spec_is_input_error(tmp_path, capsys):
     assert "ngens rows" in err
 
 
+@pytest.mark.parametrize("spec", [{"rank": 10 ** 30},
+                                  {"ngens": 10 ** 30, "relations": []}])
+def test_cli_oversized_group_is_input_error(tmp_path, capsys, spec):
+    # refused at load, before a matrix of that size is asked for
+    doc = mutated("clifford", lambda d: d["modules"]["sign"]["groups"]
+                  .update({"1": spec}))
+    p = tmp_path / "huge.json"
+    p.write_text(io.dumps(doc))
+    assert main(["homology", str(p), "--module", "sign"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("input error at /modules/sign/groups/1: group has %d"
+                   " generators; at most %d are supported\n"
+                   % (10 ** 30, io.MAX_GENERATORS))
+
+
 @pytest.mark.parametrize("mutate,pointer,message", [
     (lambda d: d["modules"]["sign"]["groups"].update(
         {"1": {"ngens": 2, "relations": [[1], [1, 2]]}}),

@@ -15,7 +15,6 @@ from oghom.gmodules import colim_E
 from oghom.groupoid import OrderedGroupoid
 from oghom.homology import (
     ChainComplex,
-    _relation_support,
     _summand_orders,
     homology_profile,
     nerve_complex,
@@ -32,16 +31,15 @@ def assert_matches_dense(cx):
     # entries in a row of finite cyclic order k stay in [0, k)
     red = cx.reduced()
     for n in range(1, red.top_degree + 1):
-        target = red.groups[n - 1]
-        orders = _summand_orders(target.ngens, _relation_support(target))
+        orders = _summand_orders(red.ngens[n - 1], red.relations[n - 1])
         for k, row in zip(orders, red.boundaries[n].matrix.rows):
             assert not k or all(0 <= v < k for v in row), (n, k, row)
 
 
 def non_summands(cx):
     """Generators that no cyclic summand carries, so never pivots."""
-    return sum(_summand_orders(g.ngens, _relation_support(g)).count(None)
-               for g in cx.groups)
+    return sum(_summand_orders(n, rels).count(None)
+               for n, rels in zip(cx.ngens, cx.relations))
 
 
 def cyclic_bundle(m, spec):
@@ -51,16 +49,22 @@ def cyclic_bundle(m, spec):
     return lc.category, io.build_module(g0, lc, module_docs["a"])
 
 
-def theorem_complexes(seed, finite, top):
-    """Both complexes `check_theorem` solves, on a seeded instance."""
+def theorem_inputs(seed, finite):
+    """The (category, module) pairs whose nerves `check_theorem` solves,
+    on a seeded instance."""
     rng = random.Random(seed)
     rog = random_og(rng, n_identities=rng.randint(1, 4),
                     max_group=rng.randint(1, 3))
     lc = build_lcat(rog.groupoid)
     module = random_module(rng, rog, lc, finite=finite, max_order=6)
     colim = colim_E(rog.groupoid, lc, module)
-    return (nerve_complex(lc.category, module, top),
-            nerve_complex(colim.module.base, colim.module, top))
+    return [(lc.category, module), (colim.module.base, colim.module)]
+
+
+def theorem_complexes(seed, finite, top):
+    """Both complexes `check_theorem` solves, on a seeded instance."""
+    return [nerve_complex(cat, module, top)
+            for cat, module in theorem_inputs(seed, finite)]
 
 
 def test_fixtures_match_dense():
