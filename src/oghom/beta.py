@@ -50,20 +50,21 @@ def beta_transitive(g0):
 
 
 def is_principally_directed(g0):
-    """(verdict, counterexample).
+    """(verdict, counterexample), decided once per groupoid.
 
     The ideal-directedness test decides; transitivity of beta is run as
     a cross-check and must agree.  The counterexample (when any) is the
-    least failing beta chain (g, t, h).
+    least failing beta chain (g, t, h).  Only an agreed verdict is kept.
     """
-    ideals_ok, _ = all_ideals_directed(g0)
-    chain_ok, bad_chain = beta_transitive(g0)
-    if ideals_ok != chain_ok:
-        raise StructuralDefect(
-            "ideal directedness and beta transitivity disagree")
-    if ideals_ok:
-        return (True, None)
-    return (False, {"kind": "beta-chain", "triple": bad_chain})
+    if "directed" not in g0.derived:
+        ideals_ok, _ = all_ideals_directed(g0)
+        chain_ok, bad_chain = beta_transitive(g0)
+        if ideals_ok != chain_ok:
+            raise StructuralDefect(
+                "ideal directedness and beta transitivity disagree")
+        g0.derived["directed"] = (ideals_ok, None if ideals_ok else
+                                  {"kind": "beta-chain", "triple": bad_chain})
+    return g0.derived["directed"]
 
 
 def beta_classes(g0):
@@ -88,11 +89,10 @@ class QuotientGroupoid:
     """The groupoid of beta-classes, trivially ordered.
 
     groupoid: an OrderedGroupoid on class ids; class_of: arrow -> class;
-    classes: class id -> sorted member arrows; source: the original.
+    classes: class id -> sorted member arrows.
     """
 
-    def __init__(self, source, groupoid, classes, class_of):
-        self.source = source
+    def __init__(self, groupoid, classes, class_of):
         self.groupoid = groupoid
         self.classes = classes
         self.class_of = class_of
@@ -106,9 +106,12 @@ def _compose_via(g0, g, h, f):
 
 
 def quotient(g0):
-    """The quotient groupoid; classes compose by [(g|f)(f|h)].
+    """The quotient groupoid, built and validated once per groupoid;
+    classes compose by [(g|f)(f|h)].
 
     Raises NotPrincipallyDirected when beta is not transitive."""
+    if "quotient" in g0.derived:
+        return g0.derived["quotient"]
     ok, counterexample = is_principally_directed(g0)
     if not ok:
         raise NotPrincipallyDirected(
@@ -145,8 +148,9 @@ def quotient(g0):
         raise StructuralDefect(
             "quotient candidate is not a groupoid: %s"
             % ", ".join(report.axioms()))
-    return QuotientGroupoid(g0, OrderedGroupoid(cand, report),
-                            classes, class_of)
+    g0.derived["quotient"] = QuotientGroupoid(
+        OrderedGroupoid(cand, report), classes, class_of)
+    return g0.derived["quotient"]
 
 
 class QuotientChoiceReport:

@@ -122,13 +122,12 @@ def groupoid_as_category(g0):
                           g0.composition_table())
 
 
-def group_category(m, names=None):
+def group_category(m):
     """One-object category of the cyclic group Z/m.
 
-    Morphism ids default to "t0" (identity), "t1", ..., "t{m-1}".
+    Morphism ids are "t0" (identity), "t1", ..., "t{m-1}".
     """
-    if names is None:
-        names = ["t%d" % i for i in range(m)]
+    names = ["t%d" % i for i in range(m)]
     obj = "*"
     comp = {(names[i], names[j]): names[(i + j) % m]
             for i in range(m) for j in range(m)}

@@ -153,10 +153,9 @@ def cmd_lcat(args):
 def cmd_colim(args):
     g0, module_docs = _load_bundle(args.input)
     lc = build_lcat(g0)
-    q = quotient(g0)
     out = {}
     for name, module in _select_modules(g0, lc, module_docs, args.module):
-        colim = colim_E(g0, lc, module, q=q)
+        colim = colim_E(g0, lc, module)
         out[name] = {x: io.group_to_doc(colim.module.groups[x])
                      for x in colim.module.base.objects}
     if args.json:
@@ -189,9 +188,8 @@ def cmd_homology(args):
     return 0
 
 
-def _check_adjunction(args, g0, lc, name, module, q=None):
-    q = q or quotient(g0)
-    colim = colim_E(g0, lc, module, q=q)
+def _check_adjunction(args, g0, lc, name, module):
+    colim = colim_E(g0, lc, module)
     b_module = colim.module
     for grp in list(module.groups.values()) + list(b_module.groups.values()):
         order = grp.order()
@@ -199,7 +197,7 @@ def _check_adjunction(args, g0, lc, name, module, q=None):
             raise PreconditionViolation(
                 "hom enumeration needs all groups finite of order <= %d"
                 % args.hom_bound)
-    expanded = expand(q, lc, b_module)
+    expanded = expand(colim.q, lc, b_module)
     left = enumerate_gmaps(module, expanded)
     right = enumerate_gmaps(b_module, b_module)
     round_trip = all(
@@ -219,14 +217,12 @@ def cmd_check(args):
     lc = build_lcat(g0)
     rows = []
     ok = True
-    modules = _select_modules(g0, lc, module_docs, args.module)
-    q = quotient(g0)  # one quotient serves every module
-    for name, module in modules:
+    for name, module in _select_modules(g0, lc, module_docs, args.module):
         if args.kind == "adjunction":
-            row = _check_adjunction(args, g0, lc, name, module, q=q)
+            row = _check_adjunction(args, g0, lc, name, module)
             row_ok = row["counts_equal"] and row["round_trip"]
         elif args.kind == "colim-composition":
-            report = check_colim_composition(g0, lc, module, q=q)
+            report = check_colim_composition(g0, lc, module)
             row = {"module": name,
                    "total_colimit": io.group_to_doc(report.lhs.result),
                    "through_quotient": io.group_to_doc(report.rhs.result),
@@ -234,7 +230,7 @@ def cmd_check(args):
                    "comparison_iso": report.iso}
             row_ok = report.ok
         else:
-            report = check_theorem(g0, lc, module, args.degrees, q=q)
+            report = check_theorem(g0, lc, module, args.degrees)
             row = {"module": name, "degrees": report.rows}
             row_ok = report.ok
         rows.append(row)
@@ -259,8 +255,6 @@ def cmd_check(args):
 
 def cmd_gen(args):
     rng = random.Random(args.seed)
-    if args.free and args.module:
-        raise SchemaViolation("", "--module requires directed instances")
     rog = random_og(rng, n_identities=args.identities,
                     max_group=args.max_group, directed=not args.free)
     gdoc = io.groupoid_to_doc(rog.groupoid)
@@ -326,10 +320,12 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--identities", type=_at_least(1), default=3)
     p.add_argument("--max-group", type=_at_least(1), default=4)
-    p.add_argument("--free", action="store_true",
-                   help="arbitrary identity order (may fail directedness)")
-    p.add_argument("--module", action="store_true",
-                   help="include a random module")
+    # a module needs a quotient, which only directed instances have
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--free", action="store_true",
+                      help="arbitrary identity order (may fail directedness)")
+    mode.add_argument("--module", action="store_true",
+                      help="include a random module")
     return parser
 
 

@@ -325,7 +325,19 @@ def _quotient_action_column(g0, a_module, e, i, g, ell, tgt_group,
     return col
 
 
-def colim_E(g0, lc, a_module, q=None):
+def _class_action_matrix(g0, a_module, members, g, tgt_group, tgt_offsets):
+    """The class of g acting on the generators of the members' groups,
+    each through the least common lower bound of its identity and d(g)."""
+    cols = []
+    for e in members:
+        ell = min(g0.identity_lower_bounds(e, g0.d[g]))
+        for i in range(a_module.groups[e].ngens):
+            cols.append(_quotient_action_column(
+                g0, a_module, e, i, g, ell, tgt_group, tgt_offsets))
+    return ZMatrix.from_cols(cols, tgt_group.ngens)
+
+
+def colim_E(g0, lc, a_module):
     """Colimit along the order inside each identity class, as a module
     over the quotient groupoid.
 
@@ -335,7 +347,7 @@ def colim_E(g0, lc, a_module, q=None):
     over the presentation is enforced by the homomorphism constructor;
     choice independence has its own checker, check_quotient_action.
     """
-    q = q or quotient(g0)
+    q = quotient(g0)
     qc = groupoid_as_category(q.groupoid)
 
     members = {}
@@ -357,14 +369,9 @@ def colim_E(g0, lc, a_module, q=None):
         if qc.is_identity(m):
             action[m] = AbHom.identity(groups[x])
             continue
-        g = m  # class ids are their least member arrow
-        cols = []
-        for e in members[x]:
-            for i in range(a_module.groups[e].ngens):
-                ell = min(g0.identity_lower_bounds(e, g0.d[g]))
-                cols.append(_quotient_action_column(
-                    g0, a_module, e, i, g, ell, groups[y], offsets[y]))
-        mat = ZMatrix.from_cols(cols, groups[y].ngens)
+        # class ids are their least member arrow
+        mat = _class_action_matrix(g0, a_module, members[x], m, groups[y],
+                                   offsets[y])
         try:
             action[m] = AbHom(groups[x], groups[y], mat)
         except PreconditionViolation as exc:
@@ -426,15 +433,10 @@ def check_quotient_action(g0, lc, a_module):
             failures.append(("descent", m))
 
         for rep in q.classes[m]:
-            cols = []
-            for e in colim.members[x]:
-                for i in range(a_module.groups[e].ngens):
-                    ell = min(g0.identity_lower_bounds(e, g0.d[rep]))
-                    cols.append(_quotient_action_column(
-                        g0, a_module, e, i, rep, ell, ly, colim.offsets[y]))
             counts["representative"] += 1
-            alt = AbHom(lx, ly, ZMatrix.from_cols(cols, ly.ngens),
-                        checked=True)
+            mat = _class_action_matrix(
+                g0, a_module, colim.members[x], rep, ly, colim.offsets[y])
+            alt = AbHom(lx, ly, mat, checked=True)
             if not alt.equal_as_maps(canonical):
                 failures.append(("representative", m, rep))
 
@@ -477,7 +479,7 @@ def tau(colim, b_module, psi, expanded):
     return GMap(colim.source, expanded, comps)
 
 
-def enumerate_gmaps(source, target, per_object_cap=200000):
+def enumerate_gmaps(source, target):
     """Every natural transformation source -> target (finite hom sets).
 
     Candidates per object come from enumerate_homs; partial assignments
@@ -485,8 +487,7 @@ def enumerate_gmaps(source, target, per_object_cap=200000):
     base = source.base
     objs = list(base.objects)
     index = {o: k for k, o in enumerate(objs)}
-    cands = {o: enumerate_homs(source.groups[o], target.groups[o],
-                               max_count=per_object_cap)
+    cands = {o: enumerate_homs(source.groups[o], target.groups[o])
              for o in objs}
     ready = {k: [] for k in range(len(objs))}
     for m in base.morphisms:
@@ -536,13 +537,12 @@ class ColimCompositionReport:
                    self.rhs.result.canonical_form()))
 
 
-def check_colim_composition(g0, lc, a_module, q=None):
+def check_colim_composition(g0, lc, a_module):
     """Compare the one-step colimit over the groupoid category with the
     two-step colimit through the quotient, including an explicit
-    comparison isomorphism induced by the universal property.  `q` is
-    the quotient of g0 when the caller already has it."""
+    comparison isomorphism induced by the universal property."""
     lhs = colim_category(lc.category, a_module)
-    colim = colim_E(g0, lc, a_module, q=q)
+    colim = colim_E(g0, lc, a_module)
     qc = colim.module.base
     rhs = colim_category(qc, colim.module)
 

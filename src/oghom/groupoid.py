@@ -226,6 +226,9 @@ class OrderedGroupoid:
 
     Not constructed directly: use from_candidate (which insists on a
     clean validation report) or the fixture/generator helpers.
+    `derived` keeps the directedness verdict and the quotient; only
+    `beta` writes it, callers share what it returns, and nothing in it
+    refers back to the groupoid, so it is freed with the groupoid.
     """
 
     def __init__(self, cand, report):
@@ -247,6 +250,7 @@ class OrderedGroupoid:
         # OG3 makes y the only arrow below x with domain d(y)
         self._restriction = {(self.d[y], x): y for x in self.arrows
                              for y in self.principal_ideal(x)}
+        self.derived = {}
 
     @classmethod
     def from_candidate(cls, cand):

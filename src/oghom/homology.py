@@ -28,7 +28,6 @@ The lemma needs ∂² = 0, which the complex checks when it is built; a
 complex built with checked=True must satisfy it already.
 """
 
-import os
 import warnings
 from collections import deque
 from math import gcd
@@ -37,8 +36,7 @@ from .errors import StructuralDefect
 from .gmodules import colim_category, colim_E
 from .zmodule import AbHom, FgAbGroup, ZMatrix, homology_at
 
-RANK_ENV = "OG_MAX_CHAIN_RANK"
-DEFAULT_MAX_CHAIN_RANK = 10000
+MAX_CHAIN_RANK = 10000
 
 
 def _columns(matrix):
@@ -314,7 +312,6 @@ def nerve_complex(cat, module, maxdeg):
     relation columns are its coefficient group's, shifted to its offset."""
     if maxdeg < 1:
         raise StructuralDefect("a complex needs at least degree 1")
-    limit = int(os.environ.get(RANK_ENV, DEFAULT_MAX_CHAIN_RANK))
     chains = _chain_tuples(cat, maxdeg)
     group_rels = {o: _columns(g.relations) for o, g in module.groups.items()}
 
@@ -329,10 +326,9 @@ def nerve_complex(cat, module, maxdeg):
             rels.extend({at + i: v for i, v in col.items()}
                         for col in group_rels[base])
             at += module.groups[base].ngens
-        if at > limit:
-            warnings.warn(
-                "chain group at degree %d has rank %d (limit %d; raise %s"
-                " to silence)" % (n, at, limit, RANK_ENV))
+        if at > MAX_CHAIN_RANK:
+            warnings.warn("chain group at degree %d has rank %d (limit %d)"
+                          % (n, at, MAX_CHAIN_RANK))
         ngens.append(at)
         relations.append(rels)
         offsets.append(offs)
@@ -404,11 +400,10 @@ class TheoremReport:
         return "TheoremReport(%s, %d degrees)" % (word, len(self.rows))
 
 
-def check_theorem(g0, lc, a_module, degrees, q=None):
+def check_theorem(g0, lc, a_module, degrees):
     """Compare H_n over the groupoid's category with H_n of the class
-    colimits over the quotient, degree by degree.  `q` is the quotient
-    of g0 when the caller already has it."""
-    colim = colim_E(g0, lc, a_module, q=q)
+    colimits over the quotient, degree by degree."""
+    colim = colim_E(g0, lc, a_module)
     qc = colim.module.base
     top = max(degrees)
     left_cx = nerve_complex(lc.category, a_module, top + 1)

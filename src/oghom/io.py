@@ -173,7 +173,7 @@ def candidate_from_doc(gdoc, base=""):
 
 
 # Larger groups are refused before any matrix is allocated; a group is a
-# summand of a chain group in every degree, whose default limit this is.
+# summand of a chain group in every degree (homology.MAX_CHAIN_RANK).
 MAX_GENERATORS = 10000
 
 

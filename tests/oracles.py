@@ -18,17 +18,11 @@ or morphisms where the library reads only composable ones from
 per-object buckets.
 """
 
-import os
 import warnings
 from math import gcd
 
 from oghom.errors import PreconditionViolation, StructuralDefect
-from oghom.homology import (
-    DEFAULT_MAX_CHAIN_RANK,
-    RANK_ENV,
-    ChainComplex,
-    _chain_tuples,
-)
+from oghom.homology import MAX_CHAIN_RANK, ChainComplex, _chain_tuples
 from oghom.zmodule import (
     AbHom,
     ColumnSolver,
@@ -181,7 +175,6 @@ def dense_nerve_complex(cat, module, maxdeg):
     handed to the dense-input ChainComplex constructor."""
     if maxdeg < 1:
         raise StructuralDefect("a complex needs at least degree 1")
-    limit = int(os.environ.get(RANK_ENV, DEFAULT_MAX_CHAIN_RANK))
     chains = _chain_tuples(cat, maxdeg)
 
     groups = []
@@ -195,10 +188,9 @@ def dense_nerve_complex(cat, module, maxdeg):
             offs[c] = at
             at += g.ngens
             rels.append(g.relations)
-        if at > limit:
-            warnings.warn(
-                "chain group at degree %d has rank %d (limit %d; raise %s"
-                " to silence)" % (n, at, limit, RANK_ENV))
+        if at > MAX_CHAIN_RANK:
+            warnings.warn("chain group at degree %d has rank %d (limit %d)"
+                          % (n, at, MAX_CHAIN_RANK))
         groups.append(FgAbGroup(at, block_diag(rels)))
         offsets.append(offs)
 

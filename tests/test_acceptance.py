@@ -201,7 +201,7 @@ def test_criterion_07_adjunction_bijection():
         lc = build_lcat(g0)
         a_module = random_module(rng, rog, lc, finite=True, max_order=4)
         q = quotient(g0)
-        colim = colim_E(g0, lc, a_module, q=q)
+        colim = colim_E(g0, lc, a_module)
         b_module = random_quotient_module(rng, q, max_order=6)
         sizes = [grp.order() for grp in list(a_module.groups.values())
                  + list(b_module.groups.values())]

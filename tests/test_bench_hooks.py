@@ -1,0 +1,45 @@
+"""The benchmark's trace hooks must still fit the library.
+
+`perfbench/tracing.py` wraps the functions named in its TARGETS and
+reads the degree of a `homology` call from its third positional
+argument.  A rename or a signature change in `src/oghom` would break
+`perfbench/run.py --trace 1` without failing any library test, so the
+hook table is read here (loaded, never installed) and checked against
+the package.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import os
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                       "perfbench", "tracing.py")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves():
+    targets = load_tracing().TARGETS
+    assert targets
+    for modname, attr, _, _ in targets:
+        owner = importlib.import_module(modname)
+        if "." in attr:
+            # methods are wrapped through the class __dict__
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(owner, cls_name)), (modname, attr)
+        else:
+            assert callable(getattr(owner, attr, None)), (modname, attr)
+
+
+def test_homology_degree_is_the_third_positional_parameter():
+    homology = importlib.import_module("oghom.homology")
+    params = list(inspect.signature(homology.homology).parameters.values())
+    assert params[2].name == "n"
+    assert params[2].kind == inspect.Parameter.POSITIONAL_OR_KEYWORD

@@ -1,10 +1,13 @@
 """The common-lower-bound relation, its classes, and the quotient."""
 
+import gc
 import random
+import sys
+import weakref
 
 import pytest
 
-from oghom import fixtures
+from oghom import fixtures, io
 from oghom.beta import (
     all_ideals_directed,
     beta_classes,
@@ -15,8 +18,8 @@ from oghom.beta import (
     is_principally_directed,
     quotient,
 )
-from oghom.errors import NotPrincipallyDirected
-from oghom.groupoid import validate
+from oghom.errors import NotPrincipallyDirected, StructuralDefect
+from oghom.groupoid import OrderedGroupoid, validate
 from oghom.io import groupoid_to_doc
 from oghom.lcat import build_lcat
 from oghom.randgen import random_og
@@ -108,8 +111,6 @@ def test_quotient_clifford():
 
 def test_quotient_revalidates():
     # round the quotient through the document form and validate afresh
-    from oghom import io
-
     for name in ["chain2", "z2", "clifford"]:
         q = quotient(fixtures.load(name).groupoid)
         doc = groupoid_to_doc(q.groupoid)
@@ -139,3 +140,97 @@ def test_quotient_composition_value():
     lc = build_lcat(q.groupoid)
     assert len(lc.category.objects) == 1
     assert len(lc.category.morphisms) == 2
+
+
+def count_deciders(monkeypatch):
+    """Count the runs of both directedness deciders."""
+    beta = sys.modules["oghom.beta"]
+    runs = {"ideals": 0, "chains": 0}
+
+    def counted(key, decide):
+        def run(g0):
+            runs[key] += 1
+            return decide(g0)
+        return run
+
+    monkeypatch.setattr(beta, "all_ideals_directed",
+                        counted("ideals", beta.all_ideals_directed))
+    monkeypatch.setattr(beta, "beta_transitive",
+                        counted("chains", beta.beta_transitive))
+    return runs
+
+
+def test_groupoid_keeps_its_verdict_and_quotient(monkeypatch):
+    runs = count_deciders(monkeypatch)
+    g = fixtures.load("clifford").groupoid
+    assert is_principally_directed(g) == (True, None)
+    q = quotient(g)
+    assert runs == {"ideals": 1, "chains": 1}
+    assert quotient(g) is q
+    assert is_principally_directed(g) == (True, None)
+    assert runs == {"ideals": 1, "chains": 1}
+    # another groupoid is decided on its own
+    quotient(fixtures.load("clifford").groupoid)
+    assert runs == {"ideals": 2, "chains": 2}
+
+
+def test_negative_verdict_is_kept(monkeypatch):
+    runs = count_deciders(monkeypatch)
+    g = fixtures.load("twofold").groupoid
+    ok, counterexample = is_principally_directed(g)
+    assert not ok
+    for _ in range(3):
+        with pytest.raises(NotPrincipallyDirected) as exc:
+            quotient(g)
+        assert exc.value.counterexample == counterexample
+    assert runs == {"ideals": 1, "chains": 1}
+
+
+def test_disagreeing_deciders_raise_every_time(monkeypatch):
+    runs = count_deciders(monkeypatch)
+    beta = sys.modules["oghom.beta"]
+    monkeypatch.setattr(beta, "beta_transitive",
+                        lambda g0: (False, ("s", "t", "1")))
+    g = fixtures.load("clifford").groupoid
+    for n in (1, 2):
+        with pytest.raises(StructuralDefect, match="disagree"):
+            quotient(g)
+        with pytest.raises(StructuralDefect, match="disagree"):
+            is_principally_directed(g)
+        assert runs["ideals"] == 2 * n
+    assert "directed" not in g.derived and "quotient" not in g.derived
+
+
+def test_wrong_middle_identity_fails_the_choice_check(monkeypatch):
+    # composing through any middle identity other than the least one
+    # lands in the other class; a fresh groupoid, so the quotient is
+    # built under the corruption
+    beta = sys.modules["oghom.beta"]
+    compose_via = beta._compose_via
+    g = fixtures.load("clifford").groupoid
+
+    def corrupt(g0, a, b, f):
+        got = compose_via(g0, a, b, f)
+        if f != min(g0.identity_lower_bounds(g0.r[a], g0.d[b])):
+            return "1" if got in ("s", "t") else "s"
+        return got
+
+    monkeypatch.setattr(beta, "_compose_via", corrupt)
+    rep = check_quotient_welldefined(g)
+    assert not rep.ok
+    assert {f["middle"] for f in rep.failures} == {"f"}
+
+
+def test_kept_results_are_freed_with_their_groupoid():
+    # nothing kept refers back to the groupoid, so dropping the last
+    # reference frees it at once, without the cycle collector
+    _, cand, _ = io.load(fixtures.doc("clifford"))
+    g = OrderedGroupoid.from_candidate(cand)
+    quotient(g)
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()

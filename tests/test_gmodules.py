@@ -12,6 +12,7 @@ from oghom.gmodules import (
     GMap,
     GModule,
     _presentation,
+    _quotient_action_column,
     check_colim_composition,
     check_functorial,
     check_quotient_action,
@@ -189,7 +190,7 @@ def test_rho_tau_inverse():
     g0, lc, mods = clifford_parts()
     q = quotient(g0)
     b = quotient_sign_module(q)
-    colim = colim_E(g0, lc, mods["sign"], q=q)
+    colim = colim_E(g0, lc, mods["sign"])
     up = expand(q, lc, b)
     phi = GMap(mods["sign"], up, {
         "1": AbHom(mods["sign"].groups["1"], b.groups["1"], ZMatrix([[3]])),
@@ -285,3 +286,25 @@ def test_corrupted_component_fails_the_sum_check(which, extra, monkeypatch):
                        match="component decomposition disagrees"):
         colim_category(cat, module)
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("kind", ["ell", "representative"])
+def test_wrong_action_choice_fails_the_choice_check(kind, monkeypatch):
+    # the action column is shifted for a non-least middle identity, or
+    # for an acting arrow that is not its class's least member; the
+    # colimit itself uses only least choices and stays a module
+    g0, lc, mods = clifford_parts()
+
+    def corrupt(g0, a_module, e, i, g, ell, tgt_group, tgt_offsets):
+        col = _quotient_action_column(g0, a_module, e, i, g, ell,
+                                      tgt_group, tgt_offsets)
+        least = (ell == min(g0.identity_lower_bounds(e, g0.d[g]))
+                 if kind == "ell" else g == quotient(g0).class_of[g])
+        if not least:
+            col[0] += 1
+        return col
+
+    monkeypatch.setattr("oghom.gmodules._quotient_action_column", corrupt)
+    rep = check_quotient_action(g0, lc, mods["sign"])
+    assert not rep.ok
+    assert {f[0] for f in rep.failures} == {kind}

@@ -193,7 +193,7 @@ def test_h0_is_colimit():
 
 
 def test_rank_warning(monkeypatch):
-    monkeypatch.setenv("OG_MAX_CHAIN_RANK", "1")
+    monkeypatch.setattr(sys.modules["oghom.homology"], "MAX_CHAIN_RANK", 1)
     bundle = fixtures.load("clifford")
     with pytest.warns(UserWarning):
         nerve_complex(bundle.lc.category, bundle.modules["const"], 2)

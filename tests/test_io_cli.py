@@ -401,4 +401,7 @@ def test_cli_gen_free_mode(capsys):
     kind, cand, _ = io.load(doc)
     assert kind == "groupoid" and validate(cand).ok
     # a module cannot ride along without the directed guarantee
-    assert main(["gen", "--seed", "9", "--free", "--module"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--seed", "9", "--free", "--module"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err

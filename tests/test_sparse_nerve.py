@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oghom import fixtures, io
-from oghom.beta import quotient
 from oghom.gmodules import colim_E
 from oghom.groupoid import OrderedGroupoid
 from oghom.homology import nerve_complex
@@ -57,7 +56,7 @@ def test_connected_groupoid():
         lc = build_lcat(g0)
         module = io.build_module(g0, lc, mdocs["m"])
         assert_same_nerve(lc.category, module)
-        colim = colim_E(g0, lc, module, q=quotient(g0))
+        colim = colim_E(g0, lc, module)
         assert_same_nerve(colim.module.base, colim.module)
 
 
