@@ -15,8 +15,7 @@ later as math errors from the constructors.
 """
 
 import json
-
-import jsonschema
+import re
 
 from .errors import DanglingReference, SchemaViolation
 from .gmodules import module_from_parts
@@ -92,16 +91,151 @@ _WORKSPACE = {
 }
 
 
-def _pointer(error):
-    return "/" + "/".join(str(p) for p in error.absolute_path)
+# The checker below walks these dicts itself and knows exactly the
+# keywords they use.  It reports what Draft 2020-12 jsonschema 4.26
+# reports first (tests/oracles.py keeps that validator as the
+# reference): every error is collected in jsonschema's order, and the
+# least by its JSONPath string wins.
+
+
+def _is_integer(value):
+    # integral floats such as 2.0 count as integers, booleans do not
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer())
+
+
+_IS_TYPE = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "integer": _is_integer,
+}
+
+
+def _type(value, arg, schema, path, errors):
+    if not _IS_TYPE[arg](value):
+        errors.append((path, "%r is not of type %r" % (value, arg)))
+
+
+def _const(value, arg, schema, path, errors):
+    # a boolean equals only itself, so true is not the constant 1
+    if not (value is arg or not isinstance(value, bool) and value == arg):
+        errors.append((path, "%r was expected" % (arg,)))
+
+
+def _minimum(value, arg, schema, path, errors):
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value < arg):
+        errors.append((path, "%r is less than the minimum of %r"
+                       % (value, arg)))
+
+
+def _required(value, arg, schema, path, errors):
+    if isinstance(value, dict):
+        for name in arg:
+            if name not in value:
+                errors.append((path, "%r is a required property" % name))
+
+
+def _properties(value, arg, schema, path, errors):
+    if isinstance(value, dict):
+        for name, sub in arg.items():
+            if name in value:
+                _walk(value[name], sub, path + (name,), errors)
+
+
+def _additional_properties(value, arg, schema, path, errors):
+    if not isinstance(value, dict):
+        return
+    known = schema.get("properties", {})
+    extras = [name for name in value if name not in known]
+    if arg is not False:
+        for name in extras:
+            _walk(value[name], arg, path + (name,), errors)
+    elif extras:
+        errors.append((path, "Additional properties are not allowed"
+                       " (%s %s unexpected)"
+                       % (", ".join(map(repr, sorted(extras, key=str))),
+                          "was" if len(extras) == 1 else "were")))
+
+
+def _items(value, arg, schema, path, errors):
+    if not isinstance(value, list):
+        return
+    if arg.keys() == {"type"} and all(map(_IS_TYPE[arg["type"]], value)):
+        return
+    for i, item in enumerate(value):
+        _walk(item, arg, path + (i,), errors)
+
+
+def _min_items(value, arg, schema, path, errors):
+    if isinstance(value, list) and len(value) < arg:
+        errors.append((path, "%r %s" % (
+            value, "should be non-empty" if arg == 1 else "is too short")))
+
+
+def _max_items(value, arg, schema, path, errors):
+    if isinstance(value, list) and len(value) > arg:
+        errors.append((path, "%r %s" % (
+            value, "is expected to be empty" if arg == 0 else "is too long")))
+
+
+def _one_of(value, arg, schema, path, errors):
+    # the branches of _GROUP exclude each other, so at most one holds
+    if all(_errors(value, sub) for sub in arg):
+        errors.append((path, "%r is not valid under any of the given"
+                       " schemas" % (value,)))
+
+
+_KEYWORDS = {
+    "type": _type,
+    "const": _const,
+    "minimum": _minimum,
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "oneOf": _one_of,
+}
+
+
+def _walk(value, schema, path, errors):
+    for keyword, arg in schema.items():
+        _KEYWORDS[keyword](value, arg, schema, path, errors)
+
+
+def _errors(value, schema):
+    """Every (path, message) by which `value` breaks `schema`."""
+    errors = []
+    _walk(value, schema, (), errors)
+    return errors
+
+
+_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _json_path(path):
+    """The JSONPath string that jsonschema sorts its errors by."""
+    text = "$"
+    for elem in path:
+        if isinstance(elem, int):
+            text += "[%d]" % elem
+        elif _PLAIN_KEY.match(elem):
+            text += "." + elem
+        else:
+            escaped = elem.replace("\\", "\\\\").replace("'", "\\'")
+            text += "['%s']" % escaped
+    return text
 
 
 def _check_schema(doc, schema):
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
+    errors = _errors(doc, schema)
     if errors:
-        e = errors[0]
-        raise SchemaViolation(_pointer(e), e.message)
+        # min keeps the first of equal keys, as a stable sort would
+        path, message = min(errors, key=lambda e: _json_path(e[0]))
+        raise SchemaViolation("/" + "/".join(map(str, path)), message)
 
 
 def load_document(source):
@@ -113,7 +247,10 @@ def load_document(source):
             return json.load(fh)
     except OSError as exc:
         raise SchemaViolation("", "cannot read %s: %s" % (source, exc))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, undecodable bytes, an integer literal longer
+        # than int() converts (sys.get_int_max_str_digits), or nesting
+        # deeper than the parser recurses
         raise SchemaViolation("", "invalid JSON: %s" % exc)
 
 

@@ -16,10 +16,15 @@ with transforms, where the library eliminates modulo a maximal minor.
 The all-pairs scans visit every pair or triple of arrows
 or morphisms where the library reads only composable ones from
 per-object buckets.
+A document's first schema error comes from jsonschema's Draft 2020-12
+validator over the schema dicts of `oghom.io`, where the library walks
+those dicts with its own checker.
 """
 
 import warnings
 from math import gcd
+
+from jsonschema import Draft202012Validator
 
 from oghom.errors import PreconditionViolation, StructuralDefect
 from oghom.homology import MAX_CHAIN_RANK, ChainComplex, _chain_tuples
@@ -566,3 +571,18 @@ def chain_tuples_by_scan(cat, maxdeg):
         chains.append([c + (m,) for c in chains[n - 1] for m in nonid
                        if cat.cod[c[-1]] == cat.dom[m]])
     return chains
+
+
+# ---------------------------------------------------------------- schema errors
+
+
+def first_schema_error(doc, schema):
+    """(pointer, message) of the error jsonschema reports first for
+    `doc` under `schema`, errors sorted by their JSONPath string, or
+    None when `doc` is valid."""
+    errors = sorted(Draft202012Validator(schema).iter_errors(doc),
+                    key=lambda e: e.json_path)
+    if not errors:
+        return None
+    e = errors[0]
+    return "/" + "/".join(str(p) for p in e.absolute_path), e.message

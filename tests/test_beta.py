@@ -221,6 +221,19 @@ def test_wrong_middle_identity_fails_the_choice_check(monkeypatch):
     assert {f["middle"] for f in rep.failures} == {"f"}
 
 
+def test_corrupted_quotient_candidate_is_rejected(monkeypatch):
+    # every class composite lands in the class of s, so the quotient
+    # candidate loses its identities; a fresh groupoid, so the quotient
+    # is built under the corruption
+    beta = sys.modules["oghom.beta"]
+    g = fixtures.load("clifford").groupoid
+    monkeypatch.setattr(beta, "_compose_via", lambda g0, a, b, f: "s")
+    with pytest.raises(StructuralDefect,
+                       match="quotient candidate is not a groupoid"):
+        quotient(g)
+    assert "quotient" not in g.derived
+
+
 def test_kept_results_are_freed_with_their_groupoid():
     # nothing kept refers back to the groupoid, so dropping the last
     # reference frees it at once, without the cycle collector

@@ -11,6 +11,7 @@ from oghom.errors import StructuralDefect
 from oghom.gmodules import (
     GMap,
     GModule,
+    _class_action_matrix,
     _presentation,
     _quotient_action_column,
     check_colim_composition,
@@ -308,3 +309,31 @@ def test_wrong_action_choice_fails_the_choice_check(kind, monkeypatch):
     rep = check_quotient_action(g0, lc, mods["sign"])
     assert not rep.ok
     assert {f[0] for f in rep.failures} == {kind}
+
+
+def test_class_action_that_does_not_descend_fails_the_descent_check(
+        monkeypatch):
+    # colim_E's own constructor refuses such a matrix, so the corrupted
+    # colimit is handed to check_quotient_action directly; every member
+    # of a class computes the same corrupted matrix, so only descent
+    # can see it
+    g0, lc, mods = clifford_parts()
+    colim = colim_E(g0, lc, mods["sign"])
+
+    def corrupt(matrix):
+        rows = matrix.to_lists()
+        rows[0][0] += 1
+        return ZMatrix(rows, ncols=matrix.ncols)
+
+    action = colim.module.action
+    for m in action:
+        if not colim.module.base.is_identity(m):
+            hom = action[m]
+            action[m] = AbHom(hom.source, hom.target, corrupt(hom.matrix),
+                              checked=True)
+    monkeypatch.setattr("oghom.gmodules.colim_E", lambda *args: colim)
+    monkeypatch.setattr("oghom.gmodules._class_action_matrix",
+                        lambda *args: corrupt(_class_action_matrix(*args)))
+    rep = check_quotient_action(g0, lc, mods["sign"])
+    assert not rep.ok
+    assert {f[0] for f in rep.failures} == {"descent"}

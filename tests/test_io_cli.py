@@ -1,12 +1,16 @@
 """JSON schemas, pointers, canonical round trips, and the CLI."""
 
+import contextlib
 import copy
+import io as textio
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oghom
 from oghom import fixtures, io
@@ -15,11 +19,28 @@ from oghom.errors import DanglingReference, SchemaViolation
 from oghom.groupoid import OrderedGroupoid, validate
 from oghom.lcat import build_lcat
 
+from .oracles import first_schema_error
+
 
 def mutated(name, mutate):
     doc = copy.deepcopy(fixtures.doc(name))
     mutate(doc)
     return doc
+
+
+def schema_error(doc, schema):
+    try:
+        io._check_schema(doc, schema)
+    except SchemaViolation as exc:
+        return exc.pointer, exc.message
+    return None
+
+
+def assert_schema_check_agrees(doc):
+    """io's checker rejects `doc` exactly when jsonschema finds an
+    error, and then with jsonschema's first pointer and message."""
+    for schema in (io._WORKSPACE, io._GROUPOID_CORE):
+        assert schema_error(doc, schema) == first_schema_error(doc, schema)
 
 
 # ---------------------------------------------------------------- documents
@@ -61,8 +82,10 @@ def test_load_rejects_bad_json(tmp_path):
      "/groupoid/order/0/0", DanglingReference),
 ])
 def test_document_errors_carry_pointers(mutate, pointer, kind):
+    doc = mutated("z2", mutate)
+    assert_schema_check_agrees(doc)
     with pytest.raises(kind) as exc:
-        io.load(mutated("z2", mutate))
+        io.load(doc)
     assert exc.value.pointer == pointer
 
 
@@ -84,6 +107,8 @@ def test_module_errors_carry_pointers(mutate, pointer, kind):
     g0, lc, mods = z2_parts()
     mdoc = copy.deepcopy(mods["sign"])
     mutate(mdoc)
+    assert_schema_check_agrees(
+        mutated("z2", lambda d: d["modules"].update(m=mdoc)))
     with pytest.raises(kind) as exc:
         io.build_module(g0, lc, mdoc, base="/m")
     assert exc.value.pointer == pointer
@@ -115,9 +140,11 @@ def test_group_specs():
     with pytest.raises(SchemaViolation):
         io.group_from_spec({"ngens": 2, "relations": [[1], [1, 2]]})
     # unit torsion is screened out by the document schema itself
+    doc = mutated("z2", lambda d: d["modules"]["sign"]["groups"]
+                  .update({"1": {"rank": 0, "torsion": [1]}}))
+    assert_schema_check_agrees(doc)
     with pytest.raises(SchemaViolation) as exc:
-        io.load(mutated("z2", lambda d: d["modules"]["sign"]["groups"]
-                        .update({"1": {"rank": 0, "torsion": [1]}})))
+        io.load(doc)
     assert exc.value.pointer == "/modules/sign/groups/1"
 
 
@@ -147,6 +174,55 @@ def test_module_doc_roundtrip():
     rebuilt = io.build_module(g0, lc, doc, base="/m")
     for m in built.action:
         assert built.action[m].matrix == rebuilt.action[m].matrix
+
+
+@pytest.mark.parametrize("mutate,error", [
+    # integral floats are integers, booleans are not
+    (lambda d: d["modules"]["sign"]["groups"].update({"1": {"rank": 2.0}}),
+     None),
+    (lambda d: d["modules"]["sign"]["arrow_maps"].update(s=[[-1.0]]), None),
+    (lambda d: d["modules"]["sign"]["arrow_maps"].update(s=[[True]]),
+     ("/modules/sign/arrow_maps/s/0/0", "True is not of type 'integer'")),
+    (lambda d: d["modules"]["sign"]["groups"].update({"1": {"rank": True}}),
+     ("/modules/sign/groups/1",
+      "{'rank': True} is not valid under any of the given schemas")),
+    (lambda d: d["groupoid"].update(schema=True),
+     ("/groupoid/schema", "1 was expected")),
+    # errors at one location come in the schema's keyword order
+    (lambda d: d["groupoid"].update(arrows=[{"id": "s", "r": "1", "x": 1}]),
+     ("/groupoid/arrows/0", "'d' is a required property")),
+    (lambda d: d["groupoid"]["identities"].clear(),
+     ("/groupoid/identities", "[] should be non-empty")),
+    (lambda d: d["groupoid"]["compose"][0].append(0),
+     ("/groupoid/compose/0", "['s', 's', '1', 0] is too long")),
+    (lambda d: d["groupoid"]["order"].append([]),
+     ("/groupoid/order/0", "[] is too short")),
+    # the least JSONPath string wins: $.modules.zz < $.modules['a b']
+    (lambda d: d["modules"].update({"a b": {}, "zz": {}}),
+     ("/modules/zz", "'groups' is a required property")),
+    (lambda d: d.update(more=1, extra=0),
+     ("/", "Additional properties are not allowed ('extra', 'more' were"
+           " unexpected)")),
+])
+def test_schema_errors_follow_jsonschema(mutate, error):
+    doc = mutated("z2", mutate)
+    assert_schema_check_agrees(doc)
+    assert schema_error(doc, io._WORKSPACE) == error
+
+
+def test_least_json_path_is_reported_first():
+    # as strings, $.arrows[10].r sorts before $.arrows[2].d
+    arrows = [{"id": "a%d" % i, "d": "e", "r": "e", "inv": "a%d" % i}
+              for i in range(11)]
+    arrows[2]["d"] = 0
+    arrows[10]["r"] = 0
+    doc = {"schema": 1, "identities": ["e"], "arrows": arrows,
+           "compose": [], "order": []}
+    assert_schema_check_agrees(doc)
+    with pytest.raises(SchemaViolation) as exc:
+        io.load(doc)
+    assert (exc.value.pointer, exc.value.message) == (
+        "/arrows/10/r", "0 is not of type 'string'")
 
 
 # ---------------------------------------------------------------- CLI
@@ -206,6 +282,7 @@ def test_cli_exit_code_on_bad_input(tmp_path, capsys):
 def test_cli_bad_group_spec_is_input_error(tmp_path, capsys):
     doc = mutated("clifford", lambda d: d["modules"]["sign"]["groups"]
                   .update({"1": {"ngens": 2, "relations": [[1]]}}))
+    assert_schema_check_agrees(doc)
     p = tmp_path / "bad.json"
     p.write_text(io.dumps(doc))
     assert main(["colim", str(p), "--module", "sign"]) == 2
@@ -220,6 +297,7 @@ def test_cli_oversized_group_is_input_error(tmp_path, capsys, spec):
     # refused at load, before a matrix of that size is asked for
     doc = mutated("clifford", lambda d: d["modules"]["sign"]["groups"]
                   .update({"1": spec}))
+    assert_schema_check_agrees(doc)
     p = tmp_path / "huge.json"
     p.write_text(io.dumps(doc))
     assert main(["homology", str(p), "--module", "sign"]) == 2
@@ -238,11 +316,182 @@ def test_cli_oversized_group_is_input_error(tmp_path, capsys, spec):
 ])
 def test_cli_input_error_prints_pointer_once(tmp_path, capsys, mutate,
                                              pointer, message):
+    doc = mutated("z2", mutate)
+    assert_schema_check_agrees(doc)
     p = tmp_path / "bad.json"
-    p.write_text(io.dumps(mutated("z2", mutate)))
+    p.write_text(io.dumps(doc))
     assert main(["colim", str(p), "--module", "sign"]) == 2
     err = capsys.readouterr().err
     assert err == "input error at %s: %s\n" % (pointer, message)
+
+
+def test_cli_overlong_integer_literal_is_input_error(tmp_path, capsys):
+    # json.load refuses integer literals longer than int() converts
+    doc = mutated("clifford", lambda d: d["modules"]["const"]["arrow_maps"]
+                  .update(s=[[123456789]]))
+    p = tmp_path / "long.json"
+    p.write_text(io.dumps(doc).replace("123456789", "9" * 5000))
+    assert main(["homology", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error at /: invalid JSON: ")
+    assert err.count("\n") == 1
+
+
+def cli(argv):
+    """(exit code, stderr) of one in-process CLI run."""
+    out, err = textio.StringIO(), textio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def nodes(value, path=()):
+    """(path, value) of `value` and of everything nested in it."""
+    yield path, value
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from nodes(child, path + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+NAMES = ["a b", "e>f", "", "x'y", "é", "_1", "zz", "z\n", "1"]
+VALUES = [True, False, None, "x", [], {}, -1, 0, 1.5, 2.0, 10 ** 30,
+          [[1]], {"rank": 1}]
+BAD_GROUPS = [{}, {"rank": 1, "ngens": 1}, {"relations": []},
+              {"rank": 1, "torsion": [2], "x": 0}, {"ngens": 1},
+              {"rank": -1}, {"rank": 1, "torsion": [1]},
+              {"ngens": 2, "relations": [[1]]}]
+# stands for an integer literal longer than json.load converts
+OVERLONG = 987654321987654321987
+
+
+def mutate_once(data, doc):
+    """Apply one drawn mutation to `doc` in place."""
+    kind = data.draw(st.sampled_from(
+        ["remove", "add", "swap", "bool", "float", "huge", "ragged",
+         "group", "module name", "identity name"]))
+    everything = list(nodes(doc))
+    ints = [p for p, v in everything if type(v) is int]
+    if kind == "remove":
+        dicts = [v for _, v in everything if isinstance(v, dict) and v]
+        if dicts:
+            d = data.draw(st.sampled_from(dicts))
+            del d[data.draw(st.sampled_from(sorted(d)))]
+    elif kind == "add":
+        d = data.draw(st.sampled_from(
+            [v for _, v in everything if isinstance(v, dict)]))
+        d[data.draw(st.sampled_from(NAMES))] = copy.deepcopy(
+            data.draw(st.sampled_from(VALUES)))
+    elif kind == "swap":
+        path = data.draw(st.sampled_from([p for p, _ in everything if p]))
+        at(doc, path[:-1])[path[-1]] = copy.deepcopy(
+            data.draw(st.sampled_from(VALUES)))
+    elif kind in ("bool", "float", "huge") and ints:
+        path = data.draw(st.sampled_from(ints))
+        value = at(doc, path)
+        at(doc, path[:-1])[path[-1]] = {
+            "bool": lambda: bool(value),
+            "float": lambda: float(value),
+            "huge": lambda: data.draw(st.sampled_from(
+                [10 ** 30, -10 ** 30, OVERLONG])),
+        }[kind]()
+    elif kind == "ragged":
+        rows = [row for _, v in everything
+                if isinstance(v, list) and v
+                and all(isinstance(row, list) for row in v)
+                for row in v]
+        if rows:
+            row = data.draw(st.sampled_from(rows))
+            if row and data.draw(st.booleans()):
+                row.pop()
+            else:
+                row.append(1)
+    elif kind == "group":
+        specs = [p for p, _ in everything if len(p) > 1 and p[-2] == "groups"]
+        if specs:
+            path = data.draw(st.sampled_from(specs))
+            at(doc, path[:-1])[path[-1]] = copy.deepcopy(
+                data.draw(st.sampled_from(BAD_GROUPS)))
+    elif kind == "module name" and isinstance(doc.get("modules"), dict):
+        modules = doc["modules"]
+        if modules:
+            old = data.draw(st.sampled_from(sorted(modules)))
+            modules[data.draw(st.sampled_from(NAMES))] = modules.pop(old)
+    elif kind == "identity name":
+        ids = [v for p, v in everything
+               if len(p) > 1 and p[-2] == "identities" and isinstance(v, str)]
+        if ids:
+            old = data.draw(st.sampled_from(ids))
+            new = data.draw(st.sampled_from(NAMES))
+            text = json.dumps(doc)
+            for a, b in (('"%s"', '"%s"'), ('"%s>', '"%s>'), ('>%s"', '>%s"')):
+                text = text.replace(a % old, b % json.dumps(new)[1:-1])
+            doc.clear()
+            doc.update(json.loads(text))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_documents_never_crash(tmp_path, data):
+    doc = copy.deepcopy(fixtures.doc(data.draw(st.sampled_from(
+        fixtures.names()))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate_once(data, doc)
+    text = io.dumps(doc)
+    if str(OVERLONG) in text:
+        text = text.replace(str(OVERLONG), "9" * 5000)
+    else:
+        assert_schema_check_agrees(doc)
+    p = tmp_path / "fuzzed.json"
+    p.write_text(text)
+    for argv in (["validate", str(p)], ["homology", str(p)]):
+        # an exception escaping main would fail the test here
+        code, err = cli(argv)
+        if code == 2:
+            assert err.startswith("input error at /")
+        elif code == 1:
+            # a well-formed document whose data breaks an axiom or
+            # functoriality fails a mathematical check
+            assert err == "" or err.startswith("check failed: ")
+        else:
+            assert code == 0 and err == ""
+
+
+def test_runtime_runs_without_jsonschema(tmp_path):
+    # jsonschema is a test-only oracle: the CLI loads, checks and
+    # refuses documents with the module blocked from import
+    bad = tmp_path / "bad.json"
+    bad.write_text(io.dumps(mutated(
+        "clifford", lambda d: d["groupoid"]["arrows"][0].update(d=1))))
+    src = os.path.dirname(os.path.dirname(oghom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(code, *argv):
+        return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    blocked = ("import sys; sys.modules['jsonschema'] = None;"
+               " from oghom.cli import main; sys.exit(main())")
+    ok = run(blocked, "homology", "clifford")
+    assert ok.returncode == 0, ok.stderr
+    refused = run(blocked, "validate", str(bad))
+    assert refused.returncode == 2
+    assert refused.stderr == ("input error at /groupoid/arrows/0/d:"
+                              " 1 is not of type 'string'\n")
+    imported = run("import sys, oghom.io;"
+                   " print('jsonschema' in sys.modules)")
+    assert imported.stdout == "False\n", imported.stderr
 
 
 @pytest.mark.parametrize("command", ["homology", "colim"])
@@ -250,10 +499,11 @@ def test_cli_reads_integral_float_rank(tmp_path, capsys, command):
     # JSON Schema counts 1.0 as an integer, so the rank must load as 1
     outs = []
     for rank in (1, 1.0):
+        doc = mutated("z2", lambda d: d["modules"]["sign"]["groups"]
+                      .update({"1": {"rank": rank}}))
+        assert_schema_check_agrees(doc)
         p = tmp_path / ("z2-%r.json" % rank)
-        p.write_text(io.dumps(mutated(
-            "z2", lambda d: d["modules"]["sign"]["groups"].update(
-                {"1": {"rank": rank}}))))
+        p.write_text(io.dumps(doc))
         assert ('"rank": %r' % rank) in p.read_text()
         assert main([command, str(p), "--module", "sign"]) == 0
         outs.append(capsys.readouterr())
