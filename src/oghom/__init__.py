@@ -1,12 +1,11 @@
 """Finite ordered groupoids, quotients, module colimits, and homology."""
 
-from .beta import (beta_classes, beta_related, check_quotient_welldefined,
+from .beta import (beta_classes, beta_witness, check_quotient_welldefined,
                    is_principally_directed, quotient)
-from .category import FiniteCategory, group_category, groupoid_as_category
+from .category import FiniteCategory, groupoid_as_category
 from .errors import (CompositeNonzero, DanglingReference, InputError,
-                     MathError, NotComposable, NotInduced,
-                     NotPrincipallyDirected, OghomError,
-                     PreconditionViolation, SchemaViolation,
+                     MathError, NotComposable, NotPrincipallyDirected,
+                     OghomError, PreconditionViolation, SchemaViolation,
                      StructuralDefect)
 from .gmodules import (GMap, GModule, check_colim_composition,
                        check_quotient_action, colim_category, colim_E,
@@ -19,25 +18,23 @@ from .homology import (ChainComplex, check_theorem, homology,
 from .lcat import LCat, build_lcat
 from .zmodule import (AbHom, FgAbGroup, ZMatrix, block_diag, direct_sum,
                       enumerate_homs, hom_welldefined, homology_at,
-                      induced_on_cokernel, kernel_basis, lattice_basis,
-                      snf)
+                      kernel_basis, lattice_basis, snf)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbHom", "ChainComplex", "CompositeNonzero", "DanglingReference",
     "FgAbGroup", "FiniteCategory", "GMap", "GModule", "GroupoidCandidate",
-    "InputError", "LCat", "MathError", "NotComposable", "NotInduced",
+    "InputError", "LCat", "MathError", "NotComposable",
     "NotPrincipallyDirected", "OghomError", "OrderedGroupoid",
     "PreconditionViolation", "SchemaViolation", "StructuralDefect",
     "ValidationReport", "Violation", "ZMatrix", "beta_classes",
-    "beta_related", "block_diag", "build_lcat", "check_colim_composition",
+    "beta_witness", "block_diag", "build_lcat", "check_colim_composition",
     "check_quotient_action", "check_quotient_welldefined", "check_theorem",
     "colim_E", "colim_E_map", "colim_category", "direct_sum",
     "enumerate_gmaps", "enumerate_homs", "expand", "expand_map",
-    "group_category", "groupoid_as_category", "hom_welldefined", "homology",
-    "homology_at", "homology_profile", "induced_on_cokernel",
-    "is_principally_directed", "kernel_basis", "lattice_basis",
-    "module_from_parts", "nerve_complex", "quotient", "rho", "snf", "tau",
-    "validate",
+    "groupoid_as_category", "hom_welldefined", "homology", "homology_at",
+    "homology_profile", "is_principally_directed", "kernel_basis",
+    "lattice_basis", "module_from_parts", "nerve_complex", "quotient", "rho",
+    "snf", "tau", "validate",
 ]

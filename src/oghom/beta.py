@@ -16,12 +16,6 @@ def beta_witness(g0, g, h):
     return min(common) if common else None
 
 
-def beta_related(g0, g, h):
-    """(related?, witness arrow or None)."""
-    w = beta_witness(g0, g, h)
-    return (w is not None, w)
-
-
 def all_ideals_directed(g0):
     """(verdict, None or (top, (a, b)) naming a non-directed ideal)."""
     for t in g0.arrows:

@@ -96,20 +96,6 @@ class FiniteCategory:
         return connected_components(
             self.objects, ((self.dom[m], self.cod[m]) for m in self.morphisms))
 
-    def full_subcategory(self, objs):
-        objs = list(objs)
-        oset = set(objs)
-        morphs = [m for m in self.morphisms
-                  if self.dom[m] in oset and self.cod[m] in oset]
-        mset = set(morphs)
-        comp = {k: v for k, v in self._compose.items()
-                if k[0] in mset and k[1] in mset}
-        return FiniteCategory(objs, morphs,
-                              {m: self.dom[m] for m in morphs},
-                              {m: self.cod[m] for m in morphs},
-                              {o: self.identity[o] for o in objs},
-                              comp)
-
     def __repr__(self):
         return "FiniteCategory(%d objects, %d morphisms)" % (
             len(self.objects), len(self.morphisms))
@@ -121,16 +107,3 @@ def groupoid_as_category(g0):
                           {e: e for e in g0.identities},
                           g0.composition_table())
 
-
-def group_category(m):
-    """One-object category of the cyclic group Z/m.
-
-    Morphism ids are "t0" (identity), "t1", ..., "t{m-1}".
-    """
-    names = ["t%d" % i for i in range(m)]
-    obj = "*"
-    comp = {(names[i], names[j]): names[(i + j) % m]
-            for i in range(m) for j in range(m)}
-    return FiniteCategory([obj], list(names),
-                          {n: obj for n in names}, {n: obj for n in names},
-                          {obj: names[0]}, comp)

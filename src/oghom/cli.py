@@ -41,7 +41,7 @@ def _load_bundle(inp):
 def _select_modules(g0, lc, module_docs, wanted):
     if wanted is not None:
         if wanted not in module_docs:
-            raise SchemaViolation("/modules/%s" % wanted,
+            raise SchemaViolation(io.pointer("/modules", wanted),
                                   "input has no module named %r" % wanted)
         names = [wanted]
     else:
@@ -49,7 +49,7 @@ def _select_modules(g0, lc, module_docs, wanted):
         if not names:
             raise SchemaViolation("/modules", "input carries no modules")
     return [(n, io.build_module(g0, lc, module_docs[n],
-                                base="/modules/%s" % n))
+                                base=io.pointer("/modules", n)))
             for n in names]
 
 
@@ -329,6 +329,14 @@ def build_parser():
     return parser
 
 
+def _one_line(text):
+    """`text` with every non-printable character escaped, so that an id
+    holding a newline cannot split a message."""
+    return "".join(c if c.isprintable()
+                   else c.encode("unicode_escape").decode("ascii")
+                   for c in text)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -336,16 +344,16 @@ def main(argv=None):
     except InputError as exc:
         # errors with a pointer already start with it
         where = " at" if hasattr(exc, "pointer") else ":"
-        print("input error%s %s" % (where, exc), file=sys.stderr)
+        print(_one_line("input error%s %s" % (where, exc)), file=sys.stderr)
         return 2
     except NotPrincipallyDirected as exc:
-        print("check failed: %s" % exc, file=sys.stderr)
+        print(_one_line("check failed: %s" % exc), file=sys.stderr)
         if exc.counterexample is not None:
             print("counterexample: %r" % (exc.counterexample,),
                   file=sys.stderr)
         return 1
     except MathError as exc:
-        print("check failed: %s" % exc, file=sys.stderr)
+        print(_one_line("check failed: %s" % exc), file=sys.stderr)
         return 1
 
 

@@ -62,7 +62,3 @@ class NotPrincipallyDirected(MathError):
 
 class CompositeNonzero(PreconditionViolation):
     """homology_at called on maps that do not compose to zero."""
-
-
-class NotInduced(MathError):
-    """A map does not descend to the requested cokernel."""

@@ -194,6 +194,6 @@ def load(name):
     g0 = OrderedGroupoid.from_candidate(cand)
     lc = build_lcat(g0)
     modules = {mname: io.build_module(g0, lc, mdoc,
-                                      base="/modules/%s" % mname)
+                                      base=io.pointer("/modules", mname))
                for mname, mdoc in module_docs.items()}
     return FixtureBundle(name, g0, lc, modules)

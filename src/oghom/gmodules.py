@@ -48,12 +48,6 @@ class GModule:
             if problems:
                 raise StructuralDefect("not a module: %s" % problems[0])
 
-    def act(self, m):
-        return self.action[m]
-
-    def is_finite(self):
-        return all(g.order() is not None for g in self.groups.values())
-
     def __repr__(self):
         return "GModule(%d objects)" % len(self.groups)
 
@@ -302,9 +296,6 @@ class ColimEResult:
         self.members = members
         self.offsets = offsets
         self.alpha = alpha
-
-    def class_group(self, x):
-        return self.module.groups[x]
 
     def __repr__(self):
         return "ColimEResult(%d classes)" % len(self.members)

@@ -36,9 +36,6 @@ class Violation:
         self.axiom = axiom
         self.witness = tuple(witness)
 
-    def as_pair(self):
-        return (self.axiom, self.witness)
-
     def __repr__(self):
         return "Violation(%s, %s)" % (self.axiom, self.witness)
 
@@ -288,14 +285,6 @@ class OrderedGroupoid:
             raise PreconditionViolation(
                 "corestriction undefined: %s is not below r(%s)" % (e, x))
         return self.inv[self.restriction(e, self.inv[x])]
-
-    def pseudoproduct(self, g, h):
-        """(g|l)(l|h) for l the greatest lower bound of r(g) and d(h) in
-        the identity poset; None when no greatest lower bound exists."""
-        l = self.identity_poset.glb(self.r[g], self.d[h])
-        if l is None:
-            return None
-        return self.compose(self.corestriction(g, l), self.restriction(l, h))
 
     def principal_ideal(self, t):
         return self.order.principal_ideal(t)

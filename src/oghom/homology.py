@@ -60,37 +60,35 @@ class ChainComplex:
     columns[0] is None), each a {row: entry} dict of nonzero entries.
 
     Consecutive boundaries must compose to the zero map (zero modulo the
-    relations of the target, not the zero matrix).  `groups` and
+    relations of the target, not the zero matrix); unless checked=True
+    promises it, the shapes and ∂² = 0 are checked here.  `groups` and
     `boundaries` are dense views, built on first use."""
 
-    def __init__(self, groups, boundaries, checked=False):
-        groups, boundaries = list(groups), list(boundaries)
-        if not checked:
-            if len(boundaries) != len(groups):
-                raise StructuralDefect("one boundary per degree expected")
-            for n in range(1, len(groups)):
-                b = boundaries[n]
-                if b.source != groups[n] or b.target != groups[n - 1]:
-                    raise StructuralDefect(
-                        "boundary %d has wrong endpoints" % n)
-        self.ngens = [g.ngens for g in groups]
-        self.relations = [_columns(g.relations) for g in groups]
-        self.columns = [None] + [_columns(b.matrix) for b in boundaries[1:]]
-        self._groups, self._boundaries, self._reduced = groups, boundaries, None
-        if not checked:
-            self._check_square()
-
-    @classmethod
-    def from_columns(cls, ngens, relations, columns, checked=False):
-        """The complex in its sparse form, checked as by the constructor."""
-        self = cls.__new__(cls)
+    def __init__(self, ngens, relations, columns, checked=False):
         self.ngens, self.relations = list(ngens), list(relations)
         self.columns = list(columns)
         self._groups, self._boundaries = [None] * len(self.ngens), None
         self._reduced = None
         if not checked:
+            self._check_shapes()
             self._check_square()
-        return self
+
+    def _check_shapes(self):
+        ngens = self.ngens
+        if not len(self.relations) == len(self.columns) == len(ngens):
+            raise StructuralDefect("one boundary per degree expected")
+        if self.columns and self.columns[0] is not None:
+            raise StructuralDefect("degree 0 has no boundary")
+        for n, rels in enumerate(self.relations):
+            if not all(0 <= i < ngens[n] for col in rels for i in col):
+                raise StructuralDefect(
+                    "relation rows of degree %d out of range" % n)
+        for n in range(1, len(ngens)):
+            cols = self.columns[n]
+            if len(cols) != ngens[n] or not all(
+                    0 <= i < ngens[n - 1] for col in cols for i in col):
+                raise StructuralDefect(
+                    "boundary %d has wrong endpoints" % n)
 
     def _check_square(self):
         # compose column by column; only the nonzero composites reach
@@ -290,8 +288,8 @@ def _reduce(cx):
                      for n, rels in enumerate(relations)]
     new_columns = [None] + [[{index[n - 1][i]: v for i, v in cols[n][j].items()}
                              for j in keep[n]] for n in range(1, top + 1)]
-    return ChainComplex.from_columns([len(kept) for kept in keep],
-                                     new_relations, new_columns, checked=True)
+    return ChainComplex([len(kept) for kept in keep],
+                        new_relations, new_columns, checked=True)
 
 
 def _chain_tuples(cat, maxdeg):
@@ -358,7 +356,7 @@ def nerve_complex(cat, module, maxdeg):
                     col[at + i] = col.get(at + i, 0) + sign
                 cols.append({r: v for r, v in col.items() if v})
         columns.append(cols)
-    return ChainComplex.from_columns(ngens, relations, columns)
+    return ChainComplex(ngens, relations, columns)
 
 
 def homology(cat, module, n, complex_=None):

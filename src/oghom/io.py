@@ -216,6 +216,14 @@ def _errors(value, schema):
 _PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 
 
+def pointer(base, *steps):
+    """The JSON pointer `base` extended by `steps`, each escaped as RFC
+    6901 asks ("~" as "~0", "/" as "~1")."""
+    return base + "".join(
+        "/" + str(step).replace("~", "~0").replace("/", "~1")
+        for step in steps)
+
+
 def _json_path(path):
     """The JSONPath string that jsonschema sorts its errors by."""
     text = "$"
@@ -235,7 +243,7 @@ def _check_schema(doc, schema):
     if errors:
         # min keeps the first of equal keys, as a stable sort would
         path, message = min(errors, key=lambda e: _json_path(e[0]))
-        raise SchemaViolation("/" + "/".join(map(str, path)), message)
+        raise SchemaViolation(pointer("", *path) or "/", message)
 
 
 def load_document(source):
@@ -272,13 +280,13 @@ def candidate_from_doc(gdoc, base=""):
     seen = set()
     for i, e in enumerate(identities):
         if e in seen:
-            raise SchemaViolation("%s/identities/%d" % (base, i),
+            raise SchemaViolation(pointer(base, "identities", i),
                                   "duplicate id %r" % e)
         seen.add(e)
     arrows = {}
     for i, a in enumerate(gdoc["arrows"]):
         if a["id"] in seen:
-            raise SchemaViolation("%s/arrows/%d/id" % (base, i),
+            raise SchemaViolation(pointer(base, "arrows", i, "id"),
                                   "duplicate id %r" % a["id"])
         seen.add(a["id"])
         arrows[a["id"]] = (a["d"], a["r"], a["inv"])
@@ -287,24 +295,24 @@ def candidate_from_doc(gdoc, base=""):
         for field in ("d", "r"):
             if a[field] not in idset:
                 raise DanglingReference(
-                    "%s/arrows/%d/%s" % (base, i, field), a[field])
+                    pointer(base, "arrows", i, field), a[field])
         if a["inv"] not in seen:
-            raise DanglingReference("%s/arrows/%d/inv" % (base, i), a["inv"])
+            raise DanglingReference(pointer(base, "arrows", i, "inv"),
+                                    a["inv"])
     compose = {}
     for i, (g, h, k) in enumerate(gdoc["compose"]):
         for j, ref in enumerate((g, h, k)):
             if ref not in seen:
-                raise DanglingReference(
-                    "%s/compose/%d/%d" % (base, i, j), ref)
+                raise DanglingReference(pointer(base, "compose", i, j), ref)
         if (g, h) in compose and compose[(g, h)] != k:
-            raise SchemaViolation("%s/compose/%d" % (base, i),
+            raise SchemaViolation(pointer(base, "compose", i),
                                   "conflicting entries for (%s, %s)" % (g, h))
         compose[(g, h)] = k
     order = []
     for i, (lo, hi) in enumerate(gdoc["order"]):
         for j, ref in enumerate((lo, hi)):
             if ref not in seen:
-                raise DanglingReference("%s/order/%d/%d" % (base, i, j), ref)
+                raise DanglingReference(pointer(base, "order", i, j), ref)
         order.append((lo, hi))
     return GroupoidCandidate.from_parts(identities, arrows, compose, order)
 
@@ -347,51 +355,59 @@ def module_parts_from_doc(g0, mdoc, base=""):
     groups = {}
     for e, spec in mdoc["groups"].items():
         if e not in idset:
-            raise DanglingReference("%s/groups/%s" % (base, e), e)
+            raise DanglingReference(pointer(base, "groups", e), e)
         try:
             groups[e] = group_from_spec(spec)
         except SchemaViolation as exc:
-            raise SchemaViolation("%s/groups/%s" % (base, e), exc.message)
+            raise SchemaViolation(pointer(base, "groups", e), exc.message)
     for e in g0.identities:
         if e not in groups:
-            raise SchemaViolation("%s/groups" % base,
+            raise SchemaViolation(pointer(base, "groups"),
                                   "missing group for identity %r" % e)
 
-    covers = {(hi, lo) for (lo, hi) in g0.identity_poset.covers()}
+    # a key is looked up as module_to_doc writes it, so identity names
+    # may hold ">" as long as no two covering pairs share a key
+    covers = {}
+    for (lo, hi) in g0.identity_poset.covers():
+        covers.setdefault("%s>%s" % (hi, lo), []).append((hi, lo))
     poset_maps = {}
     for key, rows in mdoc.get("poset_maps", {}).items():
-        if ">" not in key:
-            raise SchemaViolation("%s/poset_maps/%s" % (base, key),
-                                  "key must look like upper>lower")
-        hi, lo = key.split(">", 1)
-        for ref in (hi, lo):
-            if ref not in idset:
-                raise DanglingReference(
-                    "%s/poset_maps/%s" % (base, key), ref)
-        if (hi, lo) not in covers:
+        at = pointer(base, "poset_maps", key)
+        pairs = covers.get(key)
+        if pairs is None:
+            if ">" not in key:
+                raise SchemaViolation(at, "key must look like upper>lower")
+            hi, lo = key.split(">", 1)
+            for ref in (hi, lo):
+                if ref not in idset:
+                    raise DanglingReference(at, ref)
             raise SchemaViolation(
-                "%s/poset_maps/%s" % (base, key),
-                "%r does not cover %r in the identity order" % (hi, lo))
+                at, "%r does not cover %r in the identity order" % (hi, lo))
+        if len(pairs) > 1:
+            raise SchemaViolation(
+                at, "key names the covering pairs %s" % ", ".join(
+                    "(%r, %r)" % pair for pair in pairs))
+        (hi, lo), = pairs
         poset_maps[(hi, lo)] = _matrix_from_doc(
-            rows, groups[lo].ngens, groups[hi].ngens,
-            "%s/poset_maps/%s" % (base, key))
-    for (hi, lo) in covers:
-        if (hi, lo) not in poset_maps:
-            raise SchemaViolation(
-                "%s/poset_maps" % base,
-                "missing map for covering pair %s>%s" % (hi, lo))
+            rows, groups[lo].ngens, groups[hi].ngens, at)
+    for pairs in covers.values():
+        for (hi, lo) in pairs:
+            if (hi, lo) not in poset_maps:
+                raise SchemaViolation(
+                    pointer(base, "poset_maps"),
+                    "missing map for covering pair %s>%s" % (hi, lo))
 
     nonid = set(g0.nonidentity_arrows())
     arrow_maps = {}
     for g, rows in mdoc.get("arrow_maps", {}).items():
+        at = pointer(base, "arrow_maps", g)
         if g not in nonid:
-            raise DanglingReference("%s/arrow_maps/%s" % (base, g), g)
+            raise DanglingReference(at, g)
         arrow_maps[g] = _matrix_from_doc(
-            rows, groups[g0.r[g]].ngens, groups[g0.d[g]].ngens,
-            "%s/arrow_maps/%s" % (base, g))
+            rows, groups[g0.r[g]].ngens, groups[g0.d[g]].ngens, at)
     for g in sorted(nonid):
         if g not in arrow_maps:
-            raise SchemaViolation("%s/arrow_maps" % base,
+            raise SchemaViolation(pointer(base, "arrow_maps"),
                                   "missing map for arrow %r" % g)
     return groups, poset_maps, arrow_maps
 

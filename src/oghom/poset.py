@@ -36,8 +36,6 @@ class Poset:
     >>> p = Poset("abc", order_closure("abc", [("a", "b"), ("b", "c")]))
     >>> p.leq("a", "c")
     True
-    >>> p.glb("b", "c")
-    'b'
     >>> sorted(p.principal_ideal("b"))
     ['a', 'b']
     """
@@ -91,15 +89,6 @@ class Poset:
     def lower_bounds(self, a, b):
         ia, ib = self._index[a], self._index[b]
         return {self.elements[j] for j in self._below[ia] & self._below[ib]}
-
-    def glb(self, a, b):
-        """Greatest lower bound, or None if the set of common lower
-        bounds is empty or has no greatest element."""
-        common = self._below[self._index[a]] & self._below[self._index[b]]
-        for j in common:
-            if common <= self._below[j]:
-                return self.elements[j]
-        return None
 
     def undirected_pair(self, subset):
         """The first pair (a, b) of `subset`, in its order, with no lower

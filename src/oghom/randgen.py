@@ -17,9 +17,8 @@ module constructor re-checks everything.
 from math import gcd
 
 from .category import groupoid_as_category
-from .gmodules import GMap, GModule, module_from_parts
+from .gmodules import GModule, module_from_parts
 from .groupoid import GroupoidCandidate, OrderedGroupoid
-from .lcat import build_lcat
 from .zmodule import AbHom, FgAbGroup, ZMatrix
 
 
@@ -241,56 +240,3 @@ def random_quotient_module(rng, q, max_order=6):
             action[g] = AbHom(m, m, ZMatrix([[u ** (e % 2)]]))
     return GModule(qc, groups, action)
 
-
-def random_ses(rng, n_identities=3, max_order=12):
-    """Short exact sequence of modules over a random directed identity
-    poset (no loops): multiply-by-c into Z/m, reduce onto Z/gcd(c, m).
-
-    Returns (groupoid, lcat, sub, mid, quot, inclusion, projection)."""
-    rog = random_og(rng, n_identities, max_group=1, directed=True)
-    g0 = rog.groupoid
-    lc = build_lcat(g0)
-    c = rng.randint(2, 6)
-    m = {e: rng.randint(2, max_order) for e in g0.identities}
-    covers = [(hi, lo) for (lo, hi) in g0.identity_poset.covers()]
-    tmult = {}
-    for (hi, lo) in covers:
-        step = m[lo] // gcd(m[lo], m[hi])
-        tmult[(hi, lo)] = rng.choice(list(range(0, m[lo], step)))
-
-    def build(order_of):
-        groups = {e: _cyclic_group(order_of[e]) for e in g0.identities}
-        pm = {(hi, lo): ZMatrix([[tmult[(hi, lo)]]]) for (hi, lo) in covers}
-        return module_from_parts(lc, groups, pm, {})
-
-    mid = build(m)
-    sub = build({e: m[e] // gcd(c, m[e]) for e in g0.identities})
-    quo = build({e: gcd(c, m[e]) for e in g0.identities})
-    incl = GMap(sub, mid,
-                {e: AbHom(sub.groups[e], mid.groups[e], ZMatrix([[c]]))
-                 for e in g0.identities})
-    proj = GMap(mid, quo,
-                {e: AbHom(mid.groups[e], quo.groups[e], ZMatrix([[1]]))
-                 for e in g0.identities})
-    return g0, lc, sub, mid, quo, incl, proj
-
-
-def random_surjection(rng, b_module, max_scale=6):
-    """(quotient module, componentwise surjective map): reduce every
-    group modulo a common scale, actions unchanged."""
-    n = rng.randint(1, max_scale)
-    base = b_module.base
-    groups = {}
-    projs = {}
-    for x, g in b_module.groups.items():
-        extra = ZMatrix.identity(g.ngens).scale(n)
-        tgt = FgAbGroup(g.ngens, g.relations.hstack(extra))
-        groups[x] = tgt
-        projs[x] = AbHom(g, tgt, ZMatrix.identity(g.ngens), checked=True)
-    action = {}
-    for mor in base.morphisms:
-        src, tgt = base.dom[mor], base.cod[mor]
-        action[mor] = AbHom(groups[src], groups[tgt],
-                            b_module.action[mor].matrix)
-    tgt_module = GModule(base, groups, action)
-    return tgt_module, GMap(b_module, tgt_module, projs)

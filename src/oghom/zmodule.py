@@ -11,11 +11,7 @@ Python's unbounded integers; nothing here may silently overflow or round.
 
 from math import gcd
 
-from .errors import (
-    CompositeNonzero,
-    NotInduced,
-    PreconditionViolation,
-)
+from .errors import CompositeNonzero, PreconditionViolation
 
 
 class ZMatrix:
@@ -24,8 +20,8 @@ class ZMatrix:
     >>> m = ZMatrix([[1, 2], [3, 4]])
     >>> m.mul(ZMatrix.identity(2)) == m
     True
-    >>> m.transpose().rows
-    ((1, 3), (2, 4))
+    >>> m.hstack(ZMatrix.zeros(2, 1)).rows
+    ((1, 2, 0), (3, 4, 0))
     """
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -114,32 +110,14 @@ class ZMatrix:
                                  for r1, r2 in zip(self.rows, other.rows)],
                                 self.ncols)
 
-    def scale(self, k):
-        k = int(k)
-        return ZMatrix._trusted([[k * a for a in row] for row in self.rows],
-                                self.ncols)
-
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
         return ZMatrix._trusted([r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
                                 self.ncols + other.ncols)
 
-    def transpose(self):
-        return ZMatrix.from_cols(self.rows, self.ncols)
-
-    def is_zero(self):
-        return all(all(a == 0 for a in row) for row in self.rows)
-
     def to_lists(self):
         return [list(row) for row in self.rows]
-
-    def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        rank, minor = _rank_and_minor(self.rows, self.ncols)
-        return minor if rank == self.nrows else 0
 
     def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -339,10 +317,6 @@ def snf(m):
                      ZMatrix._trusted(vinv, nc))
 
 
-def is_unimodular(m):
-    return m.nrows == m.ncols and abs(m.det()) == 1
-
-
 def _rank_and_minor(rows, ncols):
     """Rank r of a matrix and one nonzero r x r minor (1 when r = 0), by
     fraction-free (Bareiss) row echelon elimination: each pivot is the
@@ -479,8 +453,8 @@ def invariant_factors(m):
 
 
 class ColumnSolver:
-    """Solves M X = C over the integers for a fixed M and decides
-    membership in the column span of M."""
+    """Solves M X = C over the integers for a fixed M; None answers a
+    right-hand side outside the column span of M."""
 
     def __init__(self, m):
         self.m = m
@@ -514,9 +488,6 @@ class ColumnSolver:
                 return None
             xcols.append(x)
         return ZMatrix.from_cols(xcols, self.m.ncols)
-
-    def contains(self, vec):
-        return self.solve_vector(vec) is not None
 
 
 def kernel_basis(m):
@@ -713,10 +684,6 @@ class AbHom:
     def apply(self, x):
         return self.matrix.apply(x)
 
-    def apply_canonical(self, y):
-        x = self.source.from_canonical(y)
-        return self.target.to_canonical(self.matrix.apply(x))
-
     def then(self, other):
         """Composite `self` followed by `other`."""
         if self.target != other.source:
@@ -743,9 +710,6 @@ class AbHom:
         self._parallel(other)
         return self.target.kills(self.matrix.sub(other.matrix))
 
-    def is_zero_map(self):
-        return self.target.kills(self.matrix)
-
     def is_surjective(self):
         """True iff the cokernel Z^n / (image + relations) is trivial."""
         return FgAbGroup(self.target.ngens, self.matrix.hstack(
@@ -754,9 +718,6 @@ class AbHom:
     def is_injective(self):
         return self.source.kills(
             preimage_lattice(self.matrix, self.target.relations))
-
-    def is_isomorphism(self):
-        return self.is_surjective() and self.is_injective()
 
     def __repr__(self):
         return "AbHom(%r -> %r)" % (self.source, self.target)
@@ -792,29 +753,6 @@ def direct_sum(groups):
         projections.append(AbHom(s, g, ZMatrix(proj, ncols=total), checked=True))
         offset += g.ngens
     return s, injections, projections
-
-
-def induced_on_cokernel(hom, extra_relations):
-    """The map induced by `hom` on the source quotiented by extra relations.
-
-    Raises NotInduced if the matrix does not descend.
-
-    >>> z = FgAbGroup.free(1)
-    >>> z4 = FgAbGroup.from_invariants(0, [4])
-    >>> h = AbHom(z, z4, ZMatrix([[2]]))
-    >>> q = induced_on_cokernel(h, ZMatrix([[2]]))
-    >>> q.source.canonical_form()
-    (0, (2,))
-    >>> q.is_injective()
-    True
-    """
-    if extra_relations.nrows != hom.source.ngens:
-        raise ValueError("extra relations of wrong height")
-    new_source = FgAbGroup(hom.source.ngens,
-                           hom.source.relations.hstack(extra_relations))
-    if not hom_welldefined(new_source, hom.target, hom.matrix):
-        raise NotInduced("map does not kill the extra relations")
-    return AbHom(new_source, hom.target, hom.matrix, checked=True)
 
 
 def homology_at(f, g):

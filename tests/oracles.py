@@ -8,7 +8,11 @@ multiplication by a single integer and the whole computation is gcd
 arithmetic; the dense homology solves the unreduced boundaries,
 skipping the unit-pivot elimination of `ChainComplex.homology`, and the
 dense nerve builds block-diagonal relation matrices and dense boundary
-columns, where the library emits sparse columns.
+columns, where the library emits sparse columns; `complex_from_dense`
+hands such dense groups and boundaries to `ChainComplex`, checking
+their endpoints on the way.
+Determinants (and so unimodularity of Smith transforms) come from a
+Bareiss elimination of their own.
 Relation-span membership is decided by solving R x = v against a Smith
 form of its own, where the library reads the group's canonical
 coordinates.  Canonical orders come from the diagonal of a Smith form
@@ -26,8 +30,12 @@ from math import gcd
 
 from jsonschema import Draft202012Validator
 
+from oghom.category import FiniteCategory
 from oghom.errors import PreconditionViolation, StructuralDefect
+from oghom.gmodules import GMap, GModule, module_from_parts
 from oghom.homology import MAX_CHAIN_RANK, ChainComplex, _chain_tuples
+from oghom.lcat import build_lcat
+from oghom.randgen import _cyclic_group, random_og
 from oghom.zmodule import (
     AbHom,
     ColumnSolver,
@@ -79,6 +87,34 @@ def same_invariants(g, h):
     return g.canonical_form() == h.canonical_form()
 
 
+# ---------------------------------------------------------------- determinants
+
+
+def det(m):
+    """Exact determinant of a square ZMatrix by fraction-free (Bareiss)
+    elimination on a copy of its rows."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    a = [list(row) for row in m.rows]
+    n, sign, prev = m.nrows, 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def is_unimodular(m):
+    return m.nrows == m.ncols and abs(det(m)) == 1
+
+
 # ---------------------------------------------------------------- element-level homology
 
 
@@ -106,10 +142,15 @@ def brute_force_homology(f, g):
     Returns a (rank, torsion) pair shaped like FgAbGroup.canonical_form,
     rank always 0.
     """
+    def apply_canonical(hom, y):
+        # hom on canonical coordinates: lift y, apply, read back
+        x = hom.source.from_canonical(y)
+        return hom.target.to_canonical(hom.apply(x))
+
     b = f.target
     czero = tuple(0 for _ in g.target.canonical_orders())
-    kernel = [x for x in element_vectors(b) if g.apply_canonical(x) == czero]
-    image = {f.apply_canonical(a) for a in element_vectors(f.source)}
+    kernel = [x for x in element_vectors(b) if apply_canonical(g, x) == czero]
+    image = {apply_canonical(f, a) for a in element_vectors(f.source)}
     kset = set(kernel)
     if not image <= kset:
         raise AssertionError("composite is not zero on elements")
@@ -168,6 +209,24 @@ def dense_homology(cx, n):
 # ---------------------------------------------------------------- dense nerve
 
 
+def _sparse(matrix):
+    return [{i: v for i, v in enumerate(matrix.col(j)) if v}
+            for j in range(matrix.ncols)]
+
+
+def complex_from_dense(groups, boundaries):
+    """The ChainComplex of presented groups and boundary homs
+    (boundaries[0] is None): each boundary must run from its degree's
+    group to the one below, and the library checks the rest."""
+    groups, boundaries = list(groups), list(boundaries)
+    for n, (b, g) in enumerate(zip(boundaries[1:], groups[1:]), 1):
+        if b.source != g or b.target != groups[n - 1]:
+            raise StructuralDefect("boundary %d has wrong endpoints" % n)
+    return ChainComplex([g.ngens for g in groups],
+                        [_sparse(g.relations) for g in groups],
+                        [None] + [_sparse(b.matrix) for b in boundaries[1:]])
+
+
 def _chain_group(cat, module, chain, degree):
     if degree == 0:
         return module.groups[chain]
@@ -177,7 +236,7 @@ def _chain_group(cat, module, chain, degree):
 def dense_nerve_complex(cat, module, maxdeg):
     """Chain complex of the normalized nerve up to degree maxdeg, built
     from dense block-diagonal relations and dense boundary columns and
-    handed to the dense-input ChainComplex constructor."""
+    handed over by `complex_from_dense`."""
     if maxdeg < 1:
         raise StructuralDefect("a complex needs at least degree 1")
     chains = _chain_tuples(cat, maxdeg)
@@ -227,7 +286,7 @@ def dense_nerve_complex(cat, module, maxdeg):
                 cols.append(col)
         mat = ZMatrix.from_cols(cols, groups[n - 1].ngens)
         boundaries.append(AbHom(groups[n], groups[n - 1], mat, checked=True))
-    return ChainComplex(groups, boundaries)
+    return complex_from_dense(groups, boundaries)
 
 
 # ---------------------------------------------------------------- relation span
@@ -236,7 +295,8 @@ def dense_nerve_complex(cat, module, maxdeg):
 def in_relation_span_by_solve(group, vec):
     """True iff some integer x has R x = vec, for the pruned relations R
     of the group, found by a solve on a separate Smith form."""
-    return ColumnSolver(prune_columns(group.relations)).contains(vec)
+    return ColumnSolver(prune_columns(group.relations)).solve_vector(
+        vec) is not None
 
 
 # ---------------------------------------------------------------- periodic resolution
@@ -346,6 +406,78 @@ def random_zero_composite(rng, max_elements=512):
     gbar = random_hom(rng, coker, c, c_diag)
     g = AbHom(b, c, gbar.matrix)
     return f, g
+
+
+def random_ses(rng, n_identities=3, max_order=12):
+    """Short exact sequence of modules over a random directed identity
+    poset (no loops): multiply-by-c into Z/m, reduce onto Z/gcd(c, m).
+
+    Returns (groupoid, lcat, sub, mid, quot, inclusion, projection)."""
+    rog = random_og(rng, n_identities, max_group=1, directed=True)
+    g0 = rog.groupoid
+    lc = build_lcat(g0)
+    c = rng.randint(2, 6)
+    m = {e: rng.randint(2, max_order) for e in g0.identities}
+    covers = [(hi, lo) for (lo, hi) in g0.identity_poset.covers()]
+    tmult = {}
+    for (hi, lo) in covers:
+        step = m[lo] // gcd(m[lo], m[hi])
+        tmult[(hi, lo)] = rng.choice(list(range(0, m[lo], step)))
+
+    def build(order_of):
+        groups = {e: _cyclic_group(order_of[e]) for e in g0.identities}
+        pm = {(hi, lo): ZMatrix([[tmult[(hi, lo)]]]) for (hi, lo) in covers}
+        return module_from_parts(lc, groups, pm, {})
+
+    mid = build(m)
+    sub = build({e: m[e] // gcd(c, m[e]) for e in g0.identities})
+    quo = build({e: gcd(c, m[e]) for e in g0.identities})
+    incl = GMap(sub, mid,
+                {e: AbHom(sub.groups[e], mid.groups[e], ZMatrix([[c]]))
+                 for e in g0.identities})
+    proj = GMap(mid, quo,
+                {e: AbHom(mid.groups[e], quo.groups[e], ZMatrix([[1]]))
+                 for e in g0.identities})
+    return g0, lc, sub, mid, quo, incl, proj
+
+
+def random_surjection(rng, b_module, max_scale=6):
+    """(quotient module, componentwise surjective map): reduce every
+    group modulo a common scale, actions unchanged."""
+    n = rng.randint(1, max_scale)
+    base = b_module.base
+    groups = {}
+    projs = {}
+    for x, g in b_module.groups.items():
+        extra = ZMatrix([[n if i == j else 0 for j in range(g.ngens)]
+                         for i in range(g.ngens)], ncols=g.ngens)
+        tgt = FgAbGroup(g.ngens, g.relations.hstack(extra))
+        groups[x] = tgt
+        projs[x] = AbHom(g, tgt, ZMatrix.identity(g.ngens), checked=True)
+    action = {}
+    for mor in base.morphisms:
+        src, tgt = base.dom[mor], base.cod[mor]
+        action[mor] = AbHom(groups[src], groups[tgt],
+                            b_module.action[mor].matrix)
+    tgt_module = GModule(base, groups, action)
+    return tgt_module, GMap(b_module, tgt_module, projs)
+
+
+# ---------------------------------------------------------------- small categories
+
+
+def group_category(m):
+    """One-object category of the cyclic group Z/m.
+
+    Morphism ids are "t0" (identity), "t1", ..., "t{m-1}".
+    """
+    names = ["t%d" % i for i in range(m)]
+    obj = "*"
+    comp = {(names[i], names[j]): names[(i + j) % m]
+            for i in range(m) for j in range(m)}
+    return FiniteCategory([obj], list(names),
+                          {n: obj for n in names}, {n: obj for n in names},
+                          {obj: names[0]}, comp)
 
 
 # ---------------------------------------------------------------- beta-classes
@@ -579,10 +711,13 @@ def chain_tuples_by_scan(cat, maxdeg):
 def first_schema_error(doc, schema):
     """(pointer, message) of the error jsonschema reports first for
     `doc` under `schema`, errors sorted by their JSONPath string, or
-    None when `doc` is valid."""
+    None when `doc` is valid.  The pointer escapes "~" and "/" in keys
+    as RFC 6901 asks."""
     errors = sorted(Draft202012Validator(schema).iter_errors(doc),
                     key=lambda e: e.json_path)
     if not errors:
         return None
     e = errors[0]
-    return "/" + "/".join(str(p) for p in e.absolute_path), e.message
+    steps = (str(p).replace("~", "~0").replace("/", "~1")
+             for p in e.absolute_path)
+    return "/" + "/".join(steps), e.message

@@ -44,15 +44,16 @@ from oghom.randgen import (
     random_module,
     random_og,
     random_quotient_module,
-    random_ses,
-    random_surjection,
 )
-from oghom.zmodule import homology_at, is_unimodular, snf
+from oghom.zmodule import homology_at, snf
 
 from .oracles import (
     brute_force_homology,
+    is_unimodular,
     periodic_cyclic_homology,
     random_int_matrix,
+    random_ses,
+    random_surjection,
     random_zero_composite,
 )
 from .test_groupoid import clifford_mutations

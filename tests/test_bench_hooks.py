@@ -5,13 +5,18 @@ reads the degree of a `homology` call from its third positional
 argument.  A rename or a signature change in `src/oghom` would break
 `perfbench/run.py --trace 1` without failing any library test, so the
 hook table is read here (loaded, never installed) and checked against
-the package.
+the package, and the nerve counter is run on a real complex.
 """
 
 import importlib
 import importlib.util
 import inspect
 import os
+from collections import defaultdict
+from types import SimpleNamespace
+
+from oghom import fixtures
+from oghom.homology import nerve_complex
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                        "perfbench", "tracing.py")
@@ -43,3 +48,18 @@ def test_homology_degree_is_the_third_positional_parameter():
     params = list(inspect.signature(homology.homology).parameters.values())
     assert params[2].name == "n"
     assert params[2].kind == inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_nerve_counter_reads_the_sparse_complex():
+    # whatever view of the complex the counter reads, its counts must
+    # be those of the sparse form the library keeps
+    bundle = fixtures.load("cyclic3")
+    cx = nerve_complex(bundle.lc.category, bundle.modules["const"], 3)
+    tracer = SimpleNamespace(counts=defaultdict(int))
+    load_tracing()._count_nerve(tracer, (), {}, cx)
+    assert [tracer.counts["homology.chain_rank.d%d" % n]
+            for n in range(4)] == cx.ngens == [1, 2, 4, 8]
+    assert [tracer.counts["homology.boundary_nnz.d%d" % n]
+            for n in range(1, 4)] == [
+        sum(1 for col in cx.columns[n] for v in col.values() if v)
+        for n in range(1, 4)]

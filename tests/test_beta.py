@@ -11,7 +11,6 @@ from oghom import fixtures, io
 from oghom.beta import (
     all_ideals_directed,
     beta_classes,
-    beta_related,
     beta_transitive,
     beta_witness,
     check_quotient_welldefined,
@@ -33,7 +32,7 @@ def test_beta_witness_clifford():
     assert beta_witness(g, "s", "t") == "t"  # t <= s and t <= t
     assert beta_witness(g, "1", "f") == "f"
     assert beta_witness(g, "s", "1") is None
-    assert beta_related(g, "t", "s") == (True, "t")
+    assert beta_witness(g, "t", "s") == "t"
 
 
 def test_beta_classes_clifford():
@@ -82,9 +81,9 @@ def test_twofold_not_directed():
     assert not beta_transitive(g)[0]
     # the split survives restriction to s: sA and sB sit below s but
     # share no lower bound, so that chain is a counterexample too
-    assert beta_related(g, "sA", "s")[0]
-    assert beta_related(g, "s", "sB")[0]
-    assert not beta_related(g, "sA", "sB")[0]
+    assert beta_witness(g, "sA", "s") is not None
+    assert beta_witness(g, "s", "sB") is not None
+    assert beta_witness(g, "sA", "sB") is None
     # and the identity ideal over 1 is itself non-directed
     ok_ideals, witness = all_ideals_directed(g)
     assert not ok_ideals and witness == ("1", ("e", "f"))

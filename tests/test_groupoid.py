@@ -90,8 +90,6 @@ def test_clifford_structure():
     assert g.corestriction("s", "f") == "t"
     with pytest.raises(PreconditionViolation):
         g.restriction("1", "t")
-    assert g.pseudoproduct("s", "t") == "f"
-    assert g.pseudoproduct("s", "s") == "1"
     assert g.identity_lower_bounds("1", "f") == {"f"}
 
 
@@ -128,4 +126,3 @@ def test_twofold_shape():
     assert g.restriction("f", "s") == "sB"
     # e and f have no common lower bound among identities of s's class
     assert g.identity_lower_bounds("e", "f") == set()
-    assert g.pseudoproduct("sA", "sB") is None

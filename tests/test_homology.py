@@ -16,7 +16,11 @@ from oghom.homology import (
     nerve_complex,
 )
 from oghom.zmodule import AbHom, FgAbGroup, ZMatrix, direct_sum
-from .oracles import in_relation_span_by_solve, periodic_cyclic_homology
+from .oracles import (
+    complex_from_dense,
+    in_relation_span_by_solve,
+    periodic_cyclic_homology,
+)
 from .test_reduction import cyclic_bundle
 
 
@@ -25,7 +29,7 @@ def test_chain_complex_rejects_bad_square():
     dbl = AbHom(z, z, ZMatrix([[2]]))
     ident = AbHom.identity(z)
     with pytest.raises(StructuralDefect):
-        ChainComplex([z, z, z], [None, ident, dbl])
+        complex_from_dense([z, z, z], [None, ident, dbl])
 
 
 def test_chain_complex_zero_mod_relations():
@@ -35,14 +39,36 @@ def test_chain_complex_zero_mod_relations():
     z2 = FgAbGroup.from_invariants(0, [2])
     b1 = AbHom(z4, z2, ZMatrix([[1]]))
     b2 = AbHom(z, z4, ZMatrix([[2]]))
-    cx = ChainComplex([z2, z4, z], [None, b1, b2])
-    assert not b2.then(b1).matrix.is_zero()
+    cx = complex_from_dense([z2, z4, z], [None, b1, b2])
+    assert b2.then(b1).matrix != ZMatrix.zeros(1, 1)
     assert cx.homology(1).is_trivial()
     assert cx.top_degree == 2
     with pytest.raises(StructuralDefect):
         cx.homology(2)  # needs chains one degree higher
     with pytest.raises(StructuralDefect):
-        ChainComplex([z2, z4], [None, b1, b2])
+        # three boundary slots for two degrees
+        ChainComplex(cx.ngens[:2], cx.relations[:2], cx.columns)
+
+
+def test_chain_complex_checks_sparse_shapes():
+    # Z/2 <-1- Z/4 <-2- Z, with one part of its sparse form broken at a time
+    ngens = [1, 1, 1]
+    relations = [[{0: 2}], [{0: 4}], []]
+    columns = [None, [{0: 1}], [{0: 2}]]
+    assert ChainComplex(ngens, relations, columns).homology(1).is_trivial()
+    for bad in ([{}, [{0: 1}], [{0: 2}]],   # a boundary out of degree 0
+                [None, [{0: 1}], []],      # no column for the generator
+                [None, [{0: 1}], [{1: 2}]],  # a row past C_1
+                [None, [{-1: 1}], [{0: 2}]]):
+        with pytest.raises(StructuralDefect):
+            ChainComplex(ngens, relations, bad)
+    with pytest.raises(StructuralDefect):
+        ChainComplex(ngens, [[{0: 2}], [{1: 4}], []], columns)
+    with pytest.raises(StructuralDefect):
+        # the dense helper refuses a boundary into the wrong group
+        z2 = FgAbGroup.from_invariants(0, [2])
+        z4 = FgAbGroup.from_invariants(0, [4])
+        complex_from_dense([z4, z4], [None, AbHom(z4, z2, ZMatrix([[1]]))])
 
 
 def corrupted(cx, n, i, j):
@@ -77,7 +103,7 @@ def test_corrupted_nerve_boundary_is_rejected(case):
     # nerve composites are mostly zero columns; one changed entry must
     # still be caught wherever the solve oracle finds ∂² nonzero
     cx = corruption_case(case)
-    ChainComplex(cx.groups, cx.boundaries)
+    complex_from_dense(cx.groups, cx.boundaries)
     caught = 0
     for n in range(1, 4):
         mat = cx.boundaries[n].matrix
@@ -85,10 +111,10 @@ def test_corrupted_nerve_boundary_is_rejected(case):
             for j in range(mat.ncols):
                 boundaries = corrupted(cx, n, i, j)
                 if squares_to_zero_by_solve(cx.groups, boundaries):
-                    ChainComplex(cx.groups, boundaries)
+                    complex_from_dense(cx.groups, boundaries)
                     continue
                 with pytest.raises(StructuralDefect):
-                    ChainComplex(cx.groups, boundaries)
+                    complex_from_dense(cx.groups, boundaries)
                 caught += 1
     assert caught >= 40
 
@@ -98,7 +124,7 @@ def test_corrupted_nerve_column_is_rejected(case):
     # the same corruptions, made on the sparse columns and rebuilt from
     # them, against the same solve oracle
     cx = corruption_case(case)
-    ChainComplex.from_columns(cx.ngens, cx.relations, cx.columns)
+    ChainComplex(cx.ngens, cx.relations, cx.columns)
     caught = 0
     for n in range(1, 4):
         for j in range(cx.ngens[n]):
@@ -108,10 +134,10 @@ def test_corrupted_nerve_column_is_rejected(case):
                 col[i] = col.get(i, 0) + 1
                 columns[n][j] = {r: v for r, v in col.items() if v}
                 if squares_to_zero_by_solve(cx.groups, corrupted(cx, n, i, j)):
-                    ChainComplex.from_columns(cx.ngens, cx.relations, columns)
+                    ChainComplex(cx.ngens, cx.relations, columns)
                     continue
                 with pytest.raises(StructuralDefect):
-                    ChainComplex.from_columns(cx.ngens, cx.relations, columns)
+                    ChainComplex(cx.ngens, cx.relations, columns)
                 caught += 1
     assert caught >= 40
 

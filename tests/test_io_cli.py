@@ -132,6 +132,84 @@ def test_poset_map_errors():
     assert exc.value.pointer == "/m/poset_maps/f>e"
 
 
+def renamed(doc, old, new):
+    """`doc` with identity `old` renamed to `new`, in ids and in the
+    "upper>lower" keys of poset maps."""
+    text = json.dumps(doc)
+    for a in ('"%s"', '"%s>', '>%s"'):
+        text = text.replace(a % old, a % json.dumps(new)[1:-1])
+    return json.loads(text)
+
+
+def test_identity_names_may_hold_the_key_separator(tmp_path, capsys):
+    doc = renamed(fixtures.doc("chain2"), "e", "a>b")
+    assert list(doc["modules"]["const"]["poset_maps"]) == ["a>b>f"]
+    p = tmp_path / "renamed.json"
+    p.write_text(io.dumps(doc))
+    assert main(["validate", str(p)]) == 0
+    capsys.readouterr()
+    outs = []
+    for path in (str(p), "chain2"):
+        assert main(["homology", path, "--module", "const", "--json"]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    # module_to_doc writes the keys that load reads back
+    _, cand, mods = io.load(doc)
+    g0 = OrderedGroupoid.from_candidate(cand)
+    lc = build_lcat(g0)
+    for name, mdoc in mods.items():
+        built = io.build_module(g0, lc, mdoc)
+        again = io.module_to_doc(g0, built)
+        assert list(again["poset_maps"]) == ["a>b>f"]
+        rebuilt = io.build_module(g0, lc, again)
+        for m in built.action:
+            assert built.action[m].matrix == rebuilt.action[m].matrix
+
+
+def test_key_naming_two_covering_pairs_is_refused():
+    # "a>b>c" is the key of b>c below a and of c below a>b
+    doc = {"schema": 1, "identities": ["a", "b>c", "a>b", "c"],
+           "arrows": [], "compose": [], "order": [["b>c", "a"], ["c", "a>b"]]}
+    g0 = OrderedGroupoid.from_candidate(io.load(doc)[1])
+    mdoc = {"groups": {e: {"rank": 1} for e in g0.identities},
+            "poset_maps": {"a>b>c": [[1]]}}
+    with pytest.raises(SchemaViolation) as exc:
+        io.build_module(g0, build_lcat(g0), mdoc, base="/m")
+    assert exc.value.pointer == "/m/poset_maps/a>b>c"
+    assert "('a', 'b>c')" in exc.value.message
+    assert "('a>b', 'c')" in exc.value.message
+
+
+def test_pointers_escape_keys(tmp_path, capsys):
+    # RFC 6901: "/" in a key is "~1", "~" is "~0"
+    bad = {"ngens": 2, "relations": [[1], [1, 2]]}
+    doc = mutated("chain2", lambda d: d["modules"].update(
+        {"a/b": {"groups": {"e": bad, "f": {"rank": 1}}},
+         "~": {"groups": {"e": {"rank": 1}, "f": {"rank": 2.5}}}}))
+    assert_schema_check_agrees(doc)
+    assert schema_error(doc, io._WORKSPACE)[0] == "/modules/~0/groups/f"
+    doc["modules"]["~"]["groups"]["f"] = {"rank": 1}
+    p = tmp_path / "slash.json"
+    p.write_text(io.dumps(doc))
+    assert main(["homology", str(p), "--module", "a/b"]) == 2
+    assert capsys.readouterr().err == (
+        "input error at /modules/a~1b/groups/e: ragged relation matrix\n")
+    assert main(["homology", str(p), "--module", "a~b"]) == 2
+    assert capsys.readouterr().err.startswith("input error at /modules/a~0b:")
+
+
+def test_input_error_is_one_line(tmp_path):
+    doc = renamed(fixtures.doc("chain2"), "e", "z\n")
+    doc["modules"]["const"]["groups"]["z\n"] = {"ngens": 1,
+                                                "relations": [[1, 2], [3]]}
+    p = tmp_path / "newline.json"
+    p.write_text(io.dumps(doc))
+    code, err = cli(["homology", str(p), "--module", "const"])
+    assert code == 2
+    assert err == ("input error at /modules/const/groups/z\\n:"
+                   " ragged relation matrix\n")
+
+
 def test_group_specs():
     g = io.group_from_spec({"rank": 1, "torsion": [2, 4]})
     assert g.canonical_form() == (1, (2, 4))
@@ -364,7 +442,7 @@ def at(doc, path):
     return doc
 
 
-NAMES = ["a b", "e>f", "", "x'y", "é", "_1", "zz", "z\n", "1"]
+NAMES = ["a b", "e>f", "", "x'y", "é", "_1", "zz", "z\n", "1", "a/b", "~"]
 VALUES = [True, False, None, "x", [], {}, -1, 0, 1.5, 2.0, 10 ** 30,
           [[1]], {"rank": 1}]
 BAD_GROUPS = [{}, {"rank": 1, "ngens": 1}, {"relations": []},
@@ -431,13 +509,10 @@ def mutate_once(data, doc):
         ids = [v for p, v in everything
                if len(p) > 1 and p[-2] == "identities" and isinstance(v, str)]
         if ids:
-            old = data.draw(st.sampled_from(ids))
-            new = data.draw(st.sampled_from(NAMES))
-            text = json.dumps(doc)
-            for a, b in (('"%s"', '"%s"'), ('"%s>', '"%s>'), ('>%s"', '>%s"')):
-                text = text.replace(a % old, b % json.dumps(new)[1:-1])
+            new = renamed(doc, data.draw(st.sampled_from(ids)),
+                          data.draw(st.sampled_from(NAMES)))
             doc.clear()
-            doc.update(json.loads(text))
+            doc.update(new)
 
 
 @given(st.data())

@@ -1,0 +1,105 @@
+"""Every definition in the library is reached, or kept for a stated reason.
+
+A top-level function or class of `src/oghom/*.py`, or a method that is
+not a dunder, is reached when its name occurs as a name, an attribute
+or an identifier-only string somewhere in those modules outside its own
+body, or anywhere in `perfbench/` outside `perfbench/tests/`.  The
+package `__init__.py` only re-exports, so it does not count as a use,
+and neither do the tests.  A definition nothing reaches must be on
+KEEP, with the reason it stays.
+"""
+
+import ast
+import pathlib
+import re
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "oghom"
+BENCH = ROOT / "perfbench"
+
+KEEP = {
+    # next callers: cohomology and the dual comparison (ROADMAP item 2)
+    # and exact Hom groups for the rho/tau adjunction (item 3)
+    "randgen.random_quotient_module": "random modules over G/beta",
+    "gmodules.expand_map": "E on maps",
+    "gmodules.colim_E_map": "colim_E on maps",
+    "gmodules.GMap.identity": "identity maps of modules",
+    "gmodules.GMap.is_componentwise_surjective": "epimorphisms of modules",
+    "zmodule.AbHom.is_injective": "monomorphisms of groups",
+    "zmodule.FgAbGroup.from_canonical": "elements from canonical coordinates",
+    # the paper's choice-independence verifiers
+    "beta.check_quotient_welldefined": "composition in G/beta is choice-free",
+    "gmodules.check_quotient_action": "the class action is choice-free",
+    # what the library is about
+    "beta.beta_witness": "the definition of beta",
+    "groupoid.ValidationReport.has": "the validation report's query",
+}
+
+IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def used_names(tree):
+    """How often each name, attribute and identifier-only string occurs
+    in `tree`."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and IDENTIFIER.match(node.value)):
+            found[node.value] += 1
+    return found
+
+
+def definitions(module, tree):
+    """("module.name" or "module.Class.method", node) for the top-level
+    functions and classes of `tree` and the non-dunder methods of its
+    classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield "%s.%s" % (module, node.name), node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, defs[:2])
+                            and not (item.name.startswith("__")
+                                     and item.name.endswith("__"))):
+                        yield "%s.%s.%s" % (module, node.name,
+                                            item.name), item
+
+
+def library_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def unreached():
+    trees = library_trees()
+    library = Counter()
+    for tree in trees.values():
+        library.update(used_names(tree))
+    bench = Counter()
+    for path in BENCH.rglob("*.py"):
+        if "tests" not in path.relative_to(BENCH).parts:
+            bench.update(used_names(ast.parse(path.read_text(
+                encoding="utf-8"))))
+    # a use inside the definition's own body does not count
+    return {qualname for module, tree in trees.items()
+            for qualname, node in definitions(module, tree)
+            if not bench[node.name]
+            and library[node.name] <= used_names(node)[node.name]}
+
+
+def test_every_definition_is_reached_or_kept():
+    extra = sorted(unreached() - set(KEEP))
+    assert not extra, "reached by nothing and not on KEEP: %s" % extra
+
+
+def test_every_kept_name_is_defined():
+    defined = {q for module, tree in library_trees().items()
+               for q, _ in definitions(module, tree)}
+    assert not set(KEEP) - defined

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from oghom import fixtures, io
 from oghom.beta import beta_transitive, quotient
-from oghom.category import group_category, groupoid_as_category
+from oghom.category import groupoid_as_category
 from oghom.groupoid import validate
 from oghom.homology import _chain_tuples
 from oghom.lcat import build_lcat
@@ -25,6 +25,7 @@ from .oracles import (
     beta_transitive_by_scan,
     category_problems_by_scan,
     chain_tuples_by_scan,
+    group_category,
     validate_by_scan,
 )
 from .test_connected import connected_candidate, connected_groupoid
@@ -108,7 +109,7 @@ def corrupt_category(cat, rng):
 
 
 def violations(cand):
-    return sorted(v.as_pair() for v in validate(cand).violations)
+    return sorted((v.axiom, v.witness) for v in validate(cand).violations)
 
 
 def assert_validate_agrees(cand):

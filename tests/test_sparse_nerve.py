@@ -2,7 +2,7 @@
 
 `nerve_complex` emits sparse columns and `tests/oracles.py` keeps the
 dense construction (block-diagonal relations, dense boundary columns,
-the dense-input constructor).  The dense views of the sparse complex
+handed to `ChainComplex` by `complex_from_dense`).  The dense views of the sparse complex
 must equal the oracle's matrices exactly, and both must give the same
 homology.
 """
