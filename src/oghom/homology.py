@@ -7,20 +7,21 @@ identity contribute nothing), and drops the last entry, with alternating
 signs.  Degree zero is one summand per object and H_0 is checked against
 the colimit presentation every time it is computed.
 
-A `ChainComplex` keeps only sparse columns (see its docstring):
-`nerve_complex` emits them, ∂² = 0 is checked on them and the reduction
-below reads and returns them; dense matrices are views built on demand.
+`nerve_complex` writes each coefficient group in canonical coordinates
+first, so a `ChainComplex` keeps only the cyclic order of each generator
+and sparse boundary columns (see its docstring): ∂² = 0 is checked and
+the reduction below runs on them; dense matrices are views built on
+demand.
 
 Homology is not solved on the nerve itself.  Nerve boundaries are mostly
 0/±1, so `ChainComplex.homology` first shrinks the complex by
 unit-pivot elimination (the Gaussian-elimination lemma of Kaczynski,
 Mrozek & Ślusarek, 1998), working on the sparse columns: a generator a of
-C_n and a generator b of C_(n-1) that span cyclic direct summands of the
-same order k, with u = <∂a, b> a unit mod k (±1 when k = 0), are
-cancelled together, and every other column a' of ∂_n becomes
-a' - <∂a', b> u⁻¹ ∂a.  Generators of order 1 are dropped.  Only the
-small residual is handed, through its dense views, to the Smith-form
-solver `homology_at`.
+C_n and a generator b of C_(n-1) of the same order k, with u = <∂a, b> a
+unit mod k (±1 when k = 0), are cancelled together, and every other
+column a' of ∂_n becomes a' - <∂a', b> u⁻¹ ∂a.  Only the small residual
+is handed, through its dense views, to the Smith-form solver
+`homology_at`.
 Homology is asked only below the top degree, where just the image of
 the top boundary counts, so the residual keeps only its nonzero
 columns, on free generators.
@@ -39,12 +40,6 @@ from .zmodule import AbHom, FgAbGroup, ZMatrix, homology_at
 MAX_CHAIN_RANK = 10000
 
 
-def _columns(matrix):
-    """The columns of a ZMatrix as {row: entry} dicts of nonzero entries."""
-    return [{i: v for i, v in enumerate(matrix.col(j)) if v}
-            for j in range(matrix.ncols)]
-
-
 def _matrix(columns, nrows):
     """The ZMatrix whose columns are the given {row: entry} dicts."""
     rows = [[0] * len(columns) for _ in range(nrows)]
@@ -55,17 +50,19 @@ def _matrix(columns, nrows):
 
 
 class ChainComplex:
-    """Degree n has `ngens[n]` generators, relation columns `relations[n]`
-    and, for n >= 1, boundary columns `columns[n]` (one per generator;
-    columns[0] is None), each a {row: entry} dict of nonzero entries.
+    """Degree n is the direct sum of cyclic groups Z/k, one per entry k
+    of `orders[n]` (0 for Z, otherwise at least 2), and for n >= 1 has
+    boundary columns `columns[n]` (one per generator; columns[0] is
+    None), each a {row: entry} dict of nonzero entries.
 
-    Consecutive boundaries must compose to the zero map (zero modulo the
-    relations of the target, not the zero matrix); unless checked=True
-    promises it, the shapes and ∂² = 0 are checked here.  `groups` and
-    `boundaries` are dense views, built on first use."""
+    Consecutive boundaries must compose to zero modulo the order of each
+    row; unless checked=True promises it, the shapes and ∂² = 0 are
+    checked here.  `groups` and `boundaries` are dense views, built on
+    first use."""
 
-    def __init__(self, ngens, relations, columns, checked=False):
-        self.ngens, self.relations = list(ngens), list(relations)
+    def __init__(self, orders, columns, checked=False):
+        self.orders = [list(ks) for ks in orders]
+        self.ngens = [len(ks) for ks in self.orders]
         self.columns = list(columns)
         self._groups, self._boundaries = [None] * len(self.ngens), None
         self._reduced = None
@@ -75,14 +72,13 @@ class ChainComplex:
 
     def _check_shapes(self):
         ngens = self.ngens
-        if not len(self.relations) == len(self.columns) == len(ngens):
+        if len(self.columns) != len(ngens):
             raise StructuralDefect("one boundary per degree expected")
         if self.columns and self.columns[0] is not None:
             raise StructuralDefect("degree 0 has no boundary")
-        for n, rels in enumerate(self.relations):
-            if not all(0 <= i < ngens[n] for col in rels for i in col):
-                raise StructuralDefect(
-                    "relation rows of degree %d out of range" % n)
+        for n, ks in enumerate(self.orders):
+            if any(k == 1 or k < 0 for k in ks):
+                raise StructuralDefect("an order of degree %d is 1 or < 0" % n)
         for n in range(1, len(ngens)):
             cols = self.columns[n]
             if len(cols) != ngens[n] or not all(
@@ -91,27 +87,24 @@ class ChainComplex:
                     "boundary %d has wrong endpoints" % n)
 
     def _check_square(self):
-        # compose column by column; only the nonzero composites reach
-        # the target group, whose dense form is built just for them
+        # compose column by column; each entry must vanish modulo the
+        # order of its row
         for n in range(2, len(self.ngens)):
-            lower = self.columns[n - 1]
-            nonzero = []
+            lower, ks = self.columns[n - 1], self.orders[n - 2]
             for col in self.columns[n]:
                 comp = {}
                 for r, v in col.items():
                     for s, w in lower[r].items():
                         comp[s] = comp.get(s, 0) + v * w
-                if any(comp.values()):
-                    nonzero.append(comp)
-            if nonzero and not self._group(n - 2).kills(
-                    _matrix(nonzero, self.ngens[n - 2])):
-                raise StructuralDefect(
-                    "boundary squared is nonzero at degree %d" % n)
+                if any(v % ks[s] if ks[s] else v for s, v in comp.items()):
+                    raise StructuralDefect(
+                        "boundary squared is nonzero at degree %d" % n)
 
     def _group(self, n):
         if self._groups[n] is None:
-            self._groups[n] = FgAbGroup(
-                self.ngens[n], _matrix(self.relations[n], self.ngens[n]))
+            self._groups[n] = FgAbGroup(self.ngens[n], _matrix(
+                [{i: k} for i, k in enumerate(self.orders[n]) if k],
+                self.ngens[n]))
         return self._groups[n]
 
     @property
@@ -173,27 +166,11 @@ class ChainComplex:
         return homology_at(f, g)
 
 
-def _summand_orders(ngens, relations):
-    """Per generator: the order of the cyclic direct summand it spans (0
-    for infinite), or None when a relation ties it to another generator."""
-    orders = [0] * ngens
-    for col in relations:
-        if len(col) == 1:
-            (i, v), = col.items()
-            if orders[i] is not None:
-                orders[i] = gcd(orders[i], v)
-        else:
-            for i in col:
-                orders[i] = None
-    return orders
-
-
 def _reduce(cx):
     """Cancel unit pivots degree by degree, lowest first, on the sparse
     columns of cx; returns the residual in the same form."""
     top = cx.top_degree
-    orders = [_summand_orders(n, rels)
-              for n, rels in zip(cx.ngens, cx.relations)]
+    orders = cx.orders
     alive = [[True] * n for n in cx.ngens]
     # cols[n][j]: column j of ∂_n, rows ascending, entries of a row of
     # finite order k kept mod k; rows[n][i]: columns of ∂_n nonzero in row i
@@ -227,13 +204,8 @@ def _reduce(cx):
                 del cols[n + 1][j][i]
             rows[n + 1][i] = None
 
-    for n in range(top + 1):
-        for i, k in enumerate(orders[n]):
-            if k == 1:
-                drop(n, i)
-
     def pivot_row(n, a):
-        # a row of the same summand order holding a unit, fewest columns
+        # a row of the same order holding a unit, fewest columns
         k = orders[n][a]
         units = [b for b, u in cols[n][a].items()
                  if orders[n - 1][b] == k
@@ -245,7 +217,7 @@ def _reduce(cx):
         queue = deque(range(len(cols[n])))
         while queue:
             a = queue.popleft()
-            if not alive[n][a] or orders[n][a] is None:
+            if not alive[n][a]:
                 continue
             b = pivot_row(n, a)
             if b is None:
@@ -275,21 +247,16 @@ def _reduce(cx):
             drop(n - 1, b)
 
     keep = [[i for i, on in enumerate(live) if on] for live in alive]
-    relations = list(cx.relations)
+    new_orders = [[orders[n][i] for i in kept] for n, kept in enumerate(keep)]
     if top:
         # below the top degree only the image of ∂_top counts: keep its
         # nonzero columns, on free generators
         keep[top] = [j for j in keep[top] if cols[top][j]]
-        relations[top] = []
+        new_orders[top] = [0] * len(keep[top])
     index = [{i: x for x, i in enumerate(kept)} for kept in keep]
-    # a relation on a removed generator involves no other one
-    new_relations = [[{index[n][i]: v for i, v in col.items()}
-                      for col in rels if col and next(iter(col)) in index[n]]
-                     for n, rels in enumerate(relations)]
     new_columns = [None] + [[{index[n - 1][i]: v for i, v in cols[n][j].items()}
                              for j in keep[n]] for n in range(1, top + 1)]
-    return ChainComplex([len(kept) for kept in keep],
-                        new_relations, new_columns, checked=True)
+    return ChainComplex(new_orders, new_columns, checked=True)
 
 
 def _chain_tuples(cat, maxdeg):
@@ -306,33 +273,46 @@ def _chain_tuples(cat, maxdeg):
 
 
 def nerve_complex(cat, module, maxdeg):
-    """Chain complex of the normalized nerve up to degree maxdeg; a chain's
-    relation columns are its coefficient group's, shifted to its offset."""
+    """Chain complex of the normalized nerve up to degree maxdeg, each
+    coefficient group in its canonical coordinates ⊕ Z/d_i with the
+    coordinates of order 1 dropped; a chain's generators are its
+    coefficient group's, shifted to its offset."""
     if maxdeg < 1:
         raise StructuralDefect("a complex needs at least degree 1")
     chains = _chain_tuples(cat, maxdeg)
-    group_rels = {o: _columns(g.relations) for o, g in module.groups.items()}
+    # equal coefficient groups share one instance, so one Smith form;
+    # kept[g]: the canonical coordinates of g whose order is not 1
+    first = {}
+    groups = {o: first.setdefault(g, g) for o, g in module.groups.items()}
+    kept = {g: [(i, k) for i, k in enumerate(g.canonical_orders()) if k != 1]
+            for g in first}
 
-    ngens, relations, offsets = [], [], []
+    orders, offsets = [], []
     for n, chain_list in enumerate(chains):
-        offs = {}
-        at = 0
-        rels = []
+        offs, ks = {}, []
         for c in chain_list:
+            offs[c] = len(ks)
             base = c if n == 0 else cat.dom[c[0]]
-            offs[c] = at
-            rels.extend({at + i: v for i, v in col.items()}
-                        for col in group_rels[base])
-            at += module.groups[base].ngens
-        if at > MAX_CHAIN_RANK:
+            ks.extend(k for _, k in kept[groups[base]])
+        if len(ks) > MAX_CHAIN_RANK:
             warnings.warn("chain group at degree %d has rank %d (limit %d)"
-                          % (n, at, MAX_CHAIN_RANK))
-        ngens.append(at)
-        relations.append(rels)
+                          % (n, len(ks), MAX_CHAIN_RANK))
+        orders.append(ks)
         offsets.append(offs)
 
-    pushed = {m: _columns(module.action[m].matrix)
-              for m in cat.nonidentity_morphisms()}
+    # per non-identity morphism and kept generator i of its domain's
+    # group: the order of i and the image of i, in kept coordinates
+    pushed = {}
+    for m in cat.nonidentity_morphisms():
+        src, tgt = groups[cat.dom[m]], groups[cat.cod[m]]
+        images = []
+        for i, k in kept[src]:
+            y = tgt.to_canonical(module.action[m].apply(src.from_canonical(
+                [int(j == i) for j in range(src.ngens)])))
+            images.append((k, {r: y[t] for r, (t, _) in enumerate(kept[tgt])
+                               if y[t]}))
+        pushed[m] = images
+
     columns = [None]
     for n in range(1, maxdeg + 1):
         below = offsets[n - 1]
@@ -350,13 +330,14 @@ def nerve_complex(cat, module, maxdeg):
                                   -1 if j % 2 else 1))
             terms.append((below[c[:-1] if n > 1 else cat.dom[c[0]]],
                           -1 if n % 2 else 1))
-            for i, push in enumerate(pushed[c[0]]):
+            for i, (k, push) in enumerate(pushed[c[0]]):
                 col = {head + r: v for r, v in push.items()}
                 for at, sign in terms:
-                    col[at + i] = col.get(at + i, 0) + sign
+                    v = col.get(at + i, 0) + sign
+                    col[at + i] = v % k if k else v
                 cols.append({r: v for r, v in col.items() if v})
         columns.append(cols)
-    return ChainComplex(ngens, relations, columns)
+    return ChainComplex(orders, columns)
 
 
 def homology(cat, module, n, complex_=None):

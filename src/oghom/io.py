@@ -349,6 +349,23 @@ def _matrix_from_doc(rows, nrows, ncols, pointer):
     return ZMatrix(rows, ncols=ncols)
 
 
+def _cover_keys(g0):
+    """The covering pairs (hi, lo) of the identity order by key "hi>lo"."""
+    covers = {}
+    for (lo, hi) in g0.identity_poset.covers():
+        covers.setdefault("%s>%s" % (hi, lo), []).append((hi, lo))
+    return covers
+
+
+def _one_pair(pairs, at):
+    """The covering pair of a key, refused when the key names several."""
+    if len(pairs) > 1:
+        raise SchemaViolation(
+            at, "key names the covering pairs %s" % ", ".join(
+                "(%r, %r)" % pair for pair in pairs))
+    return pairs[0]
+
+
 def module_parts_from_doc(g0, mdoc, base=""):
     """Module JSON -> (groups, poset_maps, arrow_maps) over g0."""
     idset = set(g0.identities)
@@ -365,11 +382,9 @@ def module_parts_from_doc(g0, mdoc, base=""):
             raise SchemaViolation(pointer(base, "groups"),
                                   "missing group for identity %r" % e)
 
-    # a key is looked up as module_to_doc writes it, so identity names
-    # may hold ">" as long as no two covering pairs share a key
-    covers = {}
-    for (lo, hi) in g0.identity_poset.covers():
-        covers.setdefault("%s>%s" % (hi, lo), []).append((hi, lo))
+    # identity names may hold ">" as long as no two covering pairs share
+    # a key
+    covers = _cover_keys(g0)
     poset_maps = {}
     for key, rows in mdoc.get("poset_maps", {}).items():
         at = pointer(base, "poset_maps", key)
@@ -383,11 +398,7 @@ def module_parts_from_doc(g0, mdoc, base=""):
                     raise DanglingReference(at, ref)
             raise SchemaViolation(
                 at, "%r does not cover %r in the identity order" % (hi, lo))
-        if len(pairs) > 1:
-            raise SchemaViolation(
-                at, "key names the covering pairs %s" % ", ".join(
-                    "(%r, %r)" % pair for pair in pairs))
-        (hi, lo), = pairs
+        hi, lo = _one_pair(pairs, at)
         poset_maps[(hi, lo)] = _matrix_from_doc(
             rows, groups[lo].ngens, groups[hi].ngens, at)
     for pairs in covers.values():
@@ -469,15 +480,16 @@ def group_to_doc(group):
 
 
 def module_to_doc(g0, module):
-    """Module -> loadable parts document, presentations preserved."""
+    """Module -> loadable parts document, presentations preserved;
+    refused, as loading would be, when two covering pairs share a key."""
     groups = {}
     for e in g0.identities:
         g = module.groups[e]
         groups[e] = {"ngens": g.ngens, "relations": g.relations.to_lists()}
     poset_maps = {}
-    for (lo, hi) in g0.identity_poset.covers():
-        poset_maps["%s>%s" % (hi, lo)] = (
-            module.action[(hi, lo)].matrix.to_lists())
+    for key, pairs in _cover_keys(g0).items():
+        hi, lo = _one_pair(pairs, pointer("", "poset_maps", key))
+        poset_maps[key] = module.action[(hi, lo)].matrix.to_lists()
     arrow_maps = {}
     for g in g0.nonidentity_arrows():
         arrow_maps[g] = module.action[(g0.d[g], g)].matrix.to_lists()

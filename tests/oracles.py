@@ -8,9 +8,11 @@ multiplication by a single integer and the whole computation is gcd
 arithmetic; the dense homology solves the unreduced boundaries,
 skipping the unit-pivot elimination of `ChainComplex.homology`, and the
 dense nerve builds block-diagonal relation matrices and dense boundary
-columns, where the library emits sparse columns; `complex_from_dense`
-hands such dense groups and boundaries to `ChainComplex`, checking
-their endpoints on the way.
+columns in presented coordinates, where the library writes each
+coefficient group in canonical coordinates first and emits sparse
+columns; `complex_from_dense` transports such dense groups and
+boundaries to canonical coordinates, block by block, and hands them to
+`ChainComplex`, checking their endpoints on the way.
 Determinants (and so unimodularity of Smith transforms) come from a
 Bareiss elimination of their own.
 Relation-span membership is decided by solving R x = v against a Smith
@@ -195,36 +197,75 @@ def brute_force_homology(f, g):
 # ---------------------------------------------------------------- dense homology
 
 
-def dense_homology(cx, n):
-    """Canonical form of H_n of a ChainComplex from one dense solve on
-    its unreduced boundaries, with no pivot elimination."""
-    f = cx.boundaries[n + 1]
+def dense_homology(groups, boundaries, n):
+    """Canonical form of H_n of dense groups and boundary homs
+    (boundaries[0] is None) from one solve on the unreduced boundaries,
+    with no pivot elimination."""
+    f = boundaries[n + 1]
     if n == 0:
-        g = AbHom.zero(cx.groups[0], FgAbGroup.trivial())
+        g = AbHom.zero(groups[0], FgAbGroup.trivial())
     else:
-        g = cx.boundaries[n]
+        g = boundaries[n]
     return homology_at(f, g).canonical_form()
 
 
 # ---------------------------------------------------------------- dense nerve
 
 
-def _sparse(matrix):
-    return [{i: v for i, v in enumerate(matrix.col(j)) if v}
-            for j in range(matrix.ncols)]
+def _coordinates(blocks):
+    """For the direct sum of `blocks`, each in its own canonical
+    coordinates with those of order 1 dropped: the order of each kept
+    coordinate, a presented vector for each, and the reader of kept
+    coordinates from a presented vector."""
+    orders, basis, spans = [], [], []
+    total = sum(b.ngens for b in blocks)
+    at = 0
+    for b in blocks:
+        keep = [i for i, d in enumerate(b.canonical_orders()) if d != 1]
+        for i in keep:
+            unit = [0] * b.ngens
+            unit[i] = 1
+            x = [0] * total
+            x[at:at + b.ngens] = b.from_canonical(unit)
+            orders.append(b.canonical_orders()[i])
+            basis.append(x)
+        spans.append((b, at, keep))
+        at += b.ngens
+
+    def read(vec):
+        out = []
+        for b, start, keep in spans:
+            y = b.to_canonical(vec[start:start + b.ngens])
+            out.extend(y[i] for i in keep)
+        return out
+
+    return orders, basis, read
 
 
-def complex_from_dense(groups, boundaries):
+def complex_from_dense(groups, boundaries, blocks=None):
     """The ChainComplex of presented groups and boundary homs
-    (boundaries[0] is None): each boundary must run from its degree's
-    group to the one below, and the library checks the rest."""
+    (boundaries[0] is None), transported to canonical coordinates.
+
+    Degree n's group is read as the direct sum of `blocks[n]` (by
+    default the group alone), each block in its own canonical
+    coordinates with those of order 1 dropped.  Each boundary must run
+    from its degree's group to the one below, and the library checks
+    the rest."""
     groups, boundaries = list(groups), list(boundaries)
     for n, (b, g) in enumerate(zip(boundaries[1:], groups[1:]), 1):
         if b.source != g or b.target != groups[n - 1]:
             raise StructuralDefect("boundary %d has wrong endpoints" % n)
-    return ChainComplex([g.ngens for g in groups],
-                        [_sparse(g.relations) for g in groups],
-                        [None] + [_sparse(b.matrix) for b in boundaries[1:]])
+    if blocks is None:
+        blocks = [[g] for g in groups]
+    assert [sum(b.ngens for b in bs) for bs in blocks] == [
+        g.ngens for g in groups]
+    coords = [_coordinates(bs) for bs in blocks]
+    columns = [None]
+    for n, b in enumerate(boundaries[1:], 1):
+        read = coords[n - 1][2]
+        columns.append([{r: v for r, v in enumerate(read(b.apply(x))) if v}
+                        for x in coords[n][1]])
+    return ChainComplex([orders for orders, _, _ in coords], columns)
 
 
 def _chain_group(cat, module, chain, degree):
@@ -233,10 +274,17 @@ def _chain_group(cat, module, chain, degree):
     return module.groups[cat.dom[chain[0]]]
 
 
+def nerve_blocks(cat, module, maxdeg):
+    """Per degree, the coefficient group of each chain, in the order of
+    the blocks of `dense_nerve_complex`."""
+    return [[_chain_group(cat, module, c, n) for c in chain_list]
+            for n, chain_list in enumerate(_chain_tuples(cat, maxdeg))]
+
+
 def dense_nerve_complex(cat, module, maxdeg):
-    """Chain complex of the normalized nerve up to degree maxdeg, built
-    from dense block-diagonal relations and dense boundary columns and
-    handed over by `complex_from_dense`."""
+    """Groups and boundary homs of the normalized nerve up to degree
+    maxdeg, in presented coordinates: block-diagonal relations and dense
+    boundary columns."""
     if maxdeg < 1:
         raise StructuralDefect("a complex needs at least degree 1")
     chains = _chain_tuples(cat, maxdeg)
@@ -286,7 +334,7 @@ def dense_nerve_complex(cat, module, maxdeg):
                 cols.append(col)
         mat = ZMatrix.from_cols(cols, groups[n - 1].ngens)
         boundaries.append(AbHom(groups[n], groups[n - 1], mat, checked=True))
-    return complex_from_dense(groups, boundaries)
+    return groups, boundaries
 
 
 # ---------------------------------------------------------------- relation span

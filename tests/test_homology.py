@@ -47,23 +47,23 @@ def test_chain_complex_zero_mod_relations():
         cx.homology(2)  # needs chains one degree higher
     with pytest.raises(StructuralDefect):
         # three boundary slots for two degrees
-        ChainComplex(cx.ngens[:2], cx.relations[:2], cx.columns)
+        ChainComplex(cx.orders[:2], cx.columns)
 
 
 def test_chain_complex_checks_sparse_shapes():
     # Z/2 <-1- Z/4 <-2- Z, with one part of its sparse form broken at a time
-    ngens = [1, 1, 1]
-    relations = [[{0: 2}], [{0: 4}], []]
+    orders = [[2], [4], [0]]
     columns = [None, [{0: 1}], [{0: 2}]]
-    assert ChainComplex(ngens, relations, columns).homology(1).is_trivial()
+    assert ChainComplex(orders, columns).homology(1).is_trivial()
     for bad in ([{}, [{0: 1}], [{0: 2}]],   # a boundary out of degree 0
                 [None, [{0: 1}], []],      # no column for the generator
                 [None, [{0: 1}], [{1: 2}]],  # a row past C_1
                 [None, [{-1: 1}], [{0: 2}]]):
         with pytest.raises(StructuralDefect):
-            ChainComplex(ngens, relations, bad)
-    with pytest.raises(StructuralDefect):
-        ChainComplex(ngens, [[{0: 2}], [{1: 4}], []], columns)
+            ChainComplex(orders, bad)
+    for bad in ([[2], [1], [0]], [[2], [-4], [0]]):  # no cyclic order
+        with pytest.raises(StructuralDefect):
+            ChainComplex(bad, columns)
     with pytest.raises(StructuralDefect):
         # the dense helper refuses a boundary into the wrong group
         z2 = FgAbGroup.from_invariants(0, [2])
@@ -124,7 +124,7 @@ def test_corrupted_nerve_column_is_rejected(case):
     # the same corruptions, made on the sparse columns and rebuilt from
     # them, against the same solve oracle
     cx = corruption_case(case)
-    ChainComplex(cx.ngens, cx.relations, cx.columns)
+    ChainComplex(cx.orders, cx.columns)
     caught = 0
     for n in range(1, 4):
         for j in range(cx.ngens[n]):
@@ -134,12 +134,35 @@ def test_corrupted_nerve_column_is_rejected(case):
                 col[i] = col.get(i, 0) + 1
                 columns[n][j] = {r: v for r, v in col.items() if v}
                 if squares_to_zero_by_solve(cx.groups, corrupted(cx, n, i, j)):
-                    ChainComplex(cx.ngens, cx.relations, columns)
+                    ChainComplex(cx.orders, columns)
                     continue
                 with pytest.raises(StructuralDefect):
-                    ChainComplex(cx.ngens, cx.relations, columns)
+                    ChainComplex(cx.orders, columns)
                 caught += 1
     assert caught >= 40
+
+
+def test_square_check_builds_no_smith_form_of_a_chain_group(monkeypatch):
+    # Z/5 acted on by 2 has nonzero composites, so ∂² = 0 is decided on
+    # them; it reads the orders of their rows, not a chain group's
+    # Smith form, and each coefficient group is put in canonical
+    # coordinates once
+    zmodule = sys.modules["oghom.zmodule"]
+    true_snf = zmodule.snf
+    calls = []
+
+    def counting_snf(m):
+        calls.append(m)
+        return true_snf(m)
+
+    cat, module = cyclic_bundle(4, fixtures.cyclic_module_spec(4, 0, [5], 2))
+    monkeypatch.setattr(zmodule, "snf", counting_snf)
+    cx = nerve_complex(cat, module, 3)
+    lower = cx.columns[1]
+    assert any(sum(v * lower[r].get(0, 0) for r, v in col.items())
+               for col in cx.columns[2])
+    assert cx._groups == [None] * 4
+    assert len(calls) <= len(set(module.groups.values()))
 
 
 @pytest.mark.parametrize("extra", [FgAbGroup.free(1),

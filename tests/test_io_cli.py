@@ -16,8 +16,10 @@ import oghom
 from oghom import fixtures, io
 from oghom.cli import main
 from oghom.errors import DanglingReference, SchemaViolation
+from oghom.gmodules import module_from_parts
 from oghom.groupoid import OrderedGroupoid, validate
 from oghom.lcat import build_lcat
+from oghom.zmodule import FgAbGroup, ZMatrix
 
 from .oracles import first_schema_error
 
@@ -178,6 +180,22 @@ def test_key_naming_two_covering_pairs_is_refused():
     assert exc.value.pointer == "/m/poset_maps/a>b>c"
     assert "('a', 'b>c')" in exc.value.message
     assert "('a>b', 'c')" in exc.value.message
+
+
+def test_dump_of_a_shared_key_is_refused():
+    # maps 1 and 2 of the two covering pairs keyed "a>b>c" would be
+    # dumped as {"a>b>c": [[2]]}, losing map 1
+    doc = {"schema": 1, "identities": ["a", "b>c", "a>b", "c"],
+           "arrows": [], "compose": [], "order": [["b>c", "a"], ["c", "a>b"]]}
+    g0 = OrderedGroupoid.from_candidate(io.load(doc)[1])
+    groups = {e: FgAbGroup.free(1) for e in g0.identities}
+    maps = {("a", "b>c"): ZMatrix([[1]]), ("a>b", "c"): ZMatrix([[2]])}
+    module = module_from_parts(build_lcat(g0), groups, maps, {})
+    with pytest.raises(SchemaViolation) as exc:
+        io.module_to_doc(g0, module)
+    assert exc.value.pointer == "/poset_maps/a>b>c"
+    assert exc.value.message == (
+        "key names the covering pairs ('a', 'b>c'), ('a>b', 'c')")
 
 
 def test_pointers_escape_keys(tmp_path, capsys):

@@ -27,7 +27,6 @@ KEEP = {
     "gmodules.GMap.identity": "identity maps of modules",
     "gmodules.GMap.is_componentwise_surjective": "epimorphisms of modules",
     "zmodule.AbHom.is_injective": "monomorphisms of groups",
-    "zmodule.FgAbGroup.from_canonical": "elements from canonical coordinates",
     # the paper's choice-independence verifiers
     "beta.check_quotient_welldefined": "composition in G/beta is choice-free",
     "gmodules.check_quotient_action": "the class action is choice-free",

@@ -1,8 +1,9 @@
 """Unit-pivot reduction of chain complexes against the dense solve.
 
-`ChainComplex.homology` solves a reduced complex; `dense_homology`
-solves the unreduced boundaries.  Every comparison is of canonical
-forms, degree by degree below the top.
+`ChainComplex.homology` solves a reduced complex in canonical
+coordinates; `dense_homology` solves the unreduced boundaries in
+presented coordinates.  Every comparison is of canonical forms, degree
+by degree below the top.
 """
 
 import random
@@ -13,32 +14,35 @@ from hypothesis import strategies as st
 from oghom import fixtures, io
 from oghom.gmodules import colim_E
 from oghom.groupoid import OrderedGroupoid
-from oghom.homology import _summand_orders, homology_profile, nerve_complex
+from oghom.homology import homology_profile, nerve_complex
 from oghom.lcat import build_lcat
 from oghom.randgen import _cyclic_group, random_module, random_og
 from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
 from .oracles import (
     complex_from_dense,
     dense_homology,
+    dense_nerve_complex,
     periodic_cyclic_homology,
 )
 
 
-def assert_matches_dense(cx):
+def assert_matches_dense(cx, groups, boundaries):
+    """cx against the dense solve of `groups` and `boundaries`, which
+    present the same complex in their own coordinates."""
     for n in range(cx.top_degree):
-        assert cx.homology(n).canonical_form() == dense_homology(cx, n), n
+        assert cx.homology(n).canonical_form() == dense_homology(
+            groups, boundaries, n), n
     # entries in a row of finite cyclic order k stay in [0, k)
     red = cx.reduced()
     for n in range(1, red.top_degree + 1):
-        orders = _summand_orders(red.ngens[n - 1], red.relations[n - 1])
-        for k, row in zip(orders, red.boundaries[n].matrix.rows):
+        for k, row in zip(red.orders[n - 1], red.boundaries[n].matrix.rows):
             assert not k or all(0 <= v < k for v in row), (n, k, row)
 
 
-def non_summands(cx):
-    """Generators that no cyclic summand carries, so never pivots."""
-    return sum(_summand_orders(n, rels).count(None)
-               for n, rels in zip(cx.ngens, cx.relations))
+def assert_nerve_matches_dense(cat, module, maxdeg=3):
+    cx = nerve_complex(cat, module, maxdeg)
+    assert_matches_dense(cx, *dense_nerve_complex(cat, module, maxdeg))
+    return cx
 
 
 def cyclic_bundle(m, spec):
@@ -60,18 +64,11 @@ def theorem_inputs(seed, finite):
     return [(lc.category, module), (colim.module.base, colim.module)]
 
 
-def theorem_complexes(seed, finite, top):
-    """Both complexes `check_theorem` solves, on a seeded instance."""
-    return [nerve_complex(cat, module, top)
-            for cat, module in theorem_inputs(seed, finite)]
-
-
 def test_fixtures_match_dense():
     for name in fixtures.names():
         bundle = fixtures.load(name)
         for module in bundle.modules.values():
-            assert_matches_dense(
-                nerve_complex(bundle.lc.category, module, 3))
+            assert_nerve_matches_dense(bundle.lc.category, module)
 
 
 def test_cyclic_groups_match_dense_and_closed_form():
@@ -83,8 +80,7 @@ def test_cyclic_groups_match_dense_and_closed_form():
                 spec = fixtures.cyclic_module_spec(
                     m, 0 if k else 1, [k] if k else [], unit)
                 cat, module = cyclic_bundle(m, spec)
-                cx = nerve_complex(cat, module, 3)
-                assert_matches_dense(cx)
+                cx = assert_nerve_matches_dense(cat, module)
                 assert [cx.homology(n).canonical_form()
                         for n in range(3)] == [
                     periodic_cyclic_homology(m, k, unit, n)
@@ -92,20 +88,26 @@ def test_cyclic_groups_match_dense_and_closed_form():
 
 
 def test_theorem_complexes_match_dense():
-    tied = 0
+    canonical = presented = 0
     for seed in range(40):
         for finite in (True, False):
-            for cx in theorem_complexes(seed, finite, 3):
-                assert_matches_dense(cx)
-                tied += non_summands(cx)
-    assert tied > 0  # the quotient side has non-diagonal colimit groups
+            left, (qcat, qmodule) = theorem_inputs(seed, finite)
+            assert_nerve_matches_dense(*left)
+            cx = nerve_complex(qcat, qmodule, 3)
+            groups, boundaries = dense_nerve_complex(qcat, qmodule, 3)
+            assert_matches_dense(cx, groups, boundaries)
+            canonical += sum(cx.ngens)
+            presented += sum(g.ngens for g in groups)
+    # the class colimits present many generators that canonical
+    # coordinates drop
+    assert canonical < presented
 
 
 @given(st.integers(0, 10 ** 6), st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_theorem_complexes_match_dense_hypothesis(seed, finite):
-    for cx in theorem_complexes(seed, finite, 3):
-        assert_matches_dense(cx)
+    for cat, module in theorem_inputs(seed, finite):
+        assert_nerve_matches_dense(cat, module)
 
 
 def test_equal_order_rule():
@@ -114,13 +116,13 @@ def test_equal_order_rule():
     z2 = FgAbGroup.from_invariants(0, [2])
     z = FgAbGroup.free(1)
     zero = FgAbGroup.trivial()
-    cx = complex_from_dense([z2, z, zero],
-                      [None, AbHom(z, z2, ZMatrix([[1]])),
-                       AbHom.zero(zero, z)])
+    groups = [z2, z, zero]
+    boundaries = [None, AbHom(z, z2, ZMatrix([[1]])), AbHom.zero(zero, z)]
+    cx = complex_from_dense(groups, boundaries)
     assert [g.ngens for g in cx.reduced().groups] == [1, 1, 0]
     assert cx.homology(1).canonical_form() == (1, ())
     assert cx.homology(0).canonical_form() == (0, ())
-    assert_matches_dense(cx)
+    assert_matches_dense(cx, groups, boundaries)
 
 
 def test_non_pm1_unit():
@@ -129,31 +131,30 @@ def test_non_pm1_unit():
     for k, ranks, h in [(7, [0, 0, 0], [(0, ()), (0, ())]),
                         (6, [1, 1, 0], [(0, (3,)), (0, (3,))])]:
         zk = FgAbGroup.from_invariants(0, [k])
-        cx = complex_from_dense([zk, zk, zero],
-                          [None, AbHom(zk, zk, ZMatrix([[3]])),
-                           AbHom.zero(zero, zk)])
+        groups = [zk, zk, zero]
+        boundaries = [None, AbHom(zk, zk, ZMatrix([[3]])),
+                      AbHom.zero(zero, zk)]
+        cx = complex_from_dense(groups, boundaries)
         assert [g.ngens for g in cx.reduced().groups] == ranks
         assert [cx.homology(n).canonical_form() for n in range(2)] == h
-        assert_matches_dense(cx)
+        assert_matches_dense(cx, groups, boundaries)
     # Z/3 acting on Z/7 through the unit 2
     cat, module = cyclic_bundle(3, fixtures.cyclic_module_spec(3, 0, [7], 2))
     assert homology_profile(cat, module, 3) == [
         periodic_cyclic_homology(3, 7, 2, n) for n in range(4)]
 
 
-def test_non_summand_generators_are_kept():
-    # Z^2/(2, 2) = Z + Z/2: neither generator spans a summand
+def test_non_diagonal_presentation():
+    # Z^2/(2, 2) = Z + Z/2: neither presented generator spans a summand,
+    # both canonical ones do
     spec = {"groups": {"1": {"ngens": 2, "relations": [[2], [2]]}},
             "poset_maps": {},
             "arrow_maps": {"t%d" % i: [[1, 0], [0, 1]] for i in (1, 2, 3)}}
     cat, module = cyclic_bundle(4, spec)
-    cx = nerve_complex(cat, module, 4)
-    assert non_summands(cx) == sum(g.ngens for g in cx.groups)
-    assert ([g.ngens for g in cx.reduced().groups][:-1]
-            == [g.ngens for g in cx.groups][:-1])
+    cx = assert_nerve_matches_dense(cat, module, 4)
+    assert cx.orders[0] == [2, 0]
     assert [cx.homology(n).canonical_form() for n in range(4)] == [
         (1, (2,)), (0, (2, 4)), (0, (2,)), (0, (2, 4))]
-    assert_matches_dense(cx)
 
 
 def test_dead_generators_are_dropped():
@@ -161,17 +162,18 @@ def test_dead_generators_are_dropped():
     z = FgAbGroup.free(1)
     zero = FgAbGroup.trivial()
     # Z <-0- (dead) <-3- Z <- 0: the dead generator carries nothing
-    cx = complex_from_dense([z, dead, z, zero],
-                      [None, AbHom(dead, z, ZMatrix([[0]])),
-                       AbHom(z, dead, ZMatrix([[3]])), AbHom.zero(zero, z)])
+    groups = [z, dead, z, zero]
+    boundaries = [None, AbHom(dead, z, ZMatrix([[0]])),
+                  AbHom(z, dead, ZMatrix([[3]])), AbHom.zero(zero, z)]
+    cx = complex_from_dense(groups, boundaries)
     assert [g.ngens for g in cx.reduced().groups] == [1, 0, 1, 0]
     assert [cx.homology(n).canonical_form() for n in range(3)] == [
         (1, ()), (0, ()), (1, ())]
-    assert_matches_dense(cx)
+    assert_matches_dense(cx, groups, boundaries)
+    # Z/1 has no canonical coordinate, so the nerve has no generator
     spec = {"groups": {"1": {"ngens": 1, "relations": [[1]]}},
             "poset_maps": {},
             "arrow_maps": {"t1": [[1]], "t2": [[1]]}}
-    cx = nerve_complex(*cyclic_bundle(3, spec), 3)
-    assert [g.ngens for g in cx.groups] == [1, 2, 4, 8]
+    cx = assert_nerve_matches_dense(*cyclic_bundle(3, spec))
+    assert [g.ngens for g in cx.groups] == [0, 0, 0, 0]
     assert [g.ngens for g in cx.reduced().groups] == [0, 0, 0, 0]
-    assert_matches_dense(cx)
