@@ -7,18 +7,17 @@ from .errors import (CompositeNonzero, DanglingReference, InputError,
                      MathError, NotComposable, NotPrincipallyDirected,
                      OghomError, PreconditionViolation, SchemaViolation,
                      StructuralDefect)
-from .gmodules import (GMap, GModule, check_colim_composition,
-                       check_quotient_action, colim_category, colim_E,
-                       colim_E_map, enumerate_gmaps, expand, expand_map,
-                       module_from_parts, rho, tau)
+from .gmodules import (GMap, GModule, check_adjunction,
+                       check_colim_composition, check_quotient_action,
+                       colim_category, colim_E, colim_E_map, expand,
+                       expand_map, module_from_parts, rho, tau)
 from .groupoid import (GroupoidCandidate, OrderedGroupoid, ValidationReport,
                        Violation, validate)
 from .homology import (ChainComplex, check_theorem, homology,
                        homology_profile, nerve_complex)
 from .lcat import LCat, build_lcat
-from .zmodule import (AbHom, FgAbGroup, ZMatrix, block_diag, direct_sum,
-                      enumerate_homs, hom_welldefined, homology_at,
-                      kernel_basis, lattice_basis, snf)
+from .zmodule import (AbHom, FgAbGroup, ZMatrix, block_diag, hom_welldefined,
+                      homology_at, kernel_basis, lattice_basis, snf)
 
 __version__ = "0.1.0"
 
@@ -29,10 +28,10 @@ __all__ = [
     "NotPrincipallyDirected", "OghomError", "OrderedGroupoid",
     "PreconditionViolation", "SchemaViolation", "StructuralDefect",
     "ValidationReport", "Violation", "ZMatrix", "beta_classes",
-    "beta_witness", "block_diag", "build_lcat", "check_colim_composition",
-    "check_quotient_action", "check_quotient_welldefined", "check_theorem",
-    "colim_E", "colim_E_map", "colim_category", "direct_sum",
-    "enumerate_gmaps", "enumerate_homs", "expand", "expand_map",
+    "beta_witness", "block_diag", "build_lcat", "check_adjunction",
+    "check_colim_composition", "check_quotient_action",
+    "check_quotient_welldefined", "check_theorem", "colim_E", "colim_E_map",
+    "colim_category", "expand", "expand_map",
     "groupoid_as_category", "hom_welldefined", "homology", "homology_at",
     "homology_profile", "is_principally_directed", "kernel_basis",
     "lattice_basis", "module_from_parts", "nerve_complex", "quotient", "rho",

@@ -15,7 +15,8 @@ three constructions of interest are:
                  a - a ◁ m.
 
 rho and tau convert between maps out of colim_E and maps into an
-expansion; they are mutually inverse, which is the adjunction.
+expansion; check_adjunction verifies that colim_E is left adjoint to
+expand through the unit, the counit and the two triangle identities.
 """
 
 from .beta import quotient
@@ -26,8 +27,6 @@ from .zmodule import (
     FgAbGroup,
     ZMatrix,
     block_diag,
-    direct_sum,
-    enumerate_homs,
     hom_welldefined,
 )
 
@@ -39,14 +38,13 @@ class GModule:
     constructor checks functoriality on the full composition table.
     """
 
-    def __init__(self, base, groups, action, checked=False):
+    def __init__(self, base, groups, action):
         self.base = base
         self.groups = dict(groups)
         self.action = dict(action)
-        if not checked:
-            problems = check_functorial(base, self.groups, self.action)
-            if problems:
-                raise StructuralDefect("not a module: %s" % problems[0])
+        problems = check_functorial(base, self.groups, self.action)
+        if problems:
+            raise StructuralDefect("not a module: %s" % problems[0])
 
     def __repr__(self):
         return "GModule(%d objects)" % len(self.groups)
@@ -229,26 +227,30 @@ def _presentation(cat, module, objs, morphisms):
     the order given.  offsets[o] locates M(o)'s generators in the sum;
     injections[o] is the map M(o) -> group."""
     groups = [module.groups[o] for o in objs]
-    total, injs, _ = direct_sum(groups)
     offsets = {}
-    at = 0
+    total = 0
     for o, g in zip(objs, groups):
-        offsets[o] = at
-        at += g.ngens
+        offsets[o] = total
+        total += g.ngens
     cols = []
     for m in morphisms:
         src, tgt = cat.dom[m], cat.cod[m]
         amat = module.action[m].matrix
         for i in range(module.groups[src].ngens):
-            col = [0] * total.ngens
+            col = [0] * total
             col[offsets[src] + i] += 1
             for rix in range(amat.nrows):
                 col[offsets[tgt] + rix] -= amat.rows[rix][i]
             cols.append(col)
-    group = FgAbGroup(total.ngens, total.relations.hstack(
-        ZMatrix.from_cols(cols, total.ngens)))
-    injections = {o: AbHom(g, group, inj.matrix, checked=True)
-                  for o, g, inj in zip(objs, groups, injs)}
+    group = FgAbGroup(total, block_diag([g.relations for g in groups])
+                      .hstack(ZMatrix.from_cols(cols, total)))
+    injections = {}
+    for o, g in zip(objs, groups):
+        at = offsets[o]
+        inj = ZMatrix._trusted([[1 if r - at == i else 0
+                                 for i in range(g.ngens)]
+                                for r in range(total)], g.ngens)
+        injections[o] = AbHom(g, group, inj, checked=True)
     return group, offsets, injections
 
 
@@ -470,44 +472,31 @@ def tau(colim, b_module, psi, expanded):
     return GMap(colim.source, expanded, comps)
 
 
-def enumerate_gmaps(source, target):
-    """Every natural transformation source -> target (finite hom sets).
+def check_adjunction(g0, lc, a_module):
+    """(colim_ok, expand_ok): the two triangle identities of colim_E ⊣ E
+    at A = a_module and B = colim_E(A).
 
-    Candidates per object come from enumerate_homs; partial assignments
-    are pruned by the naturality squares they already determine."""
-    base = source.base
-    objs = list(base.objects)
-    index = {o: k for k, o in enumerate(objs)}
-    cands = {o: enumerate_homs(source.groups[o], target.groups[o])
-             for o in objs}
-    ready = {k: [] for k in range(len(objs))}
-    for m in base.morphisms:
-        if base.is_identity(m):
-            continue
-        k = max(index[base.dom[m]], index[base.cod[m]])
-        ready[k].append(m)
-
-    results = []
-    chosen = {}
-
-    def natural_at(m):
-        left = chosen[base.dom[m]].then(target.action[m])
-        right = source.action[m].then(chosen[base.cod[m]])
-        return left.equal_as_maps(right)
-
-    def place(k):
-        if k == len(objs):
-            results.append(GMap(source, target, dict(chosen), checked=True))
-            return
-        o = objs[k]
-        for h in cands[o]:
-            chosen[o] = h
-            if all(natural_at(m) for m in ready[k]):
-                place(k + 1)
-        chosen.pop(o, None)
-
-    place(0)
-    return results
+    The unit at A is tau of the identity of colim_E(A) and the counit at
+    B is rho of the identity of E(B).  colim_ok says the counit after
+    colim_E of the unit is the identity of B, which makes rho(tau(psi))
+    = psi for every psi out of colim_E(A); expand_ok says E of the
+    counit after the unit at E(B) is the identity of E(B), which makes
+    tau(rho(phi)) = phi for every phi into E(B).  Every map built on
+    the way is checked for naturality by its constructor.
+    """
+    colim_a = colim_E(g0, lc, a_module)
+    q, b_module = colim_a.q, colim_a.module
+    eb = expand(q, lc, b_module)
+    colim_eb = colim_E(g0, lc, eb)
+    unit_a = tau(colim_a, b_module, GMap.identity(b_module), eb)
+    counit_b = rho(colim_eb, b_module, GMap.identity(eb))
+    colim_ok = colim_E_map(colim_a, colim_eb, unit_a).then(counit_b).equal(
+        GMap.identity(b_module))
+    unit_eb = tau(colim_eb, colim_eb.module, GMap.identity(colim_eb.module),
+                  expand(q, lc, colim_eb.module))
+    expand_ok = unit_eb.then(expand_map(q, lc, counit_b)).equal(
+        GMap.identity(eb))
+    return colim_ok, expand_ok
 
 
 class ColimCompositionReport:

@@ -98,12 +98,6 @@ class ZMatrix:
             raise ValueError("vector of wrong length")
         return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
 
-    def add(self, other):
-        self._same_shape(other)
-        return ZMatrix._trusted([[a + b for a, b in zip(r1, r2)]
-                                 for r1, r2 in zip(self.rows, other.rows)],
-                                self.ncols)
-
     def sub(self, other):
         self._same_shape(other)
         return ZMatrix._trusted([[a - b for a, b in zip(r1, r2)]
@@ -691,16 +685,6 @@ class AbHom:
         return AbHom(self.source, other.target,
                      other.matrix.mul(self.matrix), checked=True)
 
-    def add(self, other):
-        self._parallel(other)
-        return AbHom(self.source, self.target,
-                     self.matrix.add(other.matrix), checked=True)
-
-    def sub(self, other):
-        self._parallel(other)
-        return AbHom(self.source, self.target,
-                     self.matrix.sub(other.matrix), checked=True)
-
     def _parallel(self, other):
         if self.source != other.source or self.target != other.target:
             raise PreconditionViolation("homs are not parallel")
@@ -729,30 +713,6 @@ def preimage_lattice(matrix, target_relations):
     ker = kernel_basis(w)
     top = ZMatrix._trusted(ker.rows[:matrix.ncols], ker.ncols)
     return lattice_basis(top)
-
-
-def direct_sum(groups):
-    """Direct sum with injections and projections.
-
-    Returns (sum group, [injections], [projections]).
-    """
-    groups = list(groups)
-    total = sum(g.ngens for g in groups)
-    rel = block_diag([g.relations for g in groups])
-    s = FgAbGroup(total, rel)
-    injections = []
-    projections = []
-    offset = 0
-    for g in groups:
-        inj = [[0] * g.ngens for _ in range(total)]
-        proj = [[0] * total for _ in range(g.ngens)]
-        for i in range(g.ngens):
-            inj[offset + i][i] = 1
-            proj[i][offset + i] = 1
-        injections.append(AbHom(g, s, ZMatrix(inj, ncols=g.ngens), checked=True))
-        projections.append(AbHom(s, g, ZMatrix(proj, ncols=total), checked=True))
-        offset += g.ngens
-    return s, injections, projections
 
 
 def homology_at(f, g):
@@ -786,59 +746,3 @@ def homology_at(f, g):
     if q is None:
         raise PreconditionViolation("image does not lie in the kernel lattice")
     return FgAbGroup(kbasis.ncols, q)
-
-
-def enumerate_homs(source, target, max_count=200000):
-    """Every homomorphism source -> target, as AbHom objects.
-
-    Works through the canonical decompositions; the hom set must be
-    finite (source torsion or target finite).
-    """
-    s_orders, s_u, _ = source._decomposition()
-    t_orders, _, t_uinv = target._decomposition()
-    free_target = any(d == 0 for d in t_orders)
-
-    per_coord = []
-    for a in s_orders:
-        if a == 0 and free_target:
-            raise PreconditionViolation("hom set is infinite")
-        choices_per_tcoord = []
-        for b in t_orders:
-            if a == 0:
-                vals = list(range(b))  # free source generator, finite target
-            elif b == 0:
-                vals = [0]
-            else:
-                g = gcd(a, b)
-                step = b // g
-                vals = [step * k for k in range(g)]
-            choices_per_tcoord.append(vals)
-        per_coord.append(choices_per_tcoord)
-
-    count = 1
-    for choices in per_coord:
-        for vals in choices:
-            count *= len(vals)
-    if count > max_count:
-        raise PreconditionViolation("hom set has %d elements, cap %d"
-                                    % (count, max_count))
-
-    homs = []
-    ncoords = len(s_orders)
-
-    def build(i, cols):
-        if i == ncoords:
-            canon = ZMatrix.from_cols(cols, len(t_orders))
-            mat = t_uinv.mul(canon).mul(s_u)
-            homs.append(AbHom(source, target, mat, checked=True))
-            return
-        def fill(j, col):
-            if j == len(t_orders):
-                build(i + 1, cols + [tuple(col)])
-                return
-            for val in per_coord[i][j]:
-                fill(j + 1, col + [val])
-        fill(0, [])
-
-    build(0, [])
-    return homs

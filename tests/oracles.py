@@ -22,6 +22,11 @@ with transforms, where the library eliminates modulo a maximal minor.
 The all-pairs scans visit every pair or triple of arrows
 or morphisms where the library reads only composable ones from
 per-object buckets.
+Hom sets of groups and of modules are listed element by element, where
+the library checks the colim_E/expansion adjunction through its unit,
+counit and triangle identities; `direct_sum` builds a sum group with
+injections and projections through the converting `ZMatrix`
+constructor.
 A document's first schema error comes from jsonschema's Draft 2020-12
 validator over the schema dicts of `oghom.io`, where the library walks
 those dicts with its own checker.
@@ -48,6 +53,129 @@ from oghom.zmodule import (
     prune_columns,
     snf,
 )
+
+
+# ---------------------------------------------------------------- direct sums and hom sets
+
+
+def direct_sum(groups):
+    """Direct sum with injections and projections.
+
+    Returns (sum group, [injections], [projections]).
+    """
+    groups = list(groups)
+    total = sum(g.ngens for g in groups)
+    rel = block_diag([g.relations for g in groups])
+    s = FgAbGroup(total, rel)
+    injections = []
+    projections = []
+    offset = 0
+    for g in groups:
+        inj = [[0] * g.ngens for _ in range(total)]
+        proj = [[0] * total for _ in range(g.ngens)]
+        for i in range(g.ngens):
+            inj[offset + i][i] = 1
+            proj[i][offset + i] = 1
+        injections.append(AbHom(g, s, ZMatrix(inj, ncols=g.ngens), checked=True))
+        projections.append(AbHom(s, g, ZMatrix(proj, ncols=total), checked=True))
+        offset += g.ngens
+    return s, injections, projections
+
+
+def enumerate_homs(source, target, max_count=200000):
+    """Every homomorphism source -> target, as AbHom objects.
+
+    Works through the canonical decompositions; the hom set must be
+    finite (source torsion or target finite).
+    """
+    s_orders, s_u, _ = source._decomposition()
+    t_orders, _, t_uinv = target._decomposition()
+    free_target = any(d == 0 for d in t_orders)
+
+    per_coord = []
+    for a in s_orders:
+        if a == 0 and free_target:
+            raise PreconditionViolation("hom set is infinite")
+        choices_per_tcoord = []
+        for b in t_orders:
+            if a == 0:
+                vals = list(range(b))  # free source generator, finite target
+            elif b == 0:
+                vals = [0]
+            else:
+                g = gcd(a, b)
+                step = b // g
+                vals = [step * k for k in range(g)]
+            choices_per_tcoord.append(vals)
+        per_coord.append(choices_per_tcoord)
+
+    count = 1
+    for choices in per_coord:
+        for vals in choices:
+            count *= len(vals)
+    if count > max_count:
+        raise PreconditionViolation("hom set has %d elements, cap %d"
+                                    % (count, max_count))
+
+    homs = []
+    ncoords = len(s_orders)
+
+    def build(i, cols):
+        if i == ncoords:
+            canon = ZMatrix.from_cols(cols, len(t_orders))
+            mat = t_uinv.mul(canon).mul(s_u)
+            homs.append(AbHom(source, target, mat, checked=True))
+            return
+        def fill(j, col):
+            if j == len(t_orders):
+                build(i + 1, cols + [tuple(col)])
+                return
+            for val in per_coord[i][j]:
+                fill(j + 1, col + [val])
+        fill(0, [])
+
+    build(0, [])
+    return homs
+
+
+def enumerate_gmaps(source, target):
+    """Every natural transformation source -> target (finite hom sets).
+
+    Candidates per object come from enumerate_homs; partial assignments
+    are pruned by the naturality squares they already determine."""
+    base = source.base
+    objs = list(base.objects)
+    index = {o: k for k, o in enumerate(objs)}
+    cands = {o: enumerate_homs(source.groups[o], target.groups[o])
+             for o in objs}
+    ready = {k: [] for k in range(len(objs))}
+    for m in base.morphisms:
+        if base.is_identity(m):
+            continue
+        k = max(index[base.dom[m]], index[base.cod[m]])
+        ready[k].append(m)
+
+    results = []
+    chosen = {}
+
+    def natural_at(m):
+        left = chosen[base.dom[m]].then(target.action[m])
+        right = source.action[m].then(chosen[base.cod[m]])
+        return left.equal_as_maps(right)
+
+    def place(k):
+        if k == len(objs):
+            results.append(GMap(source, target, dict(chosen), checked=True))
+            return
+        o = objs[k]
+        for h in cands[o]:
+            chosen[o] = h
+            if all(natural_at(m) for m in ready[k]):
+                place(k + 1)
+        chosen.pop(o, None)
+
+    place(0)
+    return results
 
 
 # ---------------------------------------------------------------- canonical coordinates

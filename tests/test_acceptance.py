@@ -31,7 +31,6 @@ from oghom.gmodules import (
     colim_E,
     colim_E_map,
     colim_category,
-    enumerate_gmaps,
     expand,
     expand_map,
     rho,
@@ -49,6 +48,7 @@ from oghom.zmodule import homology_at, snf
 
 from .oracles import (
     brute_force_homology,
+    enumerate_gmaps,
     is_unimodular,
     periodic_cyclic_homology,
     random_int_matrix,

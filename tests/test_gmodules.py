@@ -1,35 +1,37 @@
 """Modules over the prefix category, class colimits, the adjunction."""
 
 import random
+import re
 
 import pytest
 
 from oghom import fixtures
 from oghom.beta import quotient
 from oghom.category import groupoid_as_category
-from oghom.errors import StructuralDefect
+from oghom.errors import PreconditionViolation, StructuralDefect
 from oghom.gmodules import (
     GMap,
     GModule,
     _class_action_matrix,
     _presentation,
     _quotient_action_column,
+    check_adjunction,
     check_colim_composition,
     check_functorial,
     check_quotient_action,
     colim_E,
     colim_E_map,
     colim_category,
-    enumerate_gmaps,
     expand,
     expand_map,
     module_from_parts,
     rho,
     tau,
 )
+from oghom.lcat import build_lcat
 from oghom.randgen import random_module, random_og
-from oghom.zmodule import AbHom, FgAbGroup, ZMatrix, direct_sum
-from .oracles import random_ses
+from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
+from .oracles import direct_sum, enumerate_gmaps, random_ses
 from .test_reduction import cyclic_bundle, theorem_inputs
 
 
@@ -206,6 +208,69 @@ def test_rho_tau_inverse():
     assert again.equal(psi)
 
 
+def test_check_adjunction_agrees_with_enumeration():
+    # with B = colim_E(A), the triangle identities hold, and listing
+    # Hom(A, E B) and Hom(B, B) element by element confirms what they
+    # imply: equal sizes, and rho and tau inverse on both
+    rng = random.Random(113)
+    for _ in range(60):
+        rog = random_og(rng, n_identities=rng.randint(1, 4),
+                        max_group=rng.randint(1, 3), directed=True)
+        g0 = rog.groupoid
+        lc = build_lcat(g0)
+        a_module = random_module(rng, rog, lc, finite=True, max_order=4)
+        colim = colim_E(g0, lc, a_module)
+        b = colim.module
+        up = expand(colim.q, lc, b)
+        left = enumerate_gmaps(a_module, up)
+        right = enumerate_gmaps(b, b)
+        bijection = len(left) == len(right) and all(
+            tau(colim, b, rho(colim, b, phi), up).equal(phi)
+            for phi in left) and all(
+            rho(colim, b, tau(colim, b, psi, up)).equal(psi)
+            for psi in right)
+        assert bijection
+        assert check_adjunction(g0, lc, a_module) == (True, True)
+
+
+def _double_first_members(colim, gmap):
+    """gmap with its component at the first member of each class
+    doubled, taken without a naturality check."""
+    comps = dict(gmap.components)
+    for mem in colim.members.values():
+        h = comps[mem[0]]
+        comps[mem[0]] = AbHom(h.source, h.target, ZMatrix(
+            [[2 * v for v in row] for row in h.matrix.rows],
+            ncols=h.matrix.ncols), checked=True)
+    return GMap(gmap.source, gmap.target, comps, checked=True)
+
+
+@pytest.mark.parametrize("where", ["rho", "tau"])
+@pytest.mark.parametrize("name", ["clifford", "z2"])
+def test_doubled_block_fails_the_adjunction_check(name, where, monkeypatch):
+    # rho stacks one member's block twice over, or tau sends one member
+    # through twice its class component.  Clifford's class has two
+    # members, so the doubled map no longer kills the relator between
+    # them and is refused on construction; z2's class has one member,
+    # so the map is well defined and natural but both triangles fail.
+    bundle = fixtures.load(name)
+    g0, lc, sign = bundle.groupoid, bundle.lc, bundle.modules["sign"]
+    assert check_adjunction(g0, lc, sign) == (True, True)
+    if where == "rho":
+        def corrupt(colim, b_module, phi):
+            return rho(colim, b_module, _double_first_members(colim, phi))
+    else:
+        def corrupt(colim, b_module, psi, expanded):
+            return _double_first_members(
+                colim, tau(colim, b_module, psi, expanded))
+    monkeypatch.setattr("oghom.gmodules." + where, corrupt)
+    if name == "clifford":
+        with pytest.raises(PreconditionViolation, match="does not descend"):
+            check_adjunction(g0, lc, sign)
+    else:
+        assert check_adjunction(g0, lc, sign) == (False, False)
+
+
 def test_enumerate_gmaps_counts():
     bundle = fixtures.load("z2")
     g0, lc = bundle.groupoid, bundle.lc
@@ -236,8 +301,6 @@ def test_random_modules_pass_choice_checks():
     for _ in range(10):
         rog = random_og(rng, n_identities=rng.randint(1, 3),
                         max_group=rng.randint(1, 3), directed=True)
-        from oghom.lcat import build_lcat
-
         lc = build_lcat(rog.groupoid)
         mod = random_module(rng, rog, lc, finite=True, max_order=4)
         rep = check_quotient_action(rog.groupoid, lc, mod)
@@ -287,6 +350,29 @@ def test_corrupted_component_fails_the_sum_check(which, extra, monkeypatch):
                        match="component decomposition disagrees"):
         colim_category(cat, module)
     assert len(calls) == 5
+
+
+def test_missing_relator_fails_the_coequalize_check(monkeypatch):
+    # the total presentation loses its last relator column, so the
+    # canonical maps no longer agree along the last morphism
+    bundle = fixtures.load("chain2")
+    cat, module = bundle.lc.category, bundle.modules["const"]
+    colim_category(cat, module)
+
+    def drop_last_relator(cat, module, objs, morphisms):
+        group, offsets, injections = _presentation(cat, module, objs,
+                                                   morphisms)
+        rel = group.relations
+        short = FgAbGroup(group.ngens, ZMatrix.from_cols(
+            [rel.col(j) for j in range(rel.ncols - 1)], rel.nrows))
+        return short, offsets, {
+            o: AbHom(h.source, short, h.matrix, checked=True)
+            for o, h in injections.items()}
+
+    monkeypatch.setattr("oghom.gmodules._presentation", drop_last_relator)
+    with pytest.raises(StructuralDefect, match=re.escape(
+            "canonical maps fail to coequalize at ('e', 'f')")):
+        colim_category(cat, module)
 
 
 @pytest.mark.parametrize("kind", ["ell", "representative"])

@@ -15,9 +15,10 @@ from oghom.homology import (
     homology_profile,
     nerve_complex,
 )
-from oghom.zmodule import AbHom, FgAbGroup, ZMatrix, direct_sum
+from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
 from .oracles import (
     complex_from_dense,
+    direct_sum,
     in_relation_span_by_solve,
     periodic_cyclic_homology,
 )

@@ -613,10 +613,8 @@ def test_cli_bad_degrees_is_usage_error(degrees, capsys):
 
 @pytest.mark.parametrize("argv, option", [
     (["homology", "z2", "--max-degree", "-1"], "--max-degree"),
-    (["check", "adjunction", "clifford", "--hom-bound", "-1"],
-     "--hom-bound"),
-    (["check", "adjunction", "clifford", "--hom-bound", "0"],
-     "--hom-bound"),
+    (["homology", "z2", "--max-degree", "x"], "--max-degree"),
+    (["gen", "--seed", "x"], "--seed"),
     (["gen", "--max-group", "0"], "--max-group"),
     (["gen", "--identities", "-3"], "--identities"),
     (["gen", "--identities", "0"], "--identities"),
@@ -718,10 +716,22 @@ def test_cli_check_colim_composition(capsys):
     assert payload["ok"] is True
 
 
-def test_cli_check_adjunction_needs_finite(capsys):
-    # clifford's bundled modules are free, so enumeration must refuse
-    assert main(["check", "adjunction", "clifford"]) == 1
-    assert "finite" in capsys.readouterr().err
+def test_cli_check_adjunction_free_coefficients(capsys):
+    # clifford's bundled modules are free; the triangle identities need
+    # no finite hom sets
+    assert main(["check", "adjunction", "clifford", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True
+    assert payload["results"] == [
+        {"module": m, "colim_triangle": True, "expand_triangle": True}
+        for m in ("const", "sign")]
+
+
+def test_cli_check_adjunction_has_no_hom_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "adjunction", "clifford", "--hom-bound", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --hom-bound" in capsys.readouterr().err
 
 
 def test_cli_gen_roundtrip(tmp_path, capsys):
@@ -735,7 +745,7 @@ def test_cli_gen_roundtrip(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     row = payload["results"][0]
-    assert row["left_count"] == row["right_count"]
+    assert row["colim_triangle"] is True and row["expand_triangle"] is True
 
 
 def test_cli_gen_free_mode(capsys):

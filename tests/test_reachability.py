@@ -20,11 +20,7 @@ BENCH = ROOT / "perfbench"
 
 KEEP = {
     # next callers: cohomology and the dual comparison (ROADMAP item 2)
-    # and exact Hom groups for the rho/tau adjunction (item 3)
     "randgen.random_quotient_module": "random modules over G/beta",
-    "gmodules.expand_map": "E on maps",
-    "gmodules.colim_E_map": "colim_E on maps",
-    "gmodules.GMap.identity": "identity maps of modules",
     "gmodules.GMap.is_componentwise_surjective": "epimorphisms of modules",
     "zmodule.AbHom.is_injective": "monomorphisms of groups",
     # the paper's choice-independence verifiers
