@@ -14,7 +14,10 @@ columns; `complex_from_dense` transports such dense groups and
 boundaries to canonical coordinates, block by block, and hands them to
 `ChainComplex`, checking their endpoints on the way.
 Determinants (and so unimodularity of Smith transforms) come from a
-Bareiss elimination of their own.
+Bareiss elimination of their own.  `snf_min_abs` is the Smith form the
+library used before its Kannan-Bachem alternation: elimination around
+an entry of least absolute value, with unreduced transforms; the tests
+compare its diagonal with the library's.
 Relation-span membership is decided by solving R x = v against a Smith
 form of its own, where the library reads the group's canonical
 coordinates.  Canonical orders come from the diagonal of a Smith form
@@ -47,6 +50,7 @@ from oghom.zmodule import (
     AbHom,
     ColumnSolver,
     FgAbGroup,
+    SNFResult,
     ZMatrix,
     block_diag,
     homology_at,
@@ -178,6 +182,136 @@ def enumerate_gmaps(source, target):
     return results
 
 
+# ---------------------------------------------------------------- Smith forms
+
+
+def snf_min_abs(m):
+    """Smith normal form with tracked transforms, eliminating around an
+    entry of least absolute value without reducing the transforms.
+
+    Returns an SNFResult with u.mul(m).mul(v) == s, both transforms
+    unimodular, the diagonal of s non-negative, and each diagonal entry
+    dividing the next.  Reduction is gcd-driven with the pivot chosen as
+    a minimal-absolute-value entry of the remaining submatrix.
+
+    >>> res = snf_min_abs(ZMatrix([[4, 2], [2, 2]]))
+    >>> res.diagonal
+    (2, 2)
+    >>> res.u.mul(ZMatrix([[4, 2], [2, 2]])).mul(res.v) == res.s
+    True
+    """
+    nr, nc = m.nrows, m.ncols
+    a = [list(row) for row in m.rows]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    uinv = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    vinv = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def swap_rows(i, k):
+        a[i], a[k] = a[k], a[i]
+        u[i], u[k] = u[k], u[i]
+        for row in uinv:
+            row[i], row[k] = row[k], row[i]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for row in uinv:
+            row[i] = -row[i]
+
+    def addmul_row(i, k, q):
+        # row i += q * row k
+        ai, ak = a[i], a[k]
+        for j in range(nc):
+            if ak[j]:
+                ai[j] += q * ak[j]
+        ui, uk = u[i], u[k]
+        for j in range(nr):
+            if uk[j]:
+                ui[j] += q * uk[j]
+        for row in uinv:
+            if row[i]:
+                row[k] -= q * row[i]
+
+    def swap_cols(j, l):
+        for row in a:
+            row[j], row[l] = row[l], row[j]
+        for row in v:
+            row[j], row[l] = row[l], row[j]
+        vinv[j], vinv[l] = vinv[l], vinv[j]
+
+    def addmul_col(j, l, q):
+        # col j += q * col l
+        for row in a:
+            if row[l]:
+                row[j] += q * row[l]
+        for row in v:
+            if row[l]:
+                row[j] += q * row[l]
+        vl, vj = vinv[l], vinv[j]
+        for c in range(nc):
+            if vj[c]:
+                vl[c] -= q * vj[c]
+
+    t = 0
+    limit = min(nr, nc)
+    while t < limit:
+        # pivot: minimal absolute value in the remaining submatrix
+        best = None
+        pi = pj = -1
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, nc):
+                x = row[j]
+                if x and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pi, pj = i, j
+        if best is None:
+            break
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        if a[t][t] < 0:
+            negate_row(t)
+        pivot = a[t][t]
+
+        dirty = False
+        for i in range(t + 1, nr):
+            x = a[i][t]
+            if x:
+                addmul_row(i, t, -(x // pivot))
+                if a[i][t]:
+                    dirty = True
+        for j in range(t + 1, nc):
+            x = a[t][j]
+            if x:
+                addmul_col(j, t, -(x // pivot))
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            continue  # a smaller entry appeared; reselect the pivot
+
+        # pivot must divide everything that remains
+        fix = None
+        for i in range(t + 1, nr):
+            row = a[i]
+            for j in range(t + 1, nc):
+                if row[j] % pivot:
+                    fix = i
+                    break
+            if fix is not None:
+                break
+        if fix is not None:
+            addmul_row(t, fix, 1)  # column t untouched: a[fix][t] == 0
+            continue
+        t += 1
+
+    return SNFResult(ZMatrix._trusted(a, nc), ZMatrix._trusted(u, nr),
+                     ZMatrix._trusted(v, nc), ZMatrix._trusted(uinv, nr),
+                     ZMatrix._trusted(vinv, nc))
+
+
 # ---------------------------------------------------------------- canonical coordinates
 
 
@@ -188,10 +322,21 @@ def canonical_orders_by_snf(group):
     return tuple(diag) + (0,) * (group.ngens - len(diag))
 
 
+def group_order(group):
+    """Number of elements of the group, None when it is infinite."""
+    rank, torsion = group.canonical_form()
+    if rank:
+        return None
+    n = 1
+    for d in torsion:
+        n *= d
+    return n
+
+
 def element_vectors(group, limit=None):
     """All elements in canonical coordinates; error if infinite or past
     `limit`."""
-    n = group.order()
+    n = group_order(group)
     if n is None:
         raise PreconditionViolation("group is infinite")
     if limit is not None and n > limit:

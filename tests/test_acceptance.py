@@ -49,6 +49,7 @@ from oghom.zmodule import homology_at, snf
 from .oracles import (
     brute_force_homology,
     enumerate_gmaps,
+    group_order,
     is_unimodular,
     periodic_cyclic_homology,
     random_int_matrix,
@@ -204,7 +205,7 @@ def test_criterion_07_adjunction_bijection():
         q = quotient(g0)
         colim = colim_E(g0, lc, a_module)
         b_module = random_quotient_module(rng, q, max_order=6)
-        sizes = [grp.order() for grp in list(a_module.groups.values())
+        sizes = [group_order(grp) for grp in list(a_module.groups.values())
                  + list(b_module.groups.values())]
         assert all(s is not None and s <= 64 for s in sizes)
         up = expand(q, lc, b_module)
