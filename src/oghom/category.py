@@ -28,7 +28,12 @@ class FiniteCategory:
             raise StructuralDefect("not a category: %s" % problems[0])
 
     def check(self):
-        """Category axioms as a list of readable problems (empty = ok)."""
+        """Category axioms as a list of readable problems (empty = ok).
+
+        Associativity compares rows of composites, row[m] listing m h
+        for h in outgoing[cod m]: as cod(m1 m2) = cod(m2), row[m1 m2] is
+        row[m2] composed after m1 unless a triple (m1, m2, m3) fails, and
+        only then are the triples of (m1, m2) walked, in order."""
         out = []
         for o in self.objects:
             i = self.identity.get(o)
@@ -55,12 +60,16 @@ class FiniteCategory:
                 out.append("left unit fails at %r" % (m,))
             if self._compose[(m, self.identity[self.cod[m]])] != m:
                 out.append("right unit fails at %r" % (m,))
+        comp, outgoing, cod = self._compose, self.outgoing, self.cod
+        row = {m: [comp[(m, h)] for h in outgoing[cod[m]]]
+               for m in self.morphisms}
         for m1 in self.morphisms:
-            for m2 in self.outgoing[self.cod[m1]]:
-                m12 = self._compose[(m1, m2)]
-                for m3 in self.outgoing[self.cod[m2]]:
-                    if (self._compose[(m12, m3)]
-                            != self._compose[(m1, self._compose[(m2, m3)])]):
+            after_m1 = dict(zip(outgoing[cod[m1]], row[m1]))
+            for m2, m12 in zip(outgoing[cod[m1]], row[m1]):
+                if row.get(m12) == list(map(after_m1.get, row[m2])):
+                    continue
+                for m3 in outgoing[cod[m2]]:
+                    if comp[(m12, m3)] != comp[(m1, comp[(m2, m3)])]:
                         out.append("associativity fails at (%r, %r, %r)"
                                    % (m1, m2, m3))
         return out
@@ -81,11 +90,16 @@ class FiniteCategory:
 
     def left_cancellative(self):
         """(verdict, witness): witness is (m, h1, h2) with m h1 = m h2,
-        h1 != h2 when cancellation fails."""
+        h1 != h2 when cancellation fails.  Only a row of composites
+        m h that repeats one is walked for the witness."""
+        comp, outgoing, cod = self._compose, self.outgoing, self.cod
         for m in self.morphisms:
+            hs = outgoing[cod[m]]
+            row = [comp[(m, h)] for h in hs]
+            if len(set(row)) == len(row):
+                continue
             seen = {}
-            for h in self.outgoing[self.cod[m]]:
-                k = self._compose[(m, h)]
+            for h, k in zip(hs, row):
                 if k in seen and seen[k] != h:
                     return (False, (m, seen[k], h))
                 seen[k] = h

@@ -104,7 +104,10 @@ def validate(cand):
     """Check every axiom instance; violations come back as data.
 
     Order pairs are visited in sorted order, so the violation list does
-    not depend on set iteration order."""
+    not depend on set iteration order.  Associativity and OG2 compare
+    rows of composites, once per composable pair (g, h) and once per
+    order pair (x, y); only where rows differ are the triples or pairs
+    of order pairs walked, in order."""
     out = []
     arrows = cand.arrows
     idset = set(cand.identities)
@@ -151,29 +154,28 @@ def validate(cand):
     leaving = {}  # leaving[e]: the arrows with domain e, sorted
     for h in arrows:
         leaving.setdefault(d[h], []).append(h)
+    # row[g]: gh for h in leaving[r(g)], None where the table has no
+    # arrow; after[g] maps each such h to gh
+    row = {g: [k if k in d else None
+               for k in (comp.get((g, h)) for h in leaving.get(r[g], ()))]
+           for g in arrows}
+    after = {g: dict(zip(leaving.get(r[g], ()), row[g])) for g in arrows}
     for g in arrows:
-        for h in leaving.get(r[g], ()):
-            if comp.get((g, h)) not in d:
+        for h, gh in after[g].items():
+            if gh is None:
                 out.append(Violation("compose-domain", (g, h)))
     for (g, h) in sorted(k for k in comp
                          if k[0] in d and k[1] in d and r[k[0]] != d[k[1]]):
         out.append(Violation("compose-domain", (g, h)))
 
     def cmp2(g, h):
-        if r.get(g) == d.get(h):
-            k = comp.get((g, h))
-            if k in d:
-                return k
-        return None
-
-    # defined[g]: the pairs (h, gh) with gh in the table
-    defined = {g: [(h, comp[(g, h)]) for h in leaving.get(r[g], ())
-                   if comp.get((g, h)) in d]
-               for g in arrows}
+        return after[g].get(h) if g in after else None
 
     # units, inverses, associativity
     for g in arrows:
-        for h, k in defined[g]:
+        for h, k in after[g].items():
+            if k is None:
+                continue
             if d[k] != d[g] or r[k] != r[h]:
                 out.append(Violation("compose-typing", (g, h, k)))
                 continue
@@ -184,10 +186,15 @@ def validate(cand):
     for x in arrows:
         if cmp2(x, inv[x]) != d[x] or cmp2(inv[x], x) != r[x]:
             out.append(Violation("inverse-law", (x,)))
+    # when r(gh) = r(h), row[gh] runs over the same k as row[h]
     for g in arrows:
-        for h, gh in defined[g]:
-            for k, hk in defined[h]:
-                if cmp2(gh, k) != cmp2(g, hk):
+        after_g = after[g]
+        for h, gh in after_g.items():
+            if gh is None or (r[gh] == r[h]
+                              and row[gh] == list(map(after_g.get, row[h]))):
+                continue
+            for k, hk in after[h].items():
+                if hk is not None and cmp2(gh, k) != cmp2(g, hk):
                     out.append(Violation("associativity", (g, h, k)))
 
     # OG1: inversion is monotone
@@ -196,12 +203,18 @@ def validate(cand):
             out.append(Violation("OG1", (x, y)))
 
     # OG2: composition is monotone; above[(e, f)] holds the pairs
-    # u <= v with d(u) = e and d(v) = f
+    # u <= v with d(u) = e and d(v) = f, as a list of u's and of v's
     above = {}
     for (u, v) in sorted_pairs:
-        above.setdefault((d[u], d[v]), []).append((u, v))
+        us, vs = above.setdefault((d[u], d[v]), ([], []))
+        us.append(u)
+        vs.append(v)
     for (x, y) in sorted_pairs:
-        for (u, v) in above.get((r[x], r[y]), ()):
+        us, vs = above.get((r[x], r[y]), ((), ()))
+        if all(map(pairs.__contains__, zip(map(after[x].get, us),
+                                           map(after[y].get, vs)))):
+            continue
+        for (u, v) in zip(us, vs):
             xu, yv = cmp2(x, u), cmp2(y, v)
             if xu is not None and yv is not None and not leq(xu, yv):
                 out.append(Violation("OG2", (x, y, u, v)))

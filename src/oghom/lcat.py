@@ -8,7 +8,6 @@ arrow down to the domain of the second:
 """
 
 from .category import FiniteCategory
-from .errors import NotComposable
 
 
 class LCat:
@@ -23,27 +22,28 @@ class LCat:
             len(self.category.objects), len(self.category.morphisms))
 
 
-def lcat_compose(g0, m1, m2):
-    """Composite of morphisms m1 = (e, g), m2 = (f, h); needs r(g) = f."""
-    e, g = m1
-    f, h = m2
-    if g0.r[g] != f:
-        raise NotComposable("r(%s) != %s" % (g, f))
-    k = g0.compose(g0.corestriction(g, g0.d[h]), h)
-    return (e, k)
-
-
 def build_lcat(g0):
     """Enumerate all morphisms (e, g) with d(g) <= e and tabulate
-    composition; the result is validated as a category."""
-    leaving = {e: [(e, g) for g in g0.arrows if g0.order.leq(g0.d[g], e)]
-               for e in g0.identities}
-    morphisms = [m for e in g0.identities for m in leaving[e]]
-    dom = {(e, g): e for (e, g) in morphisms}
-    cod = {(e, g): g0.r[g] for (e, g) in morphisms}
-    identity = {e: (e, e) for e in g0.identities}
-    compose = {(m1, m2): lcat_compose(g0, m1, m2)
-               for m1 in morphisms for m2 in leaving[cod[m1]]}
+    composition; the result is validated as a category.  The arrow
+    (g|d(h)) h does not depend on e, so it is found once per pair of
+    arrows (g, h) and entered for every e above d(g)."""
+    d, r, inv, comp = g0.d, g0.r, g0.inv, g0._compose
+    # mor[e][g]: the morphism (e, g), for each arrow g with d(g) <= e
+    mor = {e: {g: (e, g) for g in g0.arrows if g0.order.leq(d[g], e)}
+           for e in g0.identities}
+    # over[i]: the identities e >= i
+    over = {i: [e for e in g0.identities if i in mor[e]]
+            for i in g0.identities}
+    morphisms = [m for e in g0.identities for m in mor[e].values()]
+    dom = {m: m[0] for m in morphisms}
+    cod = {m: r[m[1]] for m in morphisms}
+    identity = {e: mor[e][e] for e in g0.identities}
+    compose = {}
+    for g in g0.arrows:
+        for h, m2 in mor[r[g]].items():  # (g|d(h)) = (d(h)|g^-1)^-1
+            k = comp[(inv[g0._restriction[(d[h], inv[g])]], h)]
+            for e in over[d[g]]:
+                compose[(mor[e][g], m2)] = mor[e][k]
     cat = FiniteCategory(g0.identities, morphisms, dom, cod, identity,
                          compose)
     return LCat(g0, cat)

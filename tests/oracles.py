@@ -24,7 +24,12 @@ coordinates.  Canonical orders come from the diagonal of a Smith form
 with transforms, where the library eliminates modulo a maximal minor.
 The all-pairs scans visit every pair or triple of arrows
 or morphisms where the library reads only composable ones from
-per-object buckets.
+per-object buckets.  The per-triple loops compare (gh)k with g(hk) one
+triple at a time, and OG2 one pair of order pairs at a time, where the
+library compares whole rows of composites; they keep the library's
+visiting order, so problems and violations must agree as lists.
+`lcat_compose` composes in L(G) one pair of morphisms at a time, where
+the library computes each composite arrow once per pair of arrows.
 Hom sets of groups and of modules are listed element by element, where
 the library checks the colim_E/expansion adjunction through its unit,
 counit and triangle identities; `direct_sum` builds a sum group with
@@ -41,7 +46,7 @@ from math import gcd
 from jsonschema import Draft202012Validator
 
 from oghom.category import FiniteCategory
-from oghom.errors import PreconditionViolation, StructuralDefect
+from oghom.errors import NotComposable, PreconditionViolation, StructuralDefect
 from oghom.gmodules import GMap, GModule, module_from_parts
 from oghom.homology import MAX_CHAIN_RANK, ChainComplex, _chain_tuples
 from oghom.lcat import build_lcat
@@ -1024,6 +1029,191 @@ def chain_tuples_by_scan(cat, maxdeg):
         chains.append([c + (m,) for c in chains[n - 1] for m in nonid
                        if cat.cod[c[-1]] == cat.dom[m]])
     return chains
+
+
+# ---------------------------------------------------------------- per-triple loops
+#
+# The checks as they stood before rows of composites: the same visiting
+# order as the library, one composable triple (or pair of order pairs)
+# at a time.
+
+
+def category_problems_by_triples(cat):
+    """FiniteCategory.check with associativity tested triple by triple."""
+    out = []
+    for o in cat.objects:
+        i = cat.identity.get(o)
+        if i is None or cat.dom.get(i) != o or cat.cod.get(i) != o:
+            out.append("identity of %r is broken" % (o,))
+    for m in cat.morphisms:
+        if cat.dom[m] not in cat.objects or cat.cod[m] not in cat.objects:
+            out.append("morphism %r has unknown endpoints" % (m,))
+    for m1 in cat.morphisms:
+        for m2 in cat.outgoing.get(cat.cod[m1], ()):
+            k = cat._compose.get((m1, m2))
+            if k is None or k not in cat.dom:
+                out.append("composite (%r, %r) missing" % (m1, m2))
+            elif cat.dom[k] != cat.dom[m1] or cat.cod[k] != cat.cod[m2]:
+                out.append("composite (%r, %r) mistyped" % (m1, m2))
+    for (m1, m2) in cat._compose:
+        if (m1 in cat.dom and m2 in cat.dom
+                and cat.cod[m1] != cat.dom[m2]):
+            out.append("composite (%r, %r) defined illegally" % (m1, m2))
+    if out:
+        return out
+    for m in cat.morphisms:
+        if cat._compose[(cat.identity[cat.dom[m]], m)] != m:
+            out.append("left unit fails at %r" % (m,))
+        if cat._compose[(m, cat.identity[cat.cod[m]])] != m:
+            out.append("right unit fails at %r" % (m,))
+    for m1 in cat.morphisms:
+        for m2 in cat.outgoing[cat.cod[m1]]:
+            m12 = cat._compose[(m1, m2)]
+            for m3 in cat.outgoing[cat.cod[m2]]:
+                if (cat._compose[(m12, m3)]
+                        != cat._compose[(m1, cat._compose[(m2, m3)])]):
+                    out.append("associativity fails at (%r, %r, %r)"
+                               % (m1, m2, m3))
+    return out
+
+
+def left_cancellative_by_loop(cat):
+    """FiniteCategory.left_cancellative, one composite at a time."""
+    for m in cat.morphisms:
+        seen = {}
+        for h in cat.outgoing[cat.cod[m]]:
+            k = cat._compose[(m, h)]
+            if k in seen and seen[k] != h:
+                return (False, (m, seen[k], h))
+            seen[k] = h
+    return (True, None)
+
+
+def violations_by_triples(cand):
+    """validate as (axiom, witness) pairs in the library's order, with
+    associativity tested triple by triple and OG2 pair by pair."""
+    out = []
+    arrows = cand.arrows
+    idset = set(cand.identities)
+    d, r, inv = cand.d, cand.r, cand.inv
+    comp = cand.compose
+    pairs = cand.order_pairs
+    sorted_pairs = sorted(pairs)
+
+    def leq(a, b):
+        return (a, b) in pairs
+
+    # up[x] / down[x]: the arrows above / below x, in sorted order
+    up, down = {}, {}
+    for (a, b) in sorted_pairs:
+        if b in d:
+            up.setdefault(a, []).append(b)
+        if a in d:
+            down.setdefault(b, []).append(a)
+
+    # order is a partial order
+    for x in arrows:
+        if not leq(x, x):
+            out.append(("order-reflexive", (x,)))
+    for (a, b) in sorted_pairs:
+        for c in up.get(b, ()):
+            if not leq(a, c):
+                out.append(("order-transitive", (a, b, c)))
+    for (a, b) in sorted_pairs:
+        if a != b and leq(b, a):
+            if a < b:  # report each bad pair once
+                out.append(("order-antisymmetry", (a, b)))
+
+    # typing of identities, inverses, d and r
+    for e in cand.identities:
+        if e not in d or d[e] != e or r[e] != e or inv[e] != e:
+            out.append(("identity-typing", (e,)))
+    for x in arrows:
+        bad = (d[x] not in idset or r[x] not in idset or inv[x] not in d
+               or inv[inv[x]] != x or d[inv[x]] != r[x] or r[inv[x]] != d[x])
+        if bad:
+            out.append(("arrow-typing", (x,)))
+
+    # composition table on exactly the composable pairs
+    leaving = {}  # leaving[e]: the arrows with domain e, sorted
+    for h in arrows:
+        leaving.setdefault(d[h], []).append(h)
+    for g in arrows:
+        for h in leaving.get(r[g], ()):
+            if comp.get((g, h)) not in d:
+                out.append(("compose-domain", (g, h)))
+    for (g, h) in sorted(k for k in comp
+                         if k[0] in d and k[1] in d and r[k[0]] != d[k[1]]):
+        out.append(("compose-domain", (g, h)))
+
+    def cmp2(g, h):
+        if r.get(g) == d.get(h):
+            k = comp.get((g, h))
+            if k in d:
+                return k
+        return None
+
+    # defined[g]: the pairs (h, gh) with gh in the table
+    defined = {g: [(h, comp[(g, h)]) for h in leaving.get(r[g], ())
+                   if comp.get((g, h)) in d]
+               for g in arrows}
+
+    # units, inverses, associativity
+    for g in arrows:
+        for h, k in defined[g]:
+            if d[k] != d[g] or r[k] != r[h]:
+                out.append(("compose-typing", (g, h, k)))
+                continue
+            if g in idset and k != h:
+                out.append(("identity-law", (g, h)))
+            if h in idset and k != g:
+                out.append(("identity-law", (g, h)))
+    for x in arrows:
+        if cmp2(x, inv[x]) != d[x] or cmp2(inv[x], x) != r[x]:
+            out.append(("inverse-law", (x,)))
+    for g in arrows:
+        for h, gh in defined[g]:
+            for k, hk in defined[h]:
+                if cmp2(gh, k) != cmp2(g, hk):
+                    out.append(("associativity", (g, h, k)))
+
+    # OG1: inversion is monotone
+    for (x, y) in sorted_pairs:
+        if not leq(inv[x], inv[y]):
+            out.append(("OG1", (x, y)))
+
+    # OG2: composition is monotone; above[(e, f)] holds the pairs
+    # u <= v with d(u) = e and d(v) = f
+    above = {}
+    for (u, v) in sorted_pairs:
+        above.setdefault((d[u], d[v]), []).append((u, v))
+    for (x, y) in sorted_pairs:
+        for (u, v) in above.get((r[x], r[y]), ()):
+            xu, yv = cmp2(x, u), cmp2(y, v)
+            if xu is not None and yv is not None and not leq(xu, yv):
+                out.append(("OG2", (x, y, u, v)))
+
+    # OG3/OG4: unique restriction and corestriction
+    for x in arrows:
+        below = down.get(x, ())
+        for e in cand.identities:
+            if leq(e, d[x]) and sum(d[y] == e for y in below) != 1:
+                out.append(("OG3", (x, e)))
+            if leq(e, r[x]) and sum(r[y] == e for y in below) != 1:
+                out.append(("OG4", (x, e)))
+
+    return out
+
+
+def lcat_compose(g0, m1, m2):
+    """Composite of L(G) morphisms m1 = (e, g), m2 = (f, h); needs
+    r(g) = f."""
+    e, g = m1
+    f, h = m2
+    if g0.r[g] != f:
+        raise NotComposable("r(%s) != %s" % (g, f))
+    k = g0.compose(g0.corestriction(g, g0.d[h]), h)
+    return (e, k)
 
 
 # ---------------------------------------------------------------- schema errors

@@ -45,6 +45,35 @@ def connected_candidate():
     return cand
 
 
+# arrow (i, j, s) of the Brandt groupoid over Z/2: from i to j, twisted
+# by s in Z/2; (i, j, s)(j, k, t) = (i, k, s + t)
+BRANDT_Z2_NAMES = {("e", "e", 0): "e", ("e", "e", 1): "se",
+                   ("f", "f", 0): "f", ("f", "f", 1): "sf",
+                   ("e", "f", 0): "a", ("e", "f", 1): "b",
+                   ("f", "e", 0): "a_inv", ("f", "e", 1): "b_inv"}
+
+
+def brandt_z2_candidate():
+    """The Brandt groupoid over Z/2 on e and f, with the identity 0 below
+    every arrow: a and b both go from e to f, so a composite can be
+    rewritten to another arrow of the same domain and range."""
+    name = BRANDT_Z2_NAMES
+    loops = {"e", "f"}
+    arrows = [{"id": x, "d": i, "r": j, "inv": name[(j, i, s)]}
+              for (i, j, s), x in sorted(name.items()) if x not in loops]
+    compose = [[x, y, name[(i, k, (s + t) % 2)]]
+               for (i, j, s), x in sorted(name.items()) if x not in loops
+               for (j2, k, t), y in sorted(name.items())
+               if y not in loops and j2 == j]
+    doc = {"schema": 1,
+           "groupoid": {"identities": ["0", "e", "f"], "arrows": arrows,
+                        "compose": compose,
+                        "order": [["0", x] for x in sorted(name.values())]},
+           "modules": {}}
+    _, cand, _ = io.load(doc)
+    return cand
+
+
 def connected_groupoid():
     return OrderedGroupoid.from_candidate(connected_candidate())
 
@@ -52,6 +81,13 @@ def connected_groupoid():
 def test_validates():
     rep = validate(connected_candidate())
     assert rep.ok, rep.violations
+
+
+def test_brandt_z2_validates():
+    g0 = OrderedGroupoid.from_candidate(brandt_z2_candidate())
+    assert g0.compose("a", "b_inv") == "se"
+    assert build_lcat(g0).category.left_cancellative() == (True, None)
+    assert quotient(g0).classes == {"0": sorted(g0.arrows)}
 
 
 def test_lcat_is_left_cancellative():

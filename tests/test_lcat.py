@@ -7,10 +7,10 @@ import pytest
 from oghom import fixtures
 from oghom.category import FiniteCategory
 from oghom.errors import NotComposable, StructuralDefect
-from oghom.lcat import build_lcat, lcat_compose
+from oghom.lcat import build_lcat
 from oghom.randgen import random_og
 
-from .oracles import group_category
+from .oracles import group_category, lcat_compose, left_cancellative_by_loop
 
 
 def test_clifford_morphisms():
@@ -81,6 +81,7 @@ def test_left_cancellative_counterexample_detected():
     assert not ok
     m, h1, h2 = witness
     assert cat.compose(m, h1) == cat.compose(m, h2) and h1 != h2
+    assert cat.left_cancellative() == left_cancellative_by_loop(cat)
 
 
 def test_group_category():

@@ -1,22 +1,32 @@
-"""The per-object composability index against the all-pairs scans.
+"""The per-object composability index and the rows of composites
+against the all-pairs scans and the per-triple loops.
 
 `validate`, `FiniteCategory.check`, `beta_transitive` and the nerve's
 chain enumeration visit only composable pairs and triples; the oracles
 in tests/oracles.py visit every pair or triple and discard the rest.
-Violations and problems must agree as sorted lists, and the least
-failing beta triple and the chain order must agree exactly.
+Violations and problems must agree with them as sorted lists, and with
+the per-triple loops, which visit in the library's order, as lists.
+`left_cancellative` must return the per-composite loop's witness, L(G)
+must tabulate the per-pair composite, and the least failing beta triple
+and the chain order must agree exactly.  Composites rewritten to
+another morphism of the same domain and codomain pass every typing
+check, so only the unit, inverse, associativity and OG2 rows can catch
+them.
 """
 
 import copy
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oghom import fixtures, io
 from oghom.beta import beta_transitive, quotient
-from oghom.category import groupoid_as_category
-from oghom.groupoid import validate
+from oghom.category import FiniteCategory, groupoid_as_category
+from oghom.errors import StructuralDefect
+from oghom.groupoid import OrderedGroupoid, validate
 from oghom.homology import _chain_tuples
 from oghom.lcat import build_lcat
 from oghom.randgen import random_og
@@ -24,11 +34,19 @@ from oghom.randgen import random_og
 from .oracles import (
     beta_transitive_by_scan,
     category_problems_by_scan,
+    category_problems_by_triples,
     chain_tuples_by_scan,
     group_category,
+    lcat_compose,
+    left_cancellative_by_loop,
     validate_by_scan,
+    violations_by_triples,
 )
-from .test_connected import connected_candidate, connected_groupoid
+from .test_connected import (
+    brandt_z2_candidate,
+    connected_candidate,
+    connected_groupoid,
+)
 from .test_groupoid import clifford_mutations
 
 
@@ -40,6 +58,7 @@ def random_groupoid(rng, directed):
 def groupoids():
     out = [fixtures.load(n).groupoid for n in fixtures.names()]
     out.append(connected_groupoid())
+    out.append(OrderedGroupoid.from_candidate(brandt_z2_candidate()))
     rng = random.Random(4242)
     for directed in (True, False):
         out.extend(random_groupoid(rng, directed) for _ in range(40))
@@ -108,18 +127,80 @@ def corrupt_category(cat, rng):
     return bad
 
 
-def violations(cand):
-    return sorted((v.axiom, v.witness) for v in validate(cand).violations)
+def same_type_rewrites(cat, rng, count):
+    """Up to `count` copies of cat, each with one composite of two
+    non-identity morphisms rewritten to another morphism with the same
+    domain and codomain."""
+    parallel = {}
+    for m in cat.morphisms:
+        parallel.setdefault((cat.dom[m], cat.cod[m]), []).append(m)
+    edits = [(pair, other) for pair, k in sorted(cat._compose.items())
+             if not (cat.is_identity(pair[0]) or cat.is_identity(pair[1]))
+             for other in parallel[(cat.dom[k], cat.cod[k])] if other != k]
+    out = []
+    for pair, other in rng.sample(edits, min(count, len(edits))):
+        bad = copy.copy(cat)
+        bad._compose = dict(cat._compose)
+        bad._compose[pair] = other
+        out.append(bad)
+    return out
+
+
+def same_type_candidate_rewrites(make, rng, count):
+    """Up to `count` candidates from make(), each with gh rewritten to
+    another arrow with the same domain and range, for arrows g and h
+    that are not identities and not inverse to each other."""
+    base = make()
+    d, r = base.d, base.r
+    edits = [((g, h), other) for (g, h), k in sorted(base.compose.items())
+             if g not in base.identities and h not in base.identities
+             and h != base.inv[g]
+             for other in base.arrows
+             if other != k and d[other] == d[k] and r[other] == r[k]]
+    out = []
+    for pair, other in rng.sample(edits, min(count, len(edits))):
+        cand = make()
+        cand.compose[pair] = other
+        out.append(cand)
+    return out
+
+
+def lcat_table_by_pairs(g0):
+    """L(G)'s morphisms and composition, composed pair by pair."""
+    morphisms = [(e, g) for e in g0.identities for g in g0.arrows
+                 if g0.order.leq(g0.d[g], e)]
+    return morphisms, {(m1, m2): lcat_compose(g0, m1, m2)
+                       for m1 in morphisms for m2 in morphisms
+                       if g0.r[m1[1]] == m2[0]}
+
+
+def assert_lcat_table_agrees(g0):
+    cat = build_lcat(g0).category
+    morphisms, table = lcat_table_by_pairs(g0)
+    assert cat.morphisms == morphisms
+    assert cat._compose == table
 
 
 def assert_validate_agrees(cand):
     want = validate_by_scan(cand)
-    assert violations(cand) == want
-    assert validate(cand).ok == (not want)
+    report = validate(cand)
+    got = [(v.axiom, v.witness) for v in report.violations]
+    assert got == violations_by_triples(cand)
+    assert sorted(got) == want
+    assert report.ok == (not want)
 
 
 def assert_check_agrees(cat):
-    assert sorted(cat.check()) == category_problems_by_scan(cat)
+    got = cat.check()
+    assert got == category_problems_by_triples(cat)
+    assert sorted(got) == category_problems_by_scan(cat)
+    try:
+        want = left_cancellative_by_loop(cat)
+    except KeyError:  # a dropped composite
+        with pytest.raises(KeyError):
+            cat.left_cancellative()
+    else:
+        assert cat.left_cancellative() == want
 
 
 def test_validate_matches_scan():
@@ -139,12 +220,61 @@ def test_category_check_matches_scan():
     failing = 0
     for g0 in GROUPOIDS:
         for cat in (build_lcat(g0).category, groupoid_as_category(g0)):
-            assert cat.check() == [] == category_problems_by_scan(cat)
+            assert cat.check() == []
+            assert_check_agrees(cat)
             for _ in range(3):
                 bad = corrupt_category(cat, rng)
                 failing += bool(category_problems_by_scan(bad))
                 assert_check_agrees(bad)
     assert failing > 100
+
+
+def test_same_type_rewrites_are_caught():
+    rng = random.Random(9)
+    first, caught, tried = Counter(), 0, 0
+    for g0 in GROUPOIDS:
+        for cat in (build_lcat(g0).category, groupoid_as_category(g0)):
+            for bad in same_type_rewrites(cat, rng, 4):
+                want = category_problems_by_triples(bad)
+                assert_check_agrees(bad)
+                tried += 1
+                if not want:
+                    continue  # the rewrite gave another category
+                caught += 1
+                first[want[0].split()[0]] += 1
+                with pytest.raises(StructuralDefect) as exc:
+                    FiniteCategory(bad.objects, bad.morphisms, bad.dom,
+                                   bad.cod, bad.identity, bad._compose)
+                assert str(exc.value) == "not a category: %s" % want[0]
+    # some rewrites give another category, which both checks accept
+    assert caught > 0.75 * tried > 100
+    assert first["associativity"] > 50
+
+
+def test_same_type_candidate_rewrites_are_caught():
+    rng = random.Random(10)
+    # every rewrite of the Brandt table, and three of each other table
+    brandt = same_type_candidate_rewrites(brandt_z2_candidate, rng, 40)
+    assert len(brandt) == 12
+    cands = brandt + [
+        cand for g0 in GROUPOIDS for cand in same_type_candidate_rewrites(
+            lambda g0=g0: candidate_of(g0), rng, 3)]
+    first = Counter()
+    for cand in cands:
+        assert_validate_agrees(cand)
+        report = validate(cand)
+        if report.ok:
+            continue
+        first[report.violations[0].axiom] += 1
+        with pytest.raises(StructuralDefect):
+            OrderedGroupoid.from_candidate(cand)
+    assert all(not validate(cand).ok for cand in brandt)
+    assert first["associativity"] > 50
+
+
+def test_lcat_table_matches_pairwise_composition():
+    for g0 in GROUPOIDS:
+        assert_lcat_table_agrees(g0)
 
 
 def test_beta_transitive_matches_scan():
@@ -172,7 +302,10 @@ def test_scans_agree_hypothesis(seed, directed):
     rng = random.Random(seed)
     g0 = random_groupoid(rng, directed)
     assert_validate_agrees(mutate_candidate(candidate_of(g0), rng))
+    assert_lcat_table_agrees(g0)
     cat = build_lcat(g0).category
     assert_check_agrees(corrupt_category(cat, rng))
+    for bad in same_type_rewrites(cat, rng, 2):
+        assert_check_agrees(bad)
     assert beta_transitive(g0) == beta_transitive_by_scan(g0)
     assert _chain_tuples(cat, 3) == chain_tuples_by_scan(cat, 3)
