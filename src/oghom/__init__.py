@@ -17,7 +17,7 @@ from .homology import (ChainComplex, check_theorem, homology,
                        homology_profile, nerve_complex)
 from .lcat import LCat, build_lcat
 from .zmodule import (AbHom, FgAbGroup, ZMatrix, block_diag, hom_welldefined,
-                      homology_at, kernel_basis, lattice_basis, snf)
+                      homology_at, kernel_basis, snf)
 
 __version__ = "0.1.0"
 
@@ -34,6 +34,6 @@ __all__ = [
     "colim_category", "expand", "expand_map",
     "groupoid_as_category", "hom_welldefined", "homology", "homology_at",
     "homology_profile", "is_principally_directed", "kernel_basis",
-    "lattice_basis", "module_from_parts", "nerve_complex", "quotient", "rho",
+    "module_from_parts", "nerve_complex", "quotient", "rho",
     "snf", "tau", "validate",
 ]

@@ -7,7 +7,9 @@ identity contribute nothing), and drops the last entry, with alternating
 signs.  Degree zero is one summand per object and H_0 is checked against
 the colimit presentation every time it is computed.
 
-`nerve_complex` writes each coefficient group in canonical coordinates
+`nerve_complex` has two halves: `bar_resolution` describes the chains
+and their faces without a module, and `tensor`, the only code that
+knows canonical coordinates, writes each coefficient group in them
 first, so a `ChainComplex` keeps only the cyclic order of each generator
 and sparse boundary columns (see its docstring): ∂² = 0 is checked and
 the reduction below runs on them; dense matrices are views built on
@@ -31,6 +33,7 @@ complex built with checked=True must satisfy it already.
 
 import warnings
 from collections import deque
+from itertools import accumulate
 from math import gcd
 
 from .errors import StructuralDefect
@@ -272,72 +275,96 @@ def _chain_tuples(cat, maxdeg):
     return chains
 
 
-def nerve_complex(cat, module, maxdeg):
-    """Chain complex of the normalized nerve up to degree maxdeg, each
-    coefficient group in its canonical coordinates ⊕ Z/d_i with the
-    coordinates of order 1 dropped; a chain's generators are its
-    coefficient group's, shifted to its offset."""
-    if maxdeg < 1:
-        raise StructuralDefect("a complex needs at least degree 1")
+def bar_resolution(cat, maxdeg):
+    """The normalized bar resolution of Z over cat up to degree maxdeg,
+    without coefficients, as (bases, faces): generator g of degree n is
+    chain g of `_chain_tuples`, its coefficient sits at bases[n][g], and
+    faces(n) yields the boundary of each generator in turn as terms
+    (lower generator, morphism or None for the identity, coefficient)."""
     chains = _chain_tuples(cat, maxdeg)
+    bases = [chains[0]] + [[cat.dom[c[0]] for c in cs] for cs in chains[1:]]
+
+    def faces(n):
+        below = {c: g for g, c in enumerate(chains[n - 1])}
+        for c in chains[n]:
+            terms = [(below[c[1:] if n > 1 else cat.cod[c[0]]], c[0], 1)]
+            for j in range(1, n):
+                comp = cat.compose(c[j - 1], c[j])
+                if not cat.is_identity(comp):
+                    terms.append((below[c[:j - 1] + (comp,) + c[j + 1:]],
+                                  None, -1 if j % 2 else 1))
+            terms.append((below[c[:-1] if n > 1 else cat.dom[c[0]]], None,
+                          -1 if n % 2 else 1))
+            yield terms
+
+    return bases, faces
+
+
+def tensor(resolution, module):
+    """The module tensored with a resolution described as by
+    `bar_resolution`, each coefficient group in canonical coordinates
+    ⊕ Z/d_i with those of order 1 dropped, at its generator's offset."""
+    bases, faces = resolution
     # equal coefficient groups share one instance, so one Smith form;
     # kept[g]: the canonical coordinates of g whose order is not 1
     first = {}
     groups = {o: first.setdefault(g, g) for o, g in module.groups.items()}
     kept = {g: [(i, k) for i, k in enumerate(g.canonical_orders()) if k != 1]
             for g in first}
+    ks_at = {o: [k for _, k in kept[g]] for o, g in groups.items()}
 
-    orders, offsets = [], []
-    for n, chain_list in enumerate(chains):
-        offs, ks = {}, []
-        for c in chain_list:
-            offs[c] = len(ks)
-            base = c if n == 0 else cat.dom[c[0]]
-            ks.extend(k for _, k in kept[groups[base]])
+    # offsets[n][g]: generator g's first chain-group generator; rank last
+    orders = [[k for o in objects for k in ks_at[o]] for objects in bases]
+    offsets = [list(accumulate((len(ks_at[o]) for o in objects), initial=0))
+               for objects in bases]
+    for n, ks in enumerate(orders):
         if len(ks) > MAX_CHAIN_RANK:
             warnings.warn("chain group at degree %d has rank %d (limit %d)"
                           % (n, len(ks), MAX_CHAIN_RANK))
-        orders.append(ks)
-        offsets.append(offs)
 
     # per non-identity morphism and kept generator i of its domain's
-    # group: the order of i and the image of i, in kept coordinates
-    pushed = {}
+    # group: the image of i, in kept coordinates
+    cat, pushed = module.base, {}
     for m in cat.nonidentity_morphisms():
         src, tgt = groups[cat.dom[m]], groups[cat.cod[m]]
         images = []
-        for i, k in kept[src]:
+        for i, _ in kept[src]:
             y = tgt.to_canonical(module.action[m].apply(src.from_canonical(
                 [int(j == i) for j in range(src.ngens)])))
-            images.append((k, {r: y[t] for r, (t, _) in enumerate(kept[tgt])
-                               if y[t]}))
+            images.append({r: y[t] for r, (t, _) in enumerate(kept[tgt])
+                           if y[t]})
         pushed[m] = images
 
     columns = [None]
-    for n in range(1, maxdeg + 1):
-        below = offsets[n - 1]
+    for n in range(1, len(bases)):
+        offs, below, ks = offsets[n], offsets[n - 1], orders[n - 1]
         cols = []
-        for c in chains[n]:
-            # the coefficient is pushed along the first entry; composing
-            # interior pairs (identity composites vanish) and dropping
-            # the last entry keep generator i, at these offsets and signs
-            head = below[c[1:] if n > 1 else cat.cod[c[0]]]
-            terms = []
-            for j in range(1, n):
-                comp = cat.compose(c[j - 1], c[j])
-                if not cat.is_identity(comp):
-                    terms.append((below[c[:j - 1] + (comp,) + c[j + 1:]],
-                                  -1 if j % 2 else 1))
-            terms.append((below[c[:-1] if n > 1 else cat.dom[c[0]]],
-                          -1 if n % 2 else 1))
-            for i, (k, push) in enumerate(pushed[c[0]]):
-                col = {head + r: v for r, v in push.items()}
-                for at, sign in terms:
-                    v = col.get(at + i, 0) + sign
-                    col[at + i] = v % k if k else v
+        for g, terms in enumerate(faces(n)):
+            for i in range(offs[g + 1] - offs[g]):
+                col = {}
+                for lower, m, coef in terms:
+                    at = below[lower]
+                    if m is None:
+                        # the identity keeps generator i in place
+                        r = at + i
+                        v = col.get(r, 0) + coef
+                        col[r] = v % ks[r] if ks[r] else v
+                        continue
+                    for r, v in pushed[m][i].items():
+                        r += at
+                        v = col.get(r, 0) + coef * v
+                        col[r] = v % ks[r] if ks[r] else v
                 cols.append({r: v for r, v in col.items() if v})
         columns.append(cols)
     return ChainComplex(orders, columns)
+
+
+def nerve_complex(cat, module, maxdeg):
+    """Chain complex of the normalized nerve up to degree maxdeg: the
+    bar resolution tensored with the module."""
+    if maxdeg < 1:
+        raise StructuralDefect("a complex needs at least degree 1")
+    return tensor(bar_resolution(cat, maxdeg), module)
 
 
 def homology(cat, module, n, complex_=None):

@@ -542,6 +542,10 @@ class ColumnSolver:
         self.m = m
         self._res = snf(m)
         self._diag = self._res.diagonal
+        # the columns of V past the rank: a basis of the kernel of M
+        self.kernel = ZMatrix.from_cols(
+            [self._res.v.col(j) for j in range(self._res.rank, m.ncols)],
+            m.ncols)
 
     def solve_vector(self, vec):
         """Some integer x with M x = vec, or None."""
@@ -574,24 +578,7 @@ class ColumnSolver:
 
 def kernel_basis(m):
     """Basis of the integer kernel lattice of m, as matrix columns."""
-    res = snf(m)
-    r = res.rank
-    cols = [res.v.col(j) for j in range(r, m.ncols)]
-    return ZMatrix.from_cols(cols, m.ncols)
-
-
-def lattice_basis(m):
-    """Independent columns spanning the column span of m.
-
-    The generating columns of m may be dependent; the returned basis is
-    honest, so coordinates with respect to it are unique.
-    """
-    res = snf(m)
-    cols = []
-    for i in range(res.rank):
-        d = res.s.rows[i][i]
-        cols.append(tuple(d * x for x in res.uinv.col(i)))
-    return ZMatrix.from_cols(cols, m.nrows)
+    return ColumnSolver(m).kernel
 
 
 class FgAbGroup:
@@ -790,17 +777,17 @@ def preimage_lattice(matrix, target_relations):
     """Generators of {x : matrix @ x lies in the span of target_relations}."""
     w = matrix.hstack(prune_columns(target_relations))
     ker = kernel_basis(w)
-    top = ZMatrix._trusted(ker.rows[:matrix.ncols], ker.ncols)
-    return lattice_basis(top)
+    return ZMatrix._trusted(ker.rows[:matrix.ncols], ker.ncols)
 
 
 def homology_at(f, g):
     """ker(g)/im(f) for presented-group maps f: A -> B, g: B -> C.
 
-    Computed by lifting to the free cover of B: the kernel of g is the
-    projection of the integer kernel of [g.matrix | relations of C],
-    re-based to an honest lattice basis, and the answer is that lattice
-    modulo the columns of f plus the relations of B.
+    Computed by lifting to the free cover of B: the kernel of g is
+    generated by the projection of the integer kernel of [g.matrix |
+    relations of C].  One Smith form of those s generators solves for
+    the columns of f plus the relations of B and gives the generators'
+    own relations, its kernel; the answer is Z^s modulo both.
 
     >>> z = FgAbGroup.free(1)
     >>> dbl = AbHom(z, z, ZMatrix([[2]]))
@@ -817,11 +804,12 @@ def homology_at(f, g):
     if not g.target.kills(g.matrix.mul(f.matrix)):
         raise CompositeNonzero("composite g o f is not zero")
 
-    kbasis = preimage_lattice(g.matrix, g.target.relations)
-    if kbasis.ncols == 0:
+    kgens = preimage_lattice(g.matrix, g.target.relations)
+    if kgens.ncols == 0:
         return FgAbGroup.trivial()
     rhs = f.matrix.hstack(prune_columns(b.relations))
-    q = ColumnSolver(kbasis).solve_matrix(rhs)
+    solver = ColumnSolver(kgens)
+    q = solver.solve_matrix(rhs)
     if q is None:
         raise PreconditionViolation("image does not lie in the kernel lattice")
-    return FgAbGroup(kbasis.ncols, q)
+    return FgAbGroup(kgens.ncols, q.hstack(solver.kernel))

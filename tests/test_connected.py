@@ -53,10 +53,11 @@ BRANDT_Z2_NAMES = {("e", "e", 0): "e", ("e", "e", 1): "se",
                    ("f", "e", 0): "a_inv", ("f", "e", 1): "b_inv"}
 
 
-def brandt_z2_candidate():
+def brandt_z2_doc(group_at_0=Z):
     """The Brandt groupoid over Z/2 on e and f, with the identity 0 below
     every arrow: a and b both go from e to f, so a composite can be
-    rewritten to another arrow of the same domain and range."""
+    rewritten to another arrow of the same domain and range.  Its module
+    m is Z at e and f, `group_at_0` at 0, and every map the identity."""
     name = BRANDT_Z2_NAMES
     loops = {"e", "f"}
     arrows = [{"id": x, "d": i, "r": j, "inv": name[(j, i, s)]}
@@ -65,12 +66,18 @@ def brandt_z2_candidate():
                for (i, j, s), x in sorted(name.items()) if x not in loops
                for (j2, k, t), y in sorted(name.items())
                if y not in loops and j2 == j]
-    doc = {"schema": 1,
-           "groupoid": {"identities": ["0", "e", "f"], "arrows": arrows,
-                        "compose": compose,
-                        "order": [["0", x] for x in sorted(name.values())]},
-           "modules": {}}
-    _, cand, _ = io.load(doc)
+    return {"schema": 1,
+            "groupoid": {"identities": ["0", "e", "f"], "arrows": arrows,
+                         "compose": compose,
+                         "order": [["0", x] for x in sorted(name.values())]},
+            "modules": {
+                "m": {"groups": {"0": group_at_0, "e": Z, "f": Z},
+                      "poset_maps": {"e>0": [[1]], "f>0": [[1]]},
+                      "arrow_maps": {a["id"]: [[1]] for a in arrows}}}}
+
+
+def brandt_z2_candidate():
+    _, cand, _ = io.load(brandt_z2_doc())
     return cand
 
 
@@ -109,9 +116,8 @@ def test_quotient_has_one_class():
     assert rep.ok and rep.checked > 0
 
 
-@pytest.mark.parametrize("group_at_0, h0", [(Z, (1, ())), (Z2, (0, (2,)))])
-def test_theorem_degrees_0_to_2(group_at_0, h0):
-    _, cand, mdocs = io.load(connected_doc(group_at_0))
+def assert_theorem_degrees_0_to_2(doc, h0):
+    _, cand, mdocs = io.load(doc)
     g0 = OrderedGroupoid.from_candidate(cand)
     lc = build_lcat(g0)
     module = io.build_module(g0, lc, mdocs["m"])
@@ -122,6 +128,17 @@ def test_theorem_degrees_0_to_2(group_at_0, h0):
     assert forms == [h0, (0, ()), (0, ())]
     colim = colim_E(g0, lc, module)
     assert colim.module.groups["0"].canonical_form() == h0
+
+
+@pytest.mark.parametrize("group_at_0, h0", [(Z, (1, ())), (Z2, (0, (2,)))])
+def test_theorem_degrees_0_to_2(group_at_0, h0):
+    assert_theorem_degrees_0_to_2(connected_doc(group_at_0), h0)
+
+
+@pytest.mark.parametrize("group_at_0, h0", [(Z, (1, ())), (Z2, (0, (2,)))])
+def test_brandt_z2_theorem_degrees_0_to_2(group_at_0, h0):
+    # G/beta is the trivial group, so only H_0 = colim_E survives
+    assert_theorem_degrees_0_to_2(brandt_z2_doc(group_at_0), h0)
 
 
 def test_module_must_be_functorial_across_identities():

@@ -19,8 +19,9 @@ PACKAGE = ROOT / "src" / "oghom"
 BENCH = ROOT / "perfbench"
 
 KEEP = {
-    # next callers: cohomology and the dual comparison (ROADMAP item 2)
+    # next caller: cohomology and the dual comparison (ROADMAP item 5)
     "randgen.random_quotient_module": "random modules over G/beta",
+    # next callers: the exactness check of colim_E (ROADMAP item 6)
     "gmodules.GMap.is_componentwise_surjective": "epimorphisms of modules",
     "zmodule.AbHom.is_injective": "monomorphisms of groups",
     # the paper's choice-independence verifiers

@@ -28,7 +28,7 @@ from .oracles import (
     group_order,
     nerve_blocks,
 )
-from .test_connected import Z, Z2, connected_doc
+from .test_connected import Z, Z2, brandt_z2_doc, connected_doc
 from .test_reduction import cyclic_bundle, theorem_inputs
 
 ELEMENT_LIMIT = 512
@@ -104,8 +104,9 @@ def test_swap_on_a_non_diagonal_presentation():
 
 
 def test_connected_groupoid():
-    for group_at_0 in (Z, Z2):
-        _, cand, mdocs = io.load(connected_doc(group_at_0))
+    for doc in (connected_doc(Z), connected_doc(Z2), brandt_z2_doc(Z),
+                brandt_z2_doc(Z2)):
+        _, cand, mdocs = io.load(doc)
         g0 = OrderedGroupoid.from_candidate(cand)
         lc = build_lcat(g0)
         module = io.build_module(g0, lc, mdocs["m"])

@@ -20,7 +20,6 @@ from oghom.zmodule import (
     homology_at,
     invariant_factors,
     kernel_basis,
-    lattice_basis,
     prune_columns,
     snf,
 )
@@ -111,19 +110,33 @@ def test_snf_known_forms():
     assert snf(ZMatrix([[2, 0], [0, 3]])).diagonal == (1, 6)
 
 
-def test_kernel_and_lattice_basis():
+def test_kernel_basis_and_preimage_generators():
     m = ZMatrix([[2, 4, 6], [1, 2, 3]])
     k = kernel_basis(m)
     assert m.mul(k) == ZMatrix.zeros(m.nrows, k.ncols)
     assert k.ncols == 2
-    # lattice basis spans the same columns both ways
-    cols = ZMatrix([[2, 4, 0], [0, 6, 2]])
-    basis = lattice_basis(cols)
-    a, b = ColumnSolver(basis), ColumnSolver(cols)
-    assert all(a.solve_vector(cols.col(j)) is not None
-               for j in range(cols.ncols))
-    assert all(b.solve_vector(basis.col(j)) is not None
-               for j in range(basis.ncols))
+    # {x : x1 + x2 even}: the generators may be dependent, but they land
+    # in 2Z and span every vector that does
+    gens = zm.preimage_lattice(ZMatrix([[1, 1]]), ZMatrix([[2]]))
+    assert all(sum(gens.col(j)) % 2 == 0 for j in range(gens.ncols))
+    solver = ColumnSolver(gens)
+    assert all(solver.solve_vector(v) is not None
+               for v in [(2, 0), (1, 1), (1, -1), (0, 2)])
+    assert solver.solve_vector((1, 0)) is None
+
+
+def test_homology_at_on_dependent_kernel_generators():
+    # Z -> Z/2 presented by the relations 2 and 4: the kernel 2Z comes as
+    # two generators of Z^1, whose own relation must be kept
+    z = FgAbGroup.free(1)
+    c = FgAbGroup(1, ZMatrix([[2, 4]]))
+    g = AbHom(z, c, ZMatrix([[1]]))
+    assert zm.preimage_lattice(g.matrix, c.relations).ncols == 2
+    assert homology_at(AbHom.zero(FgAbGroup.trivial(), z),
+                       g).canonical_form() == (1, ())
+    # 2Z modulo 6Z
+    six = AbHom(z, z, ZMatrix([[6]]))
+    assert homology_at(six, g).canonical_form() == (0, (3,))
 
 
 def test_column_solver():
