@@ -279,14 +279,18 @@ def bar_resolution(cat, maxdeg):
     """The normalized bar resolution of Z over cat up to degree maxdeg,
     without coefficients, as (bases, faces): generator g of degree n is
     chain g of `_chain_tuples`, its coefficient sits at bases[n][g], and
-    faces(n) yields the boundary of each generator in turn as terms
-    (lower generator, morphism or None for the identity, coefficient)."""
+    faces(n) is a function face(g) that gives the boundary of generator
+    g of degree n as terms (lower generator, morphism or None for the
+    identity, coefficient)."""
     chains = _chain_tuples(cat, maxdeg)
     bases = [chains[0]] + [[cat.dom[c[0]] for c in cs] for cs in chains[1:]]
 
     def faces(n):
         below = {c: g for g, c in enumerate(chains[n - 1])}
-        for c in chains[n]:
+        top = chains[n]
+
+        def face(g):
+            c = top[g]
             terms = [(below[c[1:] if n > 1 else cat.cod[c[0]]], c[0], 1)]
             for j in range(1, n):
                 comp = cat.compose(c[j - 1], c[j])
@@ -295,7 +299,9 @@ def bar_resolution(cat, maxdeg):
                                   None, -1 if j % 2 else 1))
             terms.append((below[c[:-1] if n > 1 else cat.dom[c[0]]], None,
                           -1 if n % 2 else 1))
-            yield terms
+            return terms
+
+        return face
 
     return bases, faces
 
@@ -338,8 +344,12 @@ def tensor(resolution, module):
     columns = [None]
     for n in range(1, len(bases)):
         offs, below, ks = offsets[n], offsets[n - 1], orders[n - 1]
-        cols = []
-        for g, terms in enumerate(faces(n)):
+        cols, face = [], faces(n)
+        for g in range(len(offs) - 1):
+            if offs[g + 1] == offs[g]:
+                # a trivial coefficient group gives no column
+                continue
+            terms = face(g)
             for i in range(offs[g + 1] - offs[g]):
                 col = {}
                 for lower, m, coef in terms:

@@ -1,20 +1,19 @@
 """Exact linear algebra over the integers for finitely generated abelian groups.
 
 Groups are presented as cokernels of integer relation matrices and maps
-are integer matrices on generators.  A canonical form needs only the
-invariant factors, which `invariant_factors` computes without transforms
-by elimination modulo a nonzero maximal minor.  Questions that need
-coordinates (membership, kernels, solves, homology) go through Smith
-normal form with tracked unimodular transforms, computed by Kannan–Bachem
-Hermite alternation: a Hermite pass on the longer side, then passes on
-rows and columns in turn until the matrix is diagonal, each reducing the
-entries above a pivot as soon as it changes.  That keeps the transforms
+are integer matrices on generators.  One algorithm gives both Smith
+normal form and invariant factors: Kannan–Bachem Hermite alternation, a
+Hermite pass on the longer side, then passes on rows and columns in turn
+until the matrix is diagonal, each reducing the entries above a pivot
+as soon as it changes.  That keeps every entry, and so the transforms,
 polynomial in size, within a few times the bit length of the
-determinant on dense square matrices.  All arithmetic uses Python's
-unbounded integers; nothing here may silently overflow or round.
+determinant on dense square matrices.  A canonical form needs only the
+invariant factors, which `invariant_factors` reads from the passes with
+no transform tracked; questions that need coordinates (membership,
+kernels, solves, homology) go through `snf` and its unimodular
+transforms.  All arithmetic uses Python's unbounded integers; nothing
+here may silently overflow or round.
 """
-
-from math import gcd
 
 from .errors import CompositeNonzero, PreconditionViolation
 
@@ -231,11 +230,31 @@ def snf(m):
         eye = ZMatrix.identity(nr)
         eye_c = eye if nc == nr else ZMatrix.identity(nc)
         return SNFResult(m, eye, eye_c, eye, eye_c)
-    # U with the rows of U^-T, and V^T with V^-1: a pass on the rows of
-    # the working matrix applies each operation to the first of its pair
-    # and the inverse transpose to the second
+    # U with the rows of U^-T, and V^T with V^-1
     left = _identity_rows(nr), _identity_rows(nr)
     right = _identity_rows(nc), _identity_rows(nc)
+    d = _diagonalize(m, left, right)
+
+    zero = (0,) * nc
+    diag = [zero[:i] + (x,) + zero[i + 1:] for i, x in enumerate(d)]
+    diag += [zero] * (nr - len(d))
+    return SNFResult(ZMatrix._trusted(diag, nc), ZMatrix._trusted(left[0], nr),
+                     ZMatrix._trusted(zip(*right[0]), nc),
+                     ZMatrix._trusted(zip(*left[1]), nr),
+                     ZMatrix._trusted(right[1], nc))
+
+
+def _diagonalize(m, left, right):
+    """The Smith diagonal of m, min(m.nrows, m.ncols) entries long, by the
+    passes and finish that `snf` describes.
+
+    left and right are pairs of row lists, m.nrows and m.ncols rows
+    long: a pass on the rows of the working matrix applies each
+    operation to the rows of the first list of its side and the inverse
+    transpose to the second, and the finish does the same.  Rows of
+    width 0 track nothing; the four lists must still be distinct.
+    """
+    nr, nc = m.nrows, m.ncols
     # the first pass runs on the longer side; a holds the transpose of
     # the working matrix while the columns are being reduced
     on_cols = flipped = nr < nc
@@ -247,7 +266,7 @@ def snf(m):
         _hermite_rows(a, *(right if on_cols else left))
         on_cols = not on_cols
 
-    d = [a[i][i] for i in range(len(d))]
+    d = [a[i][i] for i in range(min(nr, nc))]
     for i, x in enumerate(d):
         if x < 0:
             d[i] = -x
@@ -278,14 +297,7 @@ def snf(m):
                 _mix(right[1], i, j, s * xq, t * yq, -1, 1)
                 x = d[i] = h
                 d[j] = xq * y
-
-    zero = (0,) * nc
-    diag = [zero[:i] + (x,) + zero[i + 1:] for i, x in enumerate(d)]
-    diag += [zero] * (nr - len(d))
-    return SNFResult(ZMatrix._trusted(diag, nc), ZMatrix._trusted(left[0], nr),
-                     ZMatrix._trusted(zip(*right[0]), nc),
-                     ZMatrix._trusted(zip(*left[1]), nr),
-                     ZMatrix._trusted(right[1], nc))
+    return d
 
 
 def _is_chain(d):
@@ -399,94 +411,6 @@ def _reduce_above(a, u, w, pivots, c):
                 _addmul(w, k, j, q)
 
 
-def _rank_and_minor(rows, ncols):
-    """Rank r of a matrix and one nonzero r x r minor (1 when r = 0), by
-    fraction-free (Bareiss) row echelon elimination: each pivot is the
-    minor on the pivot rows and columns so far, and the sign follows the
-    row swaps, so a square matrix of full rank gives its determinant."""
-    a = [list(row) for row in rows]
-    rank, prev, sign = 0, 1, 1
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-            sign = -sign
-        top = a[rank]
-        p = top[c]
-        for i in range(rank + 1, len(a)):
-            x = a[i][c]
-            a[i] = [(p * y - x * z) // prev for y, z in zip(a[i], top)]
-        prev = p
-        rank += 1
-    return rank, sign * prev
-
-
-def _cyclic_orders_mod(rows, d):
-    """Orders of the cyclic summands of (Z/d)^n modulo the column span of
-    `rows` (n rows), one divisor of d per row.
-
-    Invertible row and column operations over Z/d keep that cokernel, so
-    the elimination keeps every entry in [0, d).  The pivot is an entry x
-    of least g = gcd(x, d), a unit if there is one.  When g divides every
-    entry of the pivot's row and column, the pivot clears its column and
-    leaves with order g (column operations would clear its row without
-    touching any other).  Otherwise a Bezout step with an entry that g
-    does not divide makes an entry of smaller g.  Rows that end all zero
-    are Z/d each.
-    """
-    a = [[x % d for x in row] for row in rows]
-    orders = []
-    while True:
-        nonzero = [row for row in a if any(row)]
-        orders += [d] * (len(a) - len(nonzero))
-        a = nonzero
-        if not a:
-            return orders
-        g, i, j = _least_gcd_entry(a, d)
-        k = next((k for k, row in enumerate(a) if row[j] % g), None)
-        if k is not None:
-            s, t, p, q = _bezout(a[i][j], a[k][j])
-            ri, rk = a[i], a[k]
-            a[i] = [(s * v + t * w) % d for v, w in zip(ri, rk)]
-            a[k] = [(p * v - q * w) % d for v, w in zip(ri, rk)]
-            continue
-        k = next((k for k, y in enumerate(a[i]) if y % g), None)
-        if k is not None:
-            s, t, p, q = _bezout(a[i][j], a[i][k])
-            for row in a:
-                v, w = row[j], row[k]
-                row[j] = (s * v + t * w) % d
-                row[k] = (p * v - q * w) % d
-            continue
-        # x c = y (mod d) is solved by c = (y/g) (x/g)^-1 mod d/g; the
-        # cleared column is dropped with the pivot row
-        top = a.pop(i)
-        inv = pow(top.pop(j) // g, -1, d // g)
-        for k, row in enumerate(a):
-            y = row.pop(j)
-            if y:
-                c = y // g * inv % (d // g)
-                a[k] = [(v - c * w) % d for v, w in zip(row, top)]
-        orders.append(g)
-
-
-def _least_gcd_entry(a, d):
-    """(g, i, j) for a nonzero entry x = a[i][j] of least g = gcd(x, d),
-    stopping at the first unit."""
-    best = None
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x:
-                g = gcd(x, d)
-                if g == 1:
-                    return 1, i, j
-                if best is None or g < best[0]:
-                    best = g, i, j
-    return best
-
-
 def _bezout(x, y):
     """(s, t, p, q) with s x + t y = gcd(x, y) = h, p = y / h, q = x / h;
     [[s, t], [p, -q]] is unimodular and sends (x, y) to (h, 0)."""
@@ -504,34 +428,19 @@ def invariant_factors(m):
     each canonical coordinate of Z^nrows modulo the columns of m (0 for a
     free one), computed without transforms.
 
-    Fraction-free elimination gives the rank r and a nonzero r x r minor
-    D.  The product d_1 ... d_r of the nonzero invariant factors divides
-    every r x r minor, so each d_i divides D, and Z^nrows modulo the
-    columns of m and D Z^nrows is Z/d_1 + ... + Z/d_r + (Z/D)^(nrows - r).
-    That group is read off by elimination modulo D, so no entry grows past
-    D (Domich, Kannan and Trotter 1987; Hafner and McCurley 1991).
+    These are the passes and the finish of `snf` run with row lists of
+    width 0, so the working matrix is all they build; its entries stay
+    polynomial in size as the transforms' do.
 
     >>> invariant_factors(ZMatrix([[4, 2], [2, 2]]))
     (2, 2)
     >>> invariant_factors(ZMatrix([[2, 4], [0, 0], [6, 3]]))
     (1, 18, 0)
     """
-    n = m.nrows
-    rank, d = _rank_and_minor(m.rows, m.ncols)
-    d = abs(d)
-    if d == 1:
-        return (1,) * rank + (0,) * (n - rank)
-    orders = _cyclic_orders_mod(m.rows, d)
-    # Z/a + Z/b = Z/gcd + Z/lcm merges the summands into a divisibility
-    # chain; the summands Z/D are already at its top
-    tops = sum(1 for g in orders if g == d)
-    mid = sorted(g for g in orders if 1 < g < d)
-    for i in range(len(mid)):
-        for k in range(i + 1, len(mid)):
-            h = gcd(mid[i], mid[k])
-            mid[i], mid[k] = h, mid[i] * mid[k] // h
-    chain = [1] * (n - tops - len(mid)) + mid + [d] * tops
-    return tuple(chain[:rank]) + (0,) * (n - rank)
+    rows = [[] for _ in range(m.nrows)], [[] for _ in range(m.nrows)]
+    cols = [[] for _ in range(m.ncols)], [[] for _ in range(m.ncols)]
+    d = _diagonalize(m, rows, cols)
+    return tuple(d) + (0,) * (m.nrows - len(d))
 
 
 class ColumnSolver:

@@ -37,7 +37,7 @@ from oghom.gmodules import (
     tau,
 )
 from oghom.groupoid import GroupoidCandidate, OrderedGroupoid, validate
-from oghom.homology import check_theorem, homology, homology_profile, nerve_complex
+from oghom.homology import check_theorem, homology, homology_profile
 from oghom.lcat import build_lcat
 from oghom.randgen import (
     random_module,

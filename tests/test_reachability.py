@@ -6,7 +6,8 @@ or an identifier-only string somewhere in those modules outside its own
 body, or anywhere in `perfbench/` outside `perfbench/tests/`.  The
 package `__init__.py` only re-exports, so it does not count as a use,
 and neither do the tests.  A definition nothing reaches must be on
-KEEP, with the reason it stays.
+KEEP, with the reason it stays.  Likewise every name that such a module
+imports occurs in it.
 """
 
 import ast
@@ -93,6 +94,22 @@ def unreached():
 def test_every_definition_is_reached_or_kept():
     extra = sorted(unreached() - set(KEEP))
     assert not extra, "reached by nothing and not on KEEP: %s" % extra
+
+
+def imported_names(tree):
+    """The names that the imports of `tree` bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_import_is_used():
+    unused = sorted("%s.%s" % (module, name)
+                    for module, tree in library_trees().items()
+                    for name in imported_names(tree)
+                    if not used_names(tree)[name])
+    assert not unused, "imported and never used: %s" % unused
 
 
 def test_every_kept_name_is_defined():

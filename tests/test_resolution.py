@@ -29,7 +29,8 @@ from .test_connected import brandt_z2_candidate, connected_candidate
 def assert_resolution(cat, resolution, maxdeg):
     bases, faces = resolution
     assert len(bases) == maxdeg + 1
-    terms = [None] + [list(faces(n)) for n in range(1, maxdeg + 1)]
+    terms = [None] + [list(map(faces(n), range(len(bases[n]))))
+                      for n in range(1, maxdeg + 1)]
 
     def compose(m1, m2):
         # None is the identity of the generator's base
@@ -101,7 +102,12 @@ def mutated(resolution, n, edit):
     """The description with `edit` applied to the terms of every
     generator of degree n."""
     bases, faces = resolution
-    return bases, lambda k: (map(edit, faces(k)) if k == n else faces(k))
+
+    def edited(k):
+        face = faces(k)
+        return (lambda g: edit(face(g))) if k == n else face
+
+    return bases, edited
 
 
 @pytest.mark.parametrize("edit", [

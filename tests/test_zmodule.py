@@ -2,6 +2,7 @@
 
 import doctest
 import random
+from math import prod
 
 import pytest
 import sympy
@@ -93,8 +94,8 @@ def test_snf_transforms_stay_polynomial():
     for n in (20, 27, 33, 40):
         m = ZMatrix([[rng.randint(-50, 50) for _ in range(n)]
                      for _ in range(n)])
-        rank, d = zm._rank_and_minor(m.rows, m.ncols)
-        assert rank == n
+        d = det(m)
+        assert d != 0
         res = snf(m)
         peak = max(abs(v).bit_length()
                    for t in (res.u, res.v, res.uinv, res.vinv)
@@ -206,12 +207,16 @@ def sympy_orders(m):
 
 def assert_orders_agree(m):
     """invariant_factors and canonical_orders against the Smith form with
-    transforms and against sympy; returns the orders."""
+    transforms, which runs the same passes, and against two oracles that
+    share no code with them, sympy and the min-abs-pivot Smith form;
+    returns the orders."""
     want = canonical_orders_by_snf(FgAbGroup(m.nrows, m))
     assert invariant_factors(m) == want
     assert invariant_factors(prune_columns(m)) == want
     assert FgAbGroup(m.nrows, m).canonical_orders() == want
     assert sympy_orders(m) == want
+    diag = snf_min_abs(m).diagonal
+    assert diag + (0,) * (m.nrows - len(diag)) == want
     return want
 
 
@@ -282,17 +287,48 @@ def test_invariant_factors_edge_shapes():
     assert assert_orders_agree(ZMatrix([[2, 4], [3, 6], [5, 10]])) == (1, 0, 0)
 
 
-def test_invariant_factors_huge_entries():
+def huge_entry_matrices():
+    """The matrices of test_invariant_factors_huge_entries, entries near
+    2^200: square ones and wide ones of rank one less than their height."""
     rng = random.Random(53)
     big = 2 ** 200
     for _ in range(12):
         n = rng.randint(2, 6)
-        m = ZMatrix([[big + rng.randint(-9, 9) for _ in range(n)]
-                     for _ in range(n)])
-        assert_orders_agree(m)
+        yield ZMatrix([[big + rng.randint(-9, 9) for _ in range(n)]
+                       for _ in range(n)])
         diagonal = [rng.choice([1, 2, 6]) * (big + rng.choice([0, 1, 3]))
                     for _ in range(n - 1)]
-        assert_orders_agree(scrambled(rng, diagonal, n, n + 1))
+        yield scrambled(rng, diagonal, n, n + 1)
+
+
+def test_invariant_factors_huge_entries():
+    for m in huge_entry_matrices():
+        assert_orders_agree(m)
+
+
+def test_invariant_factors_entries_stay_polynomial(monkeypatch):
+    # the working matrix of invariant_factors, seen after every Hermite
+    # pass, keeps the bound on snf's transforms; D is the determinant,
+    # or for the wide matrices the product of sympy's invariant factors,
+    # the gcd of the maximal nonzero minors
+    peaks = []
+    hermite_rows = zm._hermite_rows
+
+    def recording(a, u, w):
+        hermite_rows(a, u, w)
+        peaks.append(max(abs(v).bit_length() for row in a for v in row))
+
+    monkeypatch.setattr(zm, "_hermite_rows", recording)
+    rng = random.Random(79)
+    square = [ZMatrix([[rng.randint(-50, 50) for _ in range(n)]
+                       for _ in range(n)]) for n in (20, 27, 33, 40)]
+    for m in square + list(huge_entry_matrices()):
+        d = (abs(det(m)) if m.nrows == m.ncols
+             else prod(x for x in sympy_orders(m) if x))
+        assert d
+        peaks.clear()
+        invariant_factors(m)
+        assert peaks and max(peaks) <= 4 * d.bit_length() + 64
 
 
 @given(st.data())
