@@ -1,4 +1,5 @@
-"""Homology of a module over a finite category via the normalized nerve.
+"""Homology of a module over a finite category via the normalized nerve,
+and over a group via a small free resolution.
 
 n-chains are tuples (f1, ..., fn) of composable non-identity morphisms
 carrying a coefficient in M(dom f1); the boundary pushes the coefficient
@@ -14,6 +15,13 @@ first, so a `ChainComplex` keeps only the cyclic order of each generator
 and sparse boundary columns (see its docstring): ∂² = 0 is checked and
 the reduction below runs on them; dense matrices are views built on
 demand.
+
+Over a group H the bar resolution has (|H| - 1)^n generators in degree
+n, so `homology_profile` tensors the module with `group_resolution`
+instead, a free ZH-resolution with a few generators per degree, built
+greedily from kernels; any category with more than one object, or with
+a morphism that is not invertible, still goes through the nerve, which
+is also the oracle the small resolution is tested against.
 
 Homology is not solved on the nerve itself.  Nerve boundaries are mostly
 0/±1, so `ChainComplex.homology` first shrinks the complex by
@@ -33,12 +41,13 @@ complex built with checked=True must satisfy it already.
 
 import warnings
 from collections import deque
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import gcd
 
 from .errors import StructuralDefect
 from .gmodules import colim_category, colim_E
-from .zmodule import AbHom, FgAbGroup, ZMatrix, homology_at
+from .zmodule import (AbHom, EchelonBasis, FgAbGroup, ZMatrix, homology_at,
+                      kernel_basis)
 
 MAX_CHAIN_RANK = 10000
 
@@ -306,6 +315,114 @@ def bar_resolution(cat, maxdeg):
     return bases, faces
 
 
+def _is_group(cat):
+    """True iff cat has one object and every morphism is invertible."""
+    if len(cat.objects) != 1:
+        return False
+    one = cat.identity[cat.objects[0]]
+    return all(any(cat.compose(m, h) == one for h in cat.morphisms)
+               for m in cat.morphisms)
+
+
+def _generated(cat, gens, one):
+    """The subgroup that gens generate, breadth-first from one over
+    right multiplication by gens."""
+    out, seen = [one], {one}
+    for y in out:
+        for s in gens:
+            z = cat.compose(y, s)
+            if z not in seen:
+                seen.add(z)
+                out.append(z)
+    return out
+
+
+def group_resolution(cat, maxdeg):
+    """A free ZH-resolution of Z up to degree maxdeg over a category with
+    one object and every morphism invertible, a group H, described as by
+    `bar_resolution` but with a few generators per degree where the bar
+    resolution has (|H| - 1)^n; built greedily from kernels (Ellis,
+    "Computing group resolutions", J. Symbolic Comput. 38, 2004).
+
+    Write x h for compose(x, h), so that x acts on the left of the free
+    module F_n, and take F_n as the lattice with basis x e_g over its
+    generators e_g, x in H.  ∂_1 sends one generator per element s of a
+    generating set to s - 1: the least in id order among the smallest
+    sets.  For n >= 2 the generators of F_n come from the lattice
+    K = ker ∂_(n-1): its echelon rows are walked sparsest first, and a
+    row outside the span S of the translates x v of the rows v taken so
+    far is taken.  The walk stops when S has the rank and the product of
+    pivots of K; S lies in K, so it is then K, and the resolution is
+    exact below maxdeg.  The lattice coordinates list H breadth-first
+    from the identity over the generating set, each element's
+    generators together: on S_4 that gives ranks 1, 2, 3, 4, 6 up to
+    degree 4, where id order gives 1, 2, 3, 5, 8 and takes seven times
+    as long.
+
+    >>> from oghom import fixtures
+    >>> cat = fixtures.load("cyclic3").lc.category
+    >>> bases, faces = group_resolution(cat, 3)
+    >>> [len(b) for b in bases]
+    [1, 1, 1, 1]
+    >>> faces(1)(0)
+    [(0, None, -1), (0, ('1', 't1'), 1)]
+    """
+    if not _is_group(cat):
+        raise StructuralDefect("a group resolution needs a group")
+    (obj,) = cat.objects
+    one, size = cat.identity[obj], len(cat.morphisms)
+    ids = sorted(cat.nonidentity_morphisms())
+    gens = next(c for k in range(size) for c in combinations(ids, k)
+                if len(_generated(cat, c, one)) == size)
+    elements = _generated(cat, gens, one)
+    index = {h: i for i, h in enumerate(elements)}
+    # times[x][h]: the index of x h
+    times = [[index[cat.compose(x, h)] for h in elements] for x in elements]
+    # boundary[n][g]: ∂ e_g as {h r + l: coefficient of h e_l}, r the
+    # number of generators of degree n - 1
+    boundary = [[None], [{0: -1, index[s]: 1} for s in gens]]
+
+    def translate(v, x, rank):
+        row = [0] * (size * rank)
+        for i, c in v.items():
+            h, lower = divmod(i, rank)
+            row[times[x][h] * rank + lower] = c
+        return row
+
+    for n in range(2, maxdeg + 1):
+        below, rank = len(boundary[n - 2]), len(boundary[n - 1])
+        matrix = ZMatrix.from_cols([translate(v, x, below)
+                                    for x in range(size)
+                                    for v in boundary[n - 1]], size * below)
+        kernel = EchelonBasis()
+        for col in zip(*kernel_basis(matrix).rows):
+            kernel.add(col)
+        span, found = EchelonBasis(), []
+        for row in sorted(kernel.rows, key=lambda r: len(r) - r.count(0)):
+            if (span.rank == kernel.rank
+                    and span.pivot_product() == kernel.pivot_product()):
+                break
+            if span.add(row):
+                v = {i: c for i, c in enumerate(row) if c}
+                found.append(v)
+                for x in range(1, size):
+                    span.add(translate(v, x, rank))
+        boundary.append(found)
+
+    def faces(n):
+        rank = len(boundary[n - 1])
+
+        def face(g):
+            terms = sorted((i % rank, i // rank, c)
+                           for i, c in boundary[n][g].items())
+            return [(lower, elements[h] if h else None, c)
+                    for lower, h, c in terms]
+
+        return face
+
+    return [[obj] * len(b) for b in boundary[:maxdeg + 1]], faces
+
+
 def tensor(resolution, module):
     """The module tensored with a resolution described as by
     `bar_resolution`, each coefficient group in canonical coordinates
@@ -392,8 +509,13 @@ def homology(cat, module, n, complex_=None):
 
 
 def homology_profile(cat, module, maxdeg):
-    """Canonical forms of H_0 .. H_maxdeg, sharing one nerve."""
-    cx = nerve_complex(cat, module, maxdeg + 1)
+    """Canonical forms of H_0 .. H_maxdeg, all read from one complex: the
+    module tensored with `group_resolution` when cat is a group, and the
+    nerve otherwise."""
+    if _is_group(cat):
+        cx = tensor(group_resolution(cat, maxdeg + 1), module)
+    else:
+        cx = nerve_complex(cat, module, maxdeg + 1)
     return [homology(cat, module, n, complex_=cx).canonical_form()
             for n in range(maxdeg + 1)]
 

@@ -15,6 +15,8 @@ transforms.  All arithmetic uses Python's unbounded integers; nothing
 here may silently overflow or round.
 """
 
+from math import prod
+
 from .errors import CompositeNonzero, PreconditionViolation
 
 
@@ -336,58 +338,114 @@ def _hermite_rows(a, u, w):
     row operation to the rows of u and its inverse transpose to the rows
     of w.
 
-    Rows enter one at a time.  A row whose leading entry sits under a
-    pivot loses a multiple of the pivot's row when the pivot divides it,
-    swaps places with the pivot's row when it divides the pivot, and
-    otherwise meets the pivot's row in a unimodular Bezout step that
-    makes the pivot their gcd.  When a pivot is made or changed the
-    entries above it are reduced into [0, pivot) at once; reducing only
-    at the end lets the entries grow exponentially.  Last, the rows are
-    put in the order of their pivots, zero rows at the bottom.
+    Rows enter one at a time by `_insert_row`.  Last, the rows are put
+    in the order of their pivots, zero rows at the bottom.
     """
-    width = len(a[0])
     pivots = {}  # pivot column -> its row
     for new in range(len(a)):
-        r = new  # the row being inserted
-        c = _leading(a[r], 0, width)
-        while c < width:
-            k = pivots.get(c)
-            x = a[r][c]
-            if k is None or (x % a[k][c] and a[k][c] % x == 0):
-                # a new pivot, or an entry that properly divides the
-                # pivot: row r takes the pivot's place and the old pivot
-                # row, if any, is inserted in its stead
-                if x < 0:
-                    for rows in (a, u, w):
-                        rows[r] = [-y for y in rows[r]]
-                pivots[c] = r
-                _reduce_above(a, u, w, pivots, c)
-                if k is None:
-                    break
-                r, k = k, r
-                x = a[r][c]
-            p = a[k][c]
-            if x % p:
-                s, t, y, z = _bezout(p, x)
-                if s * p + t * x < 0:
-                    s, t, y, z = -s, -t, -y, -z
-                # [[s, t], [y, -z]] on rows k, r; [[z, y], [t, -s]] on w
-                _mix(a, k, r, s, t, y, -z)
-                _mix(u, k, r, s, t, y, -z)
-                _mix(w, k, r, z, y, t, -s)
-                _reduce_above(a, u, w, pivots, c)
-            else:
-                q = x // p
-                _addmul(a, r, k, -q)
-                _addmul(u, r, k, -q)
-                _addmul(w, k, r, q)
-            c = _leading(a[r], c + 1, width)
+        _insert_row(a, u, w, pivots, new)
     order = [pivots[c] for c in sorted(pivots)]
     if order != list(range(len(order))):
         kept = set(order)
         order += [i for i in range(len(a)) if i not in kept]
         for rows in (a, u, w):
             rows[:] = [rows[i] for i in order]
+
+
+def _insert_row(a, u, w, pivots, r):
+    """Insert row r of a into the echelon rows that `pivots` maps each
+    pivot column to, tracking the operations on u and w as
+    `_hermite_rows` does; True iff the row was outside their span.
+
+    A row whose leading entry sits under a pivot loses a multiple of the
+    pivot's row when the pivot divides it, swaps places with the pivot's
+    row when it divides the pivot, and otherwise meets the pivot's row
+    in a unimodular Bezout step that makes the pivot their gcd.  When a
+    pivot is made or changed the entries above it are reduced into
+    [0, pivot) at once; reducing only at the end lets the entries grow
+    exponentially.  A row in the span of the echelon rows only loses
+    multiples of them, so it leaves them unchanged; any other row adds a
+    pivot or makes one smaller.
+    """
+    width = len(a[r])
+    grew = False
+    c = _leading(a[r], 0, width)
+    while c < width:
+        k = pivots.get(c)
+        x = a[r][c]
+        if k is None or (x % a[k][c] and a[k][c] % x == 0):
+            # a new pivot, or an entry that properly divides the
+            # pivot: row r takes the pivot's place and the old pivot
+            # row, if any, is inserted in its stead
+            if x < 0:
+                for rows in (a, u, w):
+                    rows[r] = [-y for y in rows[r]]
+            pivots[c] = r
+            _reduce_above(a, u, w, pivots, c)
+            if k is None:
+                return True
+            r, k = k, r
+            x = a[r][c]
+            grew = True
+        p = a[k][c]
+        if x % p:
+            grew = True
+            s, t, y, z = _bezout(p, x)
+            if s * p + t * x < 0:
+                s, t, y, z = -s, -t, -y, -z
+            # [[s, t], [y, -z]] on rows k, r; [[z, y], [t, -s]] on w
+            _mix(a, k, r, s, t, y, -z)
+            _mix(u, k, r, s, t, y, -z)
+            _mix(w, k, r, z, y, t, -s)
+            _reduce_above(a, u, w, pivots, c)
+        else:
+            q = x // p
+            _addmul(a, r, k, -q)
+            _addmul(u, r, k, -q)
+            _addmul(w, k, r, q)
+        c = _leading(a[r], c + 1, width)
+    return grew
+
+
+class EchelonBasis:
+    """A sublattice of Z^width kept as rows in echelon form, grown one row
+    at a time by the insertion step of `_hermite_rows`, with no transform
+    tracked.
+
+    >>> lat = EchelonBasis()
+    >>> lat.add([2, 4]), lat.add([3, 0]), lat.add([1, 8])
+    (True, True, False)
+    >>> lat.rows, lat.rank, lat.pivot_product()
+    ([[1, 8], [0, 12]], 2, 12)
+    """
+
+    __slots__ = ("_rows", "_none", "_pivots")
+
+    def __init__(self):
+        self._rows, self._none, self._pivots = [], ([], []), {}
+
+    def add(self, row):
+        """Put a copy of row into the lattice; True iff it was not in it."""
+        self._rows.append(list(row))
+        for rows in self._none:
+            rows.append([])
+        return _insert_row(self._rows, *self._none, self._pivots,
+                           len(self._rows) - 1)
+
+    @property
+    def rows(self):
+        """The echelon rows, in the order of their pivots."""
+        return [self._rows[self._pivots[c]] for c in sorted(self._pivots)]
+
+    @property
+    def rank(self):
+        return len(self._pivots)
+
+    def pivot_product(self):
+        """The product of the pivots.  For a sublattice S of L of the
+        same rank it is [L : S] times that of L, so S is L when the two
+        products agree."""
+        return prod(self._rows[k][c] for c, k in self._pivots.items())
 
 
 def _leading(row, start, width):
@@ -437,6 +495,9 @@ def invariant_factors(m):
     >>> invariant_factors(ZMatrix([[2, 4], [0, 0], [6, 3]]))
     (1, 18, 0)
     """
+    if not m.ncols or not m.nrows:
+        # nothing to eliminate: every coordinate is free
+        return (0,) * m.nrows
     rows = [[] for _ in range(m.nrows)], [[] for _ in range(m.nrows)]
     cols = [[] for _ in range(m.ncols)], [[] for _ in range(m.ncols)]
     d = _diagonalize(m, rows, cols)

@@ -38,6 +38,12 @@ constructor.
 A document's first schema error comes from jsonschema's Draft 2020-12
 validator over the schema dicts of `oghom.io`, where the library walks
 those dicts with its own checker.
+Lattices are compared by their reduced Hermite rows, made by
+elimination around an entry of least absolute value
+(`hermite_rows_by_min_abs`), where the library inserts rows with Bezout
+steps; integer kernels come from the same elimination on [A^T | I].
+Finite groups are closed from permutations (`permutation_group`), with
+tables of their own.
 """
 
 import warnings
@@ -804,6 +810,83 @@ def group_category(m):
     return FiniteCategory([obj], list(names),
                           {n: obj for n in names}, {n: obj for n in names},
                           {obj: names[0]}, comp)
+
+
+def permutation_group(gens):
+    """One-object category of the group that the permutations `gens` (of
+    0 .. d-1, as tuples) generate; morphism ids are the permutations,
+    and compose(x, y), "x then y", is the permutation p -> y[x[p]]."""
+    one = tuple(range(len(gens[0])))
+    elements, todo = {one}, [one]
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = tuple(s[x[p]] for p in one)
+            if y not in elements:
+                elements.add(y)
+                todo.append(y)
+    elements = sorted(elements)
+    comp = {(x, y): tuple(y[x[p]] for p in one)
+            for x in elements for y in elements}
+    obj = "*"
+    return FiniteCategory([obj], elements, {x: obj for x in elements},
+                          {x: obj for x in elements}, {obj: one}, comp)
+
+
+def permutation_sign(x):
+    sign, seen = 1, set()
+    for p in range(len(x)):
+        q, length = p, 0
+        while q not in seen:
+            seen.add(q)
+            q, length = x[q], length + 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+# ---------------------------------------------------------------- lattices
+
+
+def hermite_rows_by_min_abs(rows):
+    """The reduced Hermite rows of the lattice the integer rows span:
+    nonzero rows in echelon form, each pivot positive, the entries above
+    a pivot in [0, pivot).  Two lists of rows span the same lattice iff
+    their Hermite rows agree."""
+    live = [list(r) for r in rows if any(r)]
+    out = []
+    width = len(live[0]) if live else 0
+    for c in range(width):
+        while True:
+            at = [r for r in live if r[c]]
+            if len(at) <= 1:
+                break
+            p = min(at, key=lambda r: abs(r[c]))
+            for r in at:
+                if r is not p:
+                    q = r[c] // p[c]
+                    r[:] = [x - q * y for x, y in zip(r, p)]
+        if not at:
+            continue
+        p = at[0]
+        live = [r for r in live if r is not p and any(r)]
+        if p[c] < 0:
+            p[:] = [-x for x in p]
+        for r in out:
+            q = r[c] // p[c]
+            r[:] = [x - q * y for x, y in zip(r, p)]
+        out.append(p)
+    return out
+
+
+def kernel_rows_by_min_abs(cols, height):
+    """A basis of the integer kernel of the height x len(cols) matrix with
+    these columns: the rows of the Hermite form of [A^T | I] whose A^T
+    part is zero."""
+    aug = [list(col) + [int(i == j) for j in range(len(cols))]
+           for i, col in enumerate(cols)]
+    return [r[height:] for r in hermite_rows_by_min_abs(aug)
+            if not any(r[:height])]
 
 
 # ---------------------------------------------------------------- beta-classes

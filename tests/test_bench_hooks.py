@@ -5,7 +5,9 @@ reads the degree of a `homology` call from its third positional
 argument.  A rename or a signature change in `src/oghom` would break
 `perfbench/run.py --trace 1` without failing any library test, so the
 hook table is read here (loaded, never installed) and checked against
-the package, and the nerve counter is run on a real complex.
+the package, and the nerve counter is run on a real complex.  The
+degree spans also need `homology_profile` to call `homology` once per
+degree, with the degree in that place, on the group path too.
 """
 
 import importlib
@@ -16,7 +18,7 @@ from collections import defaultdict
 from types import SimpleNamespace
 
 from oghom import fixtures
-from oghom.homology import nerve_complex
+from oghom.homology import _is_group, nerve_complex
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                        "perfbench", "tracing.py")
@@ -63,3 +65,19 @@ def test_nerve_counter_reads_the_sparse_complex():
             for n in range(1, 4)] == [
         sum(1 for col in cx.columns[n] for v in col.values() if v)
         for n in range(1, 4)]
+
+
+def test_group_profile_calls_homology_once_per_degree(monkeypatch):
+    hom = importlib.import_module("oghom.homology")
+    real, degrees = hom.homology, []
+
+    def spy(*args, **kwargs):
+        degrees.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hom, "homology", spy)
+    bundle = fixtures.load("cyclic3")
+    cat = bundle.lc.category
+    assert _is_group(cat)
+    hom.homology_profile(cat, bundle.modules["const"], 3)
+    assert degrees == [0, 1, 2, 3]

@@ -10,19 +10,46 @@ lower generator's base, ε ∘ ∂_1 = 0, and ∂_(n-1) ∘ ∂_n, composed term
 by term (morphisms composed, coefficients multiplied), cancels to zero
 on every generator.  Any further description, such as a small
 resolution of a vertex group, must pass the same helper.
+
+`group_resolution` describes a small resolution of a group H.  Over a
+group, `assert_exact` also checks exactness over Z below the top
+degree: F_n is the lattice with basis x e_g (x in H), ∂(x e_g) is x ∂e_g,
+and the Hermite rows of ker ∂_(n-1) (∂_0 the augmentation) must be
+those of im ∂_n.  Its homology is compared with the bar nerve's, with
+the periodic resolution of a cyclic group, and in degree 1 with the
+abelianization read from the group table.  The groups are closed from
+permutations in the tests.
 """
 
 from collections import Counter
+from math import gcd
 
 import pytest
 
 from oghom import fixtures
 from oghom.beta import is_principally_directed, quotient
 from oghom.category import groupoid_as_category
+from oghom.errors import StructuralDefect
+from oghom.gmodules import GModule
 from oghom.groupoid import OrderedGroupoid
-from oghom.homology import _chain_tuples, bar_resolution
+from oghom.homology import (
+    _chain_tuples,
+    bar_resolution,
+    group_resolution,
+    homology,
+    homology_profile,
+    nerve_complex,
+)
 from oghom.lcat import build_lcat
-from .oracles import group_category
+from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
+from .oracles import (
+    group_category,
+    hermite_rows_by_min_abs,
+    kernel_rows_by_min_abs,
+    periodic_cyclic_homology,
+    permutation_group,
+    permutation_sign,
+)
 from .test_connected import brandt_z2_candidate, connected_candidate
 
 
@@ -123,3 +150,202 @@ def test_broken_descriptions_are_caught(edit):
     with pytest.raises(AssertionError):
         assert_resolution(cat, mutated(bar_resolution(cat, 3), 2, edit), 3)
 
+
+# ---------------------------------------------------------------- groups
+
+
+def hamilton(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def quaternion_gens():
+    """i and j acting on ±1, ±i, ±j, ±k by left multiplication, each also
+    swapping two more points, so that the sign is a nontrivial
+    character of the group they generate, which is still Q_8."""
+    units = [tuple(s * (i == j) for j in range(4))
+             for i in range(4) for s in (1, -1)]
+    return [tuple(units.index(hamilton(q, u)) for u in units) + (9, 8)
+            for q in (units[2], units[4])]
+
+
+def rotation(m):
+    return tuple((p + 1) % m for p in range(m))
+
+
+GROUP_GENS = dict(
+    [("Z%d" % m, [rotation(m)]) for m in range(2, 9)]
+    + [("Z2xZ2", [(1, 0, 2, 3), (0, 1, 3, 2)]),
+       ("S3", [(1, 0, 2), (1, 2, 0)]),
+       ("D4", [(1, 2, 3, 0), (3, 2, 1, 0)]),
+       ("D5", [rotation(5), (0, 4, 3, 2, 1)]),
+       ("D6", [rotation(6), (0, 5, 4, 3, 2, 1)]),
+       ("Q8", quaternion_gens()),
+       ("A4", [(1, 2, 0, 3), (1, 0, 3, 2)]),
+       ("S4", [(1, 0, 2, 3), (1, 2, 3, 0)])])
+GROUPS = {name: permutation_group(gens) for name, gens in GROUP_GENS.items()}
+ORDERS = dict([("Z%d" % m, m) for m in range(2, 9)]
+              + [("Z2xZ2", 4), ("S3", 6), ("D4", 8), ("D5", 10), ("D6", 12),
+                 ("Q8", 8), ("A4", 12), ("S4", 24)])
+SMALL = [name for name in GROUPS if ORDERS[name] <= 8]
+
+
+def test_group_orders():
+    assert {name: len(cat.morphisms) for name, cat in GROUPS.items()} == ORDERS
+
+
+def lattice_boundaries(cat, resolution, maxdeg):
+    """(columns, height) of ∂_0 = ε, ∂_1, .., ∂_maxdeg on the lattice
+    bases x e_g, x e_g at index g |H| + (position of x)."""
+    bases, faces = resolution
+    elements = sorted(cat.morphisms)
+    at = {x: i for i, x in enumerate(elements)}
+    size = len(elements)
+    out = [([[1] for _ in elements], 1)]
+    for n in range(1, maxdeg + 1):
+        height = size * len(bases[n - 1])
+        cols = []
+        for g in range(len(bases[n])):
+            terms = faces(n)(g)
+            for x in elements:
+                col = [0] * height
+                for lower, m, coef in terms:
+                    y = x if m is None else cat.compose(x, m)
+                    col[lower * size + at[y]] += coef
+                cols.append(col)
+        out.append((cols, height))
+    return out
+
+
+def assert_exact(cat, resolution, maxdeg):
+    boundaries = lattice_boundaries(cat, resolution, maxdeg)
+    for n in range(1, maxdeg + 1):
+        kernel = kernel_rows_by_min_abs(*boundaries[n - 1])
+        image = boundaries[n][0]
+        assert (hermite_rows_by_min_abs(kernel)
+                == hermite_rows_by_min_abs(image)), n
+
+
+def ranks(resolution):
+    return [len(b) for b in resolution[0]]
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_group_resolution_is_exact(name):
+    cat = GROUPS[name]
+    resolution = group_resolution(cat, 4)
+    assert_resolution(cat, resolution, 4)
+    assert_exact(cat, resolution, 4)
+
+
+def test_group_resolution_ranks():
+    # the bar resolution of S_4 has 279,841 generators in degree 4
+    assert {name: ranks(group_resolution(GROUPS[name], 4))
+            for name in ["Z2xZ2", "S3", "D4", "Q8", "A4", "S4"]} == {
+        "Z2xZ2": [1, 2, 3, 4, 5], "S3": [1, 2, 3, 4, 5],
+        "D4": [1, 2, 3, 4, 5], "Q8": [1, 2, 3, 2, 1],
+        "A4": [1, 2, 3, 4, 5], "S4": [1, 2, 3, 4, 6]}
+
+
+def test_equal_rank_is_not_the_whole_kernel():
+    # on D_5 the walk reaches the kernel's rank with a sublattice of
+    # index 3, so stopping at the rank alone would lose exactness
+    cat = GROUPS["D5"]
+    assert_exact(cat, group_resolution(cat, 5), 5)
+
+
+@pytest.mark.parametrize("name", ["Z4", "S3", "Q8", "A4"])
+def test_dropped_generator_is_not_exact(name):
+    # the walk takes a row only while the translates so far miss part of
+    # the kernel, so the last one taken is needed; an earlier one can lie
+    # in the span of later ones
+    cat = GROUPS[name]
+    bases, faces = group_resolution(cat, 2)
+    assert_exact(cat, (bases, faces), 2)
+    dropped = (bases[:2] + [bases[2][:-1]], faces)
+    assert_resolution(cat, dropped, 2)
+    with pytest.raises(AssertionError):
+        assert_exact(cat, dropped, 2)
+
+
+def test_trivial_group_resolution():
+    cat = group_category(1)
+    assert ranks(group_resolution(cat, 3)) == [1, 0, 0, 0]
+
+
+def test_group_resolution_needs_a_group():
+    cat = fixtures.load("chain2").lc.category
+    with pytest.raises(StructuralDefect):
+        group_resolution(cat, 2)
+
+
+def character_module(cat, k, char):
+    """Z (k = 0) or Z/k, each morphism x acting by the unit char(x)."""
+    g = FgAbGroup.free(1) if k == 0 else FgAbGroup.from_invariants(0, [k])
+    (obj,) = cat.objects
+    return GModule(cat, {obj: g}, {x: AbHom(g, g, ZMatrix([[char(x)]]))
+                                   for x in cat.morphisms})
+
+
+MODULES = [("Z", 0, lambda x: 1), ("sign", 0, permutation_sign),
+           ("Z/6 sign", 6, permutation_sign)]
+
+
+def nerve_profile(cat, module, maxdeg):
+    cx = nerve_complex(cat, module, maxdeg + 1)
+    return [homology(cat, module, n, complex_=cx).canonical_form()
+            for n in range(maxdeg + 1)]
+
+
+@pytest.mark.parametrize("name", SMALL + ["D5", "D6", "A4"])
+@pytest.mark.parametrize("coefficients, k, char", MODULES,
+                         ids=[m[0] for m in MODULES])
+def test_profile_matches_the_bar_nerve(name, coefficients, k, char):
+    cat = GROUPS[name]
+    module = character_module(cat, k, char)
+    # above order 8 the bar nerve needs (|H| - 1)^4 chains for degree 3:
+    # 14,641 for A_4
+    maxdeg = 3 if name in SMALL else 2
+    assert homology_profile(cat, module, maxdeg) == nerve_profile(
+        cat, module, maxdeg)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_cyclic_groups_match_the_periodic_resolution(m):
+    cat = GROUPS["Z%d" % m]
+    assert ranks(group_resolution(cat, 6)) == [1] * 7
+    for k in (0, 4, 7, 9):
+        for u in range(-1, max(k, 2)):
+            if (u ** m - 1) % k if k else u ** m != 1:
+                continue
+            if k and gcd(u, k) != 1:
+                continue
+            # the rotation by one point generates; x rotates by x[0]
+            module = character_module(cat, k, lambda x: u ** x[0])
+            assert homology_profile(cat, module, 3) == [
+                periodic_cyclic_homology(m, k, u, n) for n in range(4)], (k, u)
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_h1_is_the_abelianization(name):
+    cat = GROUPS[name]
+    elements = sorted(cat.morphisms)
+    at = {x: i for i, x in enumerate(elements)}
+    # Z^H modulo e_(x y) - e_x - e_y
+    relations = []
+    for x in elements:
+        for y in elements:
+            col = [0] * len(elements)
+            col[at[cat.compose(x, y)]] += 1
+            col[at[x]] -= 1
+            col[at[y]] -= 1
+            relations.append(col)
+    abelianization = FgAbGroup(len(elements), ZMatrix.from_cols(
+        relations, len(elements)))
+    module = character_module(cat, 0, lambda x: 1)
+    assert homology_profile(cat, module, 1)[1] == (
+        abelianization.canonical_form())

@@ -15,6 +15,7 @@ from oghom.errors import CompositeNonzero, PreconditionViolation
 from oghom.zmodule import (
     AbHom,
     ColumnSolver,
+    EchelonBasis,
     FgAbGroup,
     ZMatrix,
     block_diag,
@@ -33,6 +34,7 @@ from .oracles import (
     element_vectors,
     enumerate_homs,
     group_order,
+    hermite_rows_by_min_abs,
     in_relation_span_by_solve,
     is_unimodular,
     random_int_matrix,
@@ -285,6 +287,34 @@ def test_invariant_factors_edge_shapes():
                                          steps=40)) == (1,) * 6
     assert assert_orders_agree(ZMatrix([[2, 3, 4], [5, 7, 9]])) == (1, 1)
     assert assert_orders_agree(ZMatrix([[2, 4], [3, 6], [5, 10]])) == (1, 0, 0)
+
+
+def test_invariant_factors_of_empty_matrices_skip_the_passes(monkeypatch):
+    def no_passes(*args):
+        raise AssertionError("_diagonalize called on an empty matrix")
+
+    monkeypatch.setattr(zm, "_diagonalize", no_passes)
+    assert invariant_factors(ZMatrix.zeros(4, 0)) == (0, 0, 0, 0)
+    assert invariant_factors(ZMatrix.zeros(0, 3)) == ()
+    assert invariant_factors(ZMatrix.zeros(0, 0)) == ()
+    assert FgAbGroup(2).canonical_orders() == (0, 0)
+
+
+def test_echelon_basis_grows_exactly_when_a_row_is_outside():
+    rng = random.Random(41)
+    for _ in range(300):
+        width = rng.randint(1, 5)
+        lat, added = EchelonBasis(), []
+        for _ in range(rng.randint(1, 7)):
+            row = [rng.randint(-6, 6) for _ in range(width)]
+            before = hermite_rows_by_min_abs(added)
+            added.append(row)
+            after = hermite_rows_by_min_abs(added)
+            assert lat.add(row) == (after != before), (added, row)
+            assert hermite_rows_by_min_abs(lat.rows) == after
+            assert lat.rank == len(after)
+            assert lat.pivot_product() == prod(
+                next(x for x in r if x) for r in after)
 
 
 def huge_entry_matrices():
