@@ -9,10 +9,11 @@ as soon as it changes.  That keeps every entry, and so the transforms,
 polynomial in size, within a few times the bit length of the
 determinant on dense square matrices.  A canonical form needs only the
 invariant factors, which `invariant_factors` reads from the passes with
-no transform tracked; questions that need coordinates (membership,
-kernels, solves, homology) go through `snf` and its unimodular
-transforms.  All arithmetic uses Python's unbounded integers; nothing
-here may silently overflow or round.
+no transform tracked; canonical coordinates, and so membership in a
+relation span, go through `snf` and its unimodular transforms.  Kernels
+and solves, and so `homology_at`, need only one Hermite pass with its
+left transform (`ColumnSolver`).  All arithmetic uses Python's
+unbounded integers; nothing here may silently overflow or round.
 """
 
 from math import prod
@@ -152,14 +153,13 @@ def block_diag(blocks):
 def prune_columns(m):
     """Drop zero columns and repeated columns (up to sign).
 
-    The column span is unchanged, which is all the SNF-driven membership
+    The column span is unchanged, which is all the membership, kernel
     and quotient routines care about.  Boundary matrices of nerves are
     full of duplicates, so this is a large constant-factor win.
     """
     seen = set()
     keep = []
-    for j in range(m.ncols):
-        c = m.col(j)
+    for c in zip(*m.rows):
         if all(v == 0 for v in c):
             continue
         cn = tuple(-v for v in c)
@@ -506,32 +506,49 @@ def invariant_factors(m):
 
 class ColumnSolver:
     """Solves M X = C over the integers for a fixed M; None answers a
-    right-hand side outside the column span of M."""
+    right-hand side outside the column span of M.
+
+    One Hermite pass (`_hermite_rows`) over the rows of M^T, tracking
+    only the left transform U, gives echelon rows E = U M^T (Cohen, *A
+    Course in Computational Algebraic Number Theory*, 1993, §2.4).  The
+    U rows of the zero rows of E are a basis of the kernel of M, the
+    columns of `kernel`.  A solve writes the right-hand side as an
+    integer combination of the nonzero rows of E by forward
+    substitution, and x is the same combination of their U rows.
+
+    >>> s = ColumnSolver(ZMatrix([[2, 4, 6], [1, 2, 3]]))
+    >>> s.kernel.rows
+    ((-2, -3), (1, 0), (0, 1))
+    >>> s.solve_vector((4, 2)), s.solve_vector((1, 0))
+    ((2, 0, 0), None)
+    """
 
     def __init__(self, m):
         self.m = m
-        self._res = snf(m)
-        self._diag = self._res.diagonal
-        # the columns of V past the rank: a basis of the kernel of M
-        self.kernel = ZMatrix.from_cols(
-            [self._res.v.col(j) for j in range(self._res.rank, m.ncols)],
-            m.ncols)
+        n = m.ncols
+        a = [list(col) for col in zip(*m.rows)] or [[] for _ in range(n)]
+        u = _identity_rows(n)
+        _hermite_rows(a, u, [[] for _ in range(n)])
+        # (pivot column, echelon row, its U row) for the nonzero rows of
+        # E, which come first
+        rank = sum(1 for row in a if any(row))
+        self._echelon = [(_leading(row, 0, m.nrows), row, urow)
+                         for row, urow in zip(a[:rank], u)]
+        self.kernel = ZMatrix.from_cols(u[rank:], n)
 
     def solve_vector(self, vec):
         """Some integer x with M x = vec, or None."""
-        res = self._res
-        w = res.u.apply(vec)
-        y = [0] * self.m.ncols
-        for i, wi in enumerate(w):
-            d = self._diag[i] if i < len(self._diag) else 0
-            if d == 0:
-                if wi != 0:
-                    return None
-            else:
-                if wi % d:
-                    return None
-                y[i] = wi // d
-        return res.v.apply(y)
+        if len(vec) != self.m.nrows:
+            raise ValueError("vector of wrong length")
+        rest, x = list(vec), [0] * self.m.ncols
+        for c, row, urow in self._echelon:
+            q, r = divmod(rest[c], row[c])
+            if r:
+                return None
+            if q:
+                rest = [y - q * e for y, e in zip(rest, row)]
+                x = [y + q * e for y, e in zip(x, urow)]
+        return None if any(rest) else tuple(x)
 
     def solve_matrix(self, c):
         """Some integer X with M X = C, or None."""
@@ -664,8 +681,9 @@ class FgAbGroup:
                    for c in zip(*matrix.rows) if any(c))
 
     def __eq__(self, other):
-        return (isinstance(other, FgAbGroup) and self.ngens == other.ngens
-                and self.relations == other.relations)
+        return other is self or (
+            isinstance(other, FgAbGroup) and self.ngens == other.ngens
+            and self.relations == other.relations)
 
     def __hash__(self):
         return hash((self.ngens, self.relations))
@@ -726,9 +744,11 @@ class AbHom:
             raise PreconditionViolation("homs are not parallel")
 
     def equal_as_maps(self, other):
-        """True iff the two homs agree as maps of the quotients."""
+        """True iff the two homs agree as maps of the quotients; equal
+        matrices answer without a membership test."""
         self._parallel(other)
-        return self.target.kills(self.matrix.sub(other.matrix))
+        return (self.matrix == other.matrix
+                or self.target.kills(self.matrix.sub(other.matrix)))
 
     def is_surjective(self):
         """True iff the cokernel Z^n / (image + relations) is trivial."""
@@ -755,9 +775,10 @@ def homology_at(f, g):
 
     Computed by lifting to the free cover of B: the kernel of g is
     generated by the projection of the integer kernel of [g.matrix |
-    relations of C].  One Smith form of those s generators solves for
-    the columns of f plus the relations of B and gives the generators'
-    own relations, its kernel; the answer is Z^s modulo both.
+    relations of C].  One `ColumnSolver` on those s generators solves
+    for the columns of f plus the relations of B and gives the
+    generators' own relations, its kernel; the answer is Z^s modulo
+    both.
 
     >>> z = FgAbGroup.free(1)
     >>> dbl = AbHom(z, z, ZMatrix([[2]]))

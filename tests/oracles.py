@@ -17,11 +17,14 @@ Determinants (and so unimodularity of Smith transforms) come from a
 Bareiss elimination of their own.  `snf_min_abs` is the Smith form the
 library used before its Kannan-Bachem alternation: elimination around
 an entry of least absolute value, with unreduced transforms; the tests
-compare its diagonal with the library's.
-Relation-span membership is decided by solving R x = v against a Smith
-form of its own, where the library reads the group's canonical
-coordinates.  Canonical orders come from the diagonal of a Smith form
-with transforms, where the library eliminates modulo a maximal minor.
+compare its diagonal with the library's.  `SmithColumnSolver` is the
+solver the library used before its one Hermite pass: solves and kernels
+read from a Smith form with both transforms.
+Relation-span membership is decided by solving R x = v with a Hermite
+solve, where the library reads the group's canonical coordinates from a
+Smith form.  Canonical orders come from the diagonal of a Smith form
+with transforms, where the library runs the same passes with no
+transform tracked.
 The all-pairs scans visit every pair or triple of arrows
 or morphisms where the library reads only composable ones from
 per-object buckets.  The per-triple loops compare (gh)k with g(hk) one
@@ -321,6 +324,38 @@ def snf_min_abs(m):
     return SNFResult(ZMatrix._trusted(a, nc), ZMatrix._trusted(u, nr),
                      ZMatrix._trusted(v, nc), ZMatrix._trusted(uinv, nr),
                      ZMatrix._trusted(vinv, nc))
+
+
+class SmithColumnSolver:
+    """Solves M X = C over the integers from a Smith form S = U M V with
+    transforms, where the library's `ColumnSolver` runs one Hermite pass
+    with only a left transform: x = V y with y_i = (U c)_i / s_i, and
+    None when a quotient is not exact or U c is nonzero past the rank.
+    The columns of V past the rank are a basis of the kernel of M."""
+
+    def __init__(self, m):
+        self.m = m
+        self._res = snf(m)
+        self._diag = self._res.diagonal
+        self.kernel = ZMatrix.from_cols(
+            [self._res.v.col(j) for j in range(self._res.rank, m.ncols)],
+            m.ncols)
+
+    def solve_vector(self, vec):
+        """Some integer x with M x = vec, or None."""
+        res = self._res
+        w = res.u.apply(vec)
+        y = [0] * self.m.ncols
+        for i, wi in enumerate(w):
+            d = self._diag[i] if i < len(self._diag) else 0
+            if d == 0:
+                if wi != 0:
+                    return None
+            else:
+                if wi % d:
+                    return None
+                y[i] = wi // d
+        return res.v.apply(y)
 
 
 # ---------------------------------------------------------------- canonical coordinates
@@ -626,7 +661,8 @@ def dense_nerve_complex(cat, module, maxdeg):
 
 def in_relation_span_by_solve(group, vec):
     """True iff some integer x has R x = vec, for the pruned relations R
-    of the group, found by a solve on a separate Smith form."""
+    of the group, found by a Hermite solve (`ColumnSolver`) where the
+    library reads the group's canonical coordinates from a Smith form."""
     return ColumnSolver(prune_columns(group.relations)).solve_vector(
         vec) is not None
 

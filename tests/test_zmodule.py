@@ -12,6 +12,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 
 import oghom.zmodule as zm
 from oghom.errors import CompositeNonzero, PreconditionViolation
+from oghom.homology import group_resolution
 from oghom.zmodule import (
     AbHom,
     ColumnSolver,
@@ -26,6 +27,7 @@ from oghom.zmodule import (
     snf,
 )
 from .oracles import (
+    SmithColumnSolver,
     add_canonical,
     brute_force_homology,
     canonical_orders_by_snf,
@@ -37,6 +39,7 @@ from .oracles import (
     hermite_rows_by_min_abs,
     in_relation_span_by_solve,
     is_unimodular,
+    permutation_group,
     random_int_matrix,
     random_zero_composite,
     same_invariants,
@@ -150,6 +153,119 @@ def test_column_solver():
     assert s.solve_vector([1, 0]) is None
     assert s.solve_vector([2, 3]) == (1, 1)
     assert s.solve_vector([3, 3]) is None
+
+
+# ---------------------------------------------------------------- solves and kernels
+
+
+def assert_solver_agrees(m, vectors):
+    """ColumnSolver against the Smith-form solver: the same verdict on
+    every vector, M x = c for every x returned, and a kernel K with
+    M K = 0, the oracle's rank and the oracle's lattice; returns the
+    verdicts."""
+    solver, oracle = ColumnSolver(m), SmithColumnSolver(m)
+    verdicts = []
+    for c in vectors:
+        x = solver.solve_vector(c)
+        assert (x is None) == (oracle.solve_vector(c) is None), (m, c)
+        if x is not None:
+            assert m.apply(x) == tuple(c)
+        verdicts.append(x is not None)
+    x = solver.solve_matrix(ZMatrix.from_cols(vectors, m.nrows))
+    assert (x is not None) == all(verdicts)
+    if x is not None:
+        assert m.mul(x) == ZMatrix.from_cols(vectors, m.nrows)
+    k, want = solver.kernel, oracle.kernel
+    assert (k.nrows, k.ncols) == (m.ncols, want.ncols)
+    assert m.mul(k) == ZMatrix.zeros(m.nrows, k.ncols)
+    assert (hermite_rows_by_min_abs(zip(*k.rows))
+            == hermite_rows_by_min_abs(zip(*want.rows)))
+    return verdicts
+
+
+def right_hand_sides(rng, m):
+    """Two images of integer vectors, one vector of [-9, 9] and six times
+    another, so that solvable and unsolvable ones both occur."""
+    def image():
+        return m.apply([rng.randint(-3, 3) for _ in range(m.ncols)])
+
+    def anything(scale):
+        return [scale * rng.randint(-9, 9) for _ in range(m.nrows)]
+
+    return [image(), image(), anything(1), anything(6)]
+
+
+def test_column_solver_matches_the_smith_solver_seeded():
+    rng = random.Random(97)
+    seen = set()
+    for rep in range(120):
+        n = rng.randint(1, 7)
+        nrows, ncols = rng.choice([
+            (0, 0), (0, n), (n, 0),                 # empty
+            (n + 2, rng.randint(1, n + 1)),         # tall
+            (rng.randint(1, n + 1), n + 2),         # wide
+            (n, n)])                                # square, made singular
+        sparse = rep % 2
+        rows = [[rng.choice((0, 0, 0, 0, 1, -1)) if sparse
+                 else rng.randint(-50, 50) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows == ncols > 1:
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [p * x + q * y for x, y in zip(rows[0], rows[1])]
+        m = ZMatrix(rows, ncols=ncols)
+        verdicts = assert_solver_agrees(m, right_hand_sides(rng, m))
+        seen.update((sparse, v) for v in verdicts[2:])
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_column_solver_matches_the_smith_solver_hypothesis(data):
+    nrows = data.draw(st.integers(0, 6))
+    ncols = data.draw(st.integers(0, 6))
+    entry = data.draw(st.sampled_from([st.integers(-50, 50),
+                                       st.sampled_from([0, 0, 1, -1])]))
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    if nrows > 2 and data.draw(st.booleans()):
+        p, q = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+        rows[-1] = [p * x + q * y for x, y in zip(rows[0], rows[1])]
+    m = ZMatrix(rows, ncols=ncols)
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=ncols,
+                                max_size=ncols))
+    other = data.draw(st.lists(st.integers(-60, 60), min_size=nrows,
+                               max_size=nrows))
+    assert assert_solver_agrees(m, [m.apply(coeffs), other])[0]
+
+
+def test_solves_kernels_and_resolutions_build_no_smith_form(monkeypatch):
+    def no_snf(m):
+        raise AssertionError("snf called")
+
+    monkeypatch.setattr(zm, "snf", no_snf)
+    m = ZMatrix([[2, 4, 6], [1, 2, 3]])
+    assert m.mul(kernel_basis(m)) == ZMatrix.zeros(2, 2)
+    x = ColumnSolver(m).solve_matrix(ZMatrix([[4, 0], [2, 0]]))
+    assert m.mul(x) == ZMatrix([[4, 0], [2, 0]])
+    assert ColumnSolver(m).solve_vector((1, 0)) is None
+    s4 = permutation_group([(1, 0, 2, 3), (1, 2, 3, 0)])
+    bases, _ = group_resolution(s4, 4)
+    assert [len(b) for b in bases] == [1, 2, 3, 4, 6]
+
+
+def test_kernel_entries_are_no_longer_than_the_smith_kernels():
+    # on dense wide matrices the Hermite kernel's entries stay within
+    # the bit length of the kernel read from the Smith form's V
+    def bits(k):
+        return max(abs(v).bit_length() for row in k.rows for v in row)
+
+    rng = random.Random(79)
+    for nrows, ncols in [(10, 20), (15, 30), (20, 35), (30, 45), (40, 60)]:
+        m = ZMatrix([[rng.randint(-50, 50) for _ in range(ncols)]
+                     for _ in range(nrows)])
+        k = kernel_basis(m)
+        assert m.mul(k) == ZMatrix.zeros(nrows, ncols - nrows)
+        assert bits(k) <= bits(SmithColumnSolver(m).kernel)
 
 
 def test_unimodular_and_det():
@@ -545,6 +661,22 @@ def test_hom_algebra():
     f = AbHom(z2, z2, ZMatrix([[1]]))
     g = AbHom(z2, z2, ZMatrix([[3]]))
     assert f.matrix != g.matrix and f.equal_as_maps(g)
+
+
+def test_equal_as_maps_over_z4():
+    z4 = FgAbGroup.from_invariants(0, [4])
+    one, five, two = (AbHom(z4, z4, ZMatrix([[k]])) for k in (1, 5, 2))
+    assert one.equal_as_maps(five) and five.equal_as_maps(one)
+    assert not one.equal_as_maps(two)
+
+
+def test_equal_matrices_are_equal_maps_without_coordinates():
+    source = FgAbGroup.free(2)
+    target = FgAbGroup(2, ZMatrix([[4, 2], [2, 2]]))
+    f, g = (AbHom(source, target, ZMatrix([[1, 2], [3, 4]]), checked=True)
+            for _ in range(2))
+    assert f.equal_as_maps(g)
+    assert target._decomp is None and target._orders is None
 
 
 def test_injective_surjective_iso():
