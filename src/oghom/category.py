@@ -11,6 +11,24 @@ from .errors import NotComposable, StructuralDefect
 from .poset import connected_components
 
 
+def associativity_failures(elements, after, cod):
+    """The triples (x, y, z) with (x y) z != x (y z), x in `elements`
+    order, y and z in row order; after[x] maps each y composable with x
+    to x y, or to None where the table has none.  If cod(x y) = cod(y),
+    row[x y] is row[y] composed after x unless a triple (x, y, z)
+    fails, and only then are the triples of (x, y) walked."""
+    row = {x: list(after_x.values()) for x, after_x in after.items()}
+    for x in elements:
+        after_x = after[x]
+        for y, xy in after_x.items():
+            if xy is None or (cod[xy] == cod[y] and row[xy]
+                              == list(map(after_x.get, row[y]))):
+                continue
+            for z, yz in after[y].items():
+                if yz is not None and after[xy].get(z) != after_x.get(yz):
+                    yield (x, y, z)
+
+
 class FiniteCategory:
     def __init__(self, objects, morphisms, dom, cod, identity, compose):
         self.objects = list(objects)
@@ -30,10 +48,9 @@ class FiniteCategory:
     def check(self):
         """Category axioms as a list of readable problems (empty = ok).
 
-        Associativity compares rows of composites, row[m] listing m h
-        for h in outgoing[cod m]: as cod(m1 m2) = cod(m2), row[m1 m2] is
-        row[m2] composed after m1 unless a triple (m1, m2, m3) fails, and
-        only then are the triples of (m1, m2) walked, in order."""
+        Each composable pair's composite is read once, into after[m1] =
+        {m2: m1 m2}; the table's keys are walked for illegal pairs only
+        if it holds more entries than the known composites found."""
         out = []
         for o in self.objects:
             i = self.identity.get(o)
@@ -42,36 +59,32 @@ class FiniteCategory:
         for m in self.morphisms:
             if self.dom[m] not in self.objects or self.cod[m] not in self.objects:
                 out.append("morphism %r has unknown endpoints" % (m,))
+        comp, dom, cod = self._compose, self.dom, self.cod
+        after, known = {}, 0
         for m1 in self.morphisms:
-            for m2 in self.outgoing.get(self.cod[m1], ()):
-                k = self._compose.get((m1, m2))
-                if k is None or k not in self.dom:
+            after[m1] = after_m1 = {}
+            for m2 in self.outgoing.get(cod[m1], ()):
+                k = after_m1[m2] = comp.get((m1, m2))
+                if k is None or k not in dom:
                     out.append("composite (%r, %r) missing" % (m1, m2))
-                elif self.dom[k] != self.dom[m1] or self.cod[k] != self.cod[m2]:
+                    continue
+                known += 1
+                if dom[k] != dom[m1] or cod[k] != cod[m2]:
                     out.append("composite (%r, %r) mistyped" % (m1, m2))
-        for (m1, m2) in self._compose:
-            if (m1 in self.dom and m2 in self.dom
-                    and self.cod[m1] != self.dom[m2]):
-                out.append("composite (%r, %r) defined illegally" % (m1, m2))
+        if len(comp) > known:
+            for (m1, m2) in comp:
+                if m1 in dom and m2 in dom and cod[m1] != dom[m2]:
+                    out.append("composite (%r, %r) defined illegally"
+                               % (m1, m2))
         if out:
             return out
         for m in self.morphisms:
-            if self._compose[(self.identity[self.dom[m]], m)] != m:
+            if comp[(self.identity[dom[m]], m)] != m:
                 out.append("left unit fails at %r" % (m,))
-            if self._compose[(m, self.identity[self.cod[m]])] != m:
+            if comp[(m, self.identity[cod[m]])] != m:
                 out.append("right unit fails at %r" % (m,))
-        comp, outgoing, cod = self._compose, self.outgoing, self.cod
-        row = {m: [comp[(m, h)] for h in outgoing[cod[m]]]
-               for m in self.morphisms}
-        for m1 in self.morphisms:
-            after_m1 = dict(zip(outgoing[cod[m1]], row[m1]))
-            for m2, m12 in zip(outgoing[cod[m1]], row[m1]):
-                if row.get(m12) == list(map(after_m1.get, row[m2])):
-                    continue
-                for m3 in outgoing[cod[m2]]:
-                    if comp[(m12, m3)] != comp[(m1, comp[(m2, m3)])]:
-                        out.append("associativity fails at (%r, %r, %r)"
-                                   % (m1, m2, m3))
+        for triple in associativity_failures(self.morphisms, after, cod):
+            out.append("associativity fails at (%r, %r, %r)" % triple)
         return out
 
     def composable(self, m1, m2):

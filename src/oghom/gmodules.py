@@ -19,6 +19,8 @@ expansion; check_adjunction verifies that colim_E is left adjoint to
 expand through the unit, the counit and the two triangle identities.
 """
 
+from functools import cache
+
 from .beta import quotient
 from .category import groupoid_as_category
 from .errors import PreconditionViolation, StructuralDefect
@@ -138,7 +140,8 @@ def module_from_parts(lc, groups, poset_maps, arrow_maps):
     pair of the identity order -> ZMatrix.  arrow_maps: non-identity
     arrow g -> ZMatrix acting A_{d(g)} -> A_{r(g)}.  Every morphism
     (e, g) factors as (e, d(g)) then (d(g), g); the order part composes
-    the covering maps down any covering path (the functoriality check
+    the covering maps down the chain that steps from e to f if f covers
+    e, else to e's largest cover above f (the functoriality check
     rejects path-dependent data).
     """
     g0 = lc.groupoid
@@ -146,26 +149,14 @@ def module_from_parts(lc, groups, poset_maps, arrow_maps):
     for (lo, hi) in g0.identity_poset.covers():
         down.setdefault(hi, []).append(lo)
 
-    def cover_path(e, f):
-        # any covering chain e > ... > f
-        if e == f:
-            return [e]
-        stack = [[e]]
-        while stack:
-            path = stack.pop()
-            for nxt in sorted(down.get(path[-1], [])):
-                if nxt == f:
-                    return path + [nxt]
-                if g0.identity_poset.leq(f, nxt):
-                    stack.append(path + [nxt])
-        raise StructuralDefect("no covering path from %r to %r" % (e, f))
-
+    @cache
     def poset_matrix(e, f):
-        path = cover_path(e, f)
         mat = ZMatrix.identity(groups[e].ngens)
-        for hi, lo in zip(path, path[1:]):
-            step = poset_maps[(hi, lo)]
-            mat = step.mul(mat)
+        while e != f:
+            nxt = f if f in down[e] else max(
+                lo for lo in down[e] if g0.identity_poset.leq(f, lo))
+            mat = poset_maps[(e, nxt)].mul(mat)
+            e = nxt
         return mat
 
     action = {}

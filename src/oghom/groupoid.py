@@ -25,6 +25,7 @@ when r(g) = d(h).  The axioms checked, with their witness shapes:
   OG4                  (x, e)          not exactly one y <= x, r(y) = e
 """
 
+from .category import associativity_failures
 from .errors import PreconditionViolation, StructuralDefect
 from .poset import Poset, order_closure
 
@@ -104,10 +105,10 @@ def validate(cand):
     """Check every axiom instance; violations come back as data.
 
     Order pairs are visited in sorted order, so the violation list does
-    not depend on set iteration order.  Associativity and OG2 compare
-    rows of composites, once per composable pair (g, h) and once per
-    order pair (x, y); only where rows differ are the triples or pairs
-    of order pairs walked, in order."""
+    not depend on set iteration order.  after[g] = {h: gh} is read once
+    per composable pair, and the keys are walked for illegal pairs only
+    as in FiniteCategory.check.  OG2 compares rows once per order pair
+    (x, y), and walks pairs of order pairs only where rows differ."""
     out = []
     arrows = cand.arrows
     idset = set(cand.identities)
@@ -154,19 +155,22 @@ def validate(cand):
     leaving = {}  # leaving[e]: the arrows with domain e, sorted
     for h in arrows:
         leaving.setdefault(d[h], []).append(h)
-    # row[g]: gh for h in leaving[r(g)], None where the table has no
-    # arrow; after[g] maps each such h to gh
-    row = {g: [k if k in d else None
-               for k in (comp.get((g, h)) for h in leaving.get(r[g], ()))]
-           for g in arrows}
-    after = {g: dict(zip(leaving.get(r[g], ()), row[g])) for g in arrows}
+    # after[g] maps each h in leaving[r(g)] to gh, or to None where the
+    # table has no arrow; known counts the arrows found
+    after, known = {}, 0
     for g in arrows:
-        for h, gh in after[g].items():
-            if gh is None:
+        after[g] = after_g = {}
+        for h in leaving.get(r[g], ()):
+            gh = after_g[h] = comp.get((g, h))
+            if gh in d:
+                known += 1
+            else:
+                after_g[h] = None
                 out.append(Violation("compose-domain", (g, h)))
-    for (g, h) in sorted(k for k in comp
-                         if k[0] in d and k[1] in d and r[k[0]] != d[k[1]]):
-        out.append(Violation("compose-domain", (g, h)))
+    if len(comp) > known:
+        for (g, h) in sorted(k for k in comp if k[0] in d and k[1] in d
+                             and r[k[0]] != d[k[1]]):
+            out.append(Violation("compose-domain", (g, h)))
 
     def cmp2(g, h):
         return after[g].get(h) if g in after else None
@@ -186,16 +190,8 @@ def validate(cand):
     for x in arrows:
         if cmp2(x, inv[x]) != d[x] or cmp2(inv[x], x) != r[x]:
             out.append(Violation("inverse-law", (x,)))
-    # when r(gh) = r(h), row[gh] runs over the same k as row[h]
-    for g in arrows:
-        after_g = after[g]
-        for h, gh in after_g.items():
-            if gh is None or (r[gh] == r[h]
-                              and row[gh] == list(map(after_g.get, row[h]))):
-                continue
-            for k, hk in after[h].items():
-                if hk is not None and cmp2(gh, k) != cmp2(g, hk):
-                    out.append(Violation("associativity", (g, h, k)))
+    for triple in associativity_failures(arrows, after, r):
+        out.append(Violation("associativity", triple))
 
     # OG1: inversion is monotone
     for (x, y) in sorted_pairs:

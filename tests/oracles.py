@@ -33,6 +33,9 @@ library compares whole rows of composites; they keep the library's
 visiting order, so problems and violations must agree as lists.
 `lcat_compose` composes in L(G) one pair of morphisms at a time, where
 the library computes each composite arrow once per pair of arrows.
+`module_action_by_dfs` composes a module's order maps down the covering
+path that a depth-first search finds, where the library walks down
+the largest cover above the target.
 Hom sets of groups and of modules are listed element by element, where
 the library checks the colim_E/expansion adjunction through its unit,
 counit and triangle identities; `direct_sum` builds a sum group with
@@ -1333,6 +1336,47 @@ def lcat_compose(g0, m1, m2):
         raise NotComposable("r(%s) != %s" % (g, f))
     k = g0.compose(g0.corestriction(g, g0.d[h]), h)
     return (e, k)
+
+
+# ---------------------------------------------------------------- covering paths
+
+
+def module_action_by_dfs(lc, groups, poset_maps, arrow_maps):
+    """The action matrices of module_from_parts, each order part the
+    product of the covering maps down the first covering path that a
+    depth-first search from e reaches f by."""
+    g0 = lc.groupoid
+    down = {}
+    for (lo, hi) in g0.identity_poset.covers():
+        down.setdefault(hi, []).append(lo)
+
+    def cover_path(e, f):
+        if e == f:
+            return [e]
+        stack = [[e]]
+        while stack:
+            path = stack.pop()
+            for nxt in sorted(down.get(path[-1], [])):
+                if nxt == f:
+                    return path + [nxt]
+                if g0.identity_poset.leq(f, nxt):
+                    stack.append(path + [nxt])
+        raise StructuralDefect("no covering path from %r to %r" % (e, f))
+
+    def poset_matrix(e, f):
+        path = cover_path(e, f)
+        mat = ZMatrix.identity(groups[e].ngens)
+        for hi, lo in zip(path, path[1:]):
+            mat = poset_maps[(hi, lo)].mul(mat)
+        return mat
+
+    action = {}
+    for (e, g) in lc.category.morphisms:
+        if g0.is_identity(g):
+            action[(e, g)] = poset_matrix(e, g)
+        else:
+            action[(e, g)] = arrow_maps[g].mul(poset_matrix(e, g0.d[g]))
+    return action
 
 
 # ---------------------------------------------------------------- schema errors

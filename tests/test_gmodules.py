@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from oghom import fixtures
+from oghom import fixtures, gmodules, io, randgen
 from oghom.beta import quotient
 from oghom.category import groupoid_as_category
 from oghom.errors import PreconditionViolation, StructuralDefect
@@ -28,10 +28,18 @@ from oghom.gmodules import (
     rho,
     tau,
 )
+from oghom.groupoid import GroupoidCandidate, OrderedGroupoid
 from oghom.lcat import build_lcat
 from oghom.randgen import random_module, random_og
 from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
-from .oracles import direct_sum, enumerate_gmaps, group_order, random_ses
+from .oracles import (
+    direct_sum,
+    enumerate_gmaps,
+    group_order,
+    module_action_by_dfs,
+    random_ses,
+)
+from .test_connected import connected_doc
 from .test_reduction import cyclic_bundle, theorem_inputs
 
 
@@ -70,6 +78,95 @@ def test_functoriality_rejected():
     arrows = {"s": ZMatrix([[2]]), "t": ZMatrix([[-1]])}
     with pytest.raises(StructuralDefect):
         module_from_parts(lc, groups, poset, arrows)
+
+
+def assert_action_matches_dfs(lc, parts):
+    module = module_from_parts(lc, *parts)
+    want = module_action_by_dfs(lc, *parts)
+    assert {m: h.matrix for m, h in module.action.items()} == want
+
+
+def test_cover_walk_matches_dfs_on_documents():
+    docs = [fixtures.doc(name) for name in fixtures.names()]
+    docs.append(connected_doc())
+    checked = 0
+    for doc in docs:
+        _, cand, module_docs = io.load(doc)
+        g0 = OrderedGroupoid.from_candidate(cand)
+        lc = build_lcat(g0)
+        for mdoc in module_docs.values():
+            assert_action_matches_dfs(
+                lc, io.module_parts_from_doc(g0, mdoc))
+            checked += 1
+    assert checked > len(docs)
+
+
+def test_cover_walk_matches_dfs_on_random_modules(monkeypatch):
+    parts = []
+
+    def spy(lc, *args):
+        parts.append((lc, args))
+        return module_from_parts(lc, *args)
+
+    monkeypatch.setattr(randgen, "module_from_parts", spy)
+    rng = random.Random(47)
+    for _ in range(30):
+        rog = random_og(rng, n_identities=rng.randint(1, 6),
+                        max_group=rng.randint(1, 4), directed=True)
+        random_module(rng, rog, build_lcat(rog.groupoid),
+                      finite=rng.random() < 0.5)
+    assert len(parts) == 30
+    for lc, args in parts:
+        assert_action_matches_dfs(lc, args)
+
+
+def identity_order_lcat(identities, below):
+    """L(G) of the groupoid with no arrows but `identities`, ordered by
+    the closure of the pairs (lo, hi) in `below`."""
+    cand = GroupoidCandidate.from_parts(identities, {}, {}, below)
+    return build_lcat(OrderedGroupoid.from_candidate(cand))
+
+
+def test_cover_walk_matches_dfs_on_path_dependent_maps(monkeypatch):
+    # random dags join two identities by several covering paths; with
+    # the functoriality check off, the walk must take the DFS path
+    monkeypatch.setattr(gmodules, "check_functorial", lambda *args: [])
+    rng = random.Random(48)
+    z = FgAbGroup.free(1)
+    choices = 0
+    for _ in range(30):
+        ids = ["v%d" % i for i in range(rng.randint(4, 8))]
+        rng.shuffle(ids)
+        lc = identity_order_lcat(ids, [
+            (lo, hi) for i, hi in enumerate(ids) for lo in ids[:i]
+            if rng.random() < 0.5])
+        order = lc.groupoid.identity_poset
+        covers = order.covers()
+        choices += sum(
+            sum(order.leq(lo, c) for (c, top) in covers if top == hi) > 1
+            for (lo, hi) in order.pairs() if (lo, hi) not in covers)
+        poset_maps = {(hi, lo): ZMatrix([[rng.randint(-9, 9)]])
+                      for (lo, hi) in covers}
+        assert_action_matches_dfs(lc, ({e: z for e in ids}, poset_maps, {}))
+    assert choices > 10
+
+
+def test_path_dependent_diamond_is_rejected_as_before():
+    lc = identity_order_lcat(
+        ["bot", "a", "b", "top"],
+        [("a", "top"), ("b", "top"), ("bot", "a"), ("bot", "b")])
+    z = FgAbGroup.free(1)
+    groups = {e: z for e in lc.groupoid.identities}
+    poset = {("top", "a"): ZMatrix([[1]]), ("top", "b"): ZMatrix([[1]]),
+             ("a", "bot"): ZMatrix([[1]]), ("b", "bot"): ZMatrix([[2]])}
+    # (top, bot) acts along top > b > bot, the path the DFS took
+    with pytest.raises(StructuralDefect) as exc:
+        module_from_parts(lc, groups, poset, {})
+    assert str(exc.value) == ("not a module: functoriality fails at "
+                              "(('top', 'a'), ('a', 'bot'))")
+    poset[("b", "bot")] = ZMatrix([[1]])
+    module = module_from_parts(lc, groups, poset, {})
+    assert module.action[("top", "bot")].matrix == ZMatrix([[1]])
 
 
 @pytest.mark.parametrize("case", ["cyclic3-const", "cyclic4-z5-unit2"])

@@ -7,7 +7,8 @@ body, or anywhere in `perfbench/` outside `perfbench/tests/`.  The
 package `__init__.py` only re-exports, so it does not count as a use,
 and neither do the tests.  A definition nothing reaches must be on
 KEEP, with the reason it stays.  Likewise every name that such a module
-imports occurs in it.
+imports occurs in it.  The library's settable values are counted and
+pinned, so that a change adding or removing one shows it in its diff.
 """
 
 import ast
@@ -116,3 +117,31 @@ def test_every_kept_name_is_defined():
     defined = {q for module, tree in library_trees().items()
                for q, _ in definitions(module, tree)}
     assert not set(KEEP) - defined
+
+
+SETTABLE_VALUES = 32
+
+
+def test_settable_values():
+    """The settable values of the library are its parameters with a
+    default, in every function and lambda of `src/oghom`, plus each
+    `--` option string that `cli.py` hands to `add_argument` (an
+    option added to several subcommands counts once per subcommand).
+    A change that adds or removes a knob changes SETTABLE_VALUES in
+    the same diff."""
+    defaults = sum(
+        len(node.args.defaults)
+        + sum(d is not None for d in node.args.kw_defaults)
+        for tree in library_trees().values() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)))
+    cli = library_trees()["cli"]
+    options = [arg.value for node in ast.walk(cli)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "add_argument"
+               for arg in node.args
+               if isinstance(arg, ast.Constant)
+               and isinstance(arg.value, str)
+               and arg.value.startswith("--")]
+    assert defaults + len(options) == SETTABLE_VALUES, (defaults, options)

@@ -11,7 +11,9 @@ must tabulate the per-pair composite, and the least failing beta triple
 and the chain order must agree exactly.  Composites rewritten to
 another morphism of the same domain and codomain pass every typing
 check, so only the unit, inverse, associativity and OG2 rows can catch
-them.
+them.  `validate` and `FiniteCategory.check` share one associativity
+scan, and both must find a pair defined illegally even when a dropped
+entry leaves the table as large as the set of composable pairs.
 """
 
 import copy
@@ -22,9 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oghom import fixtures, io
+from oghom import category, fixtures, groupoid, io
 from oghom.beta import beta_transitive, quotient
-from oghom.category import FiniteCategory, groupoid_as_category
+from oghom.category import (
+    FiniteCategory,
+    associativity_failures,
+    groupoid_as_category,
+)
 from oghom.errors import StructuralDefect
 from oghom.groupoid import OrderedGroupoid, validate
 from oghom.homology import _chain_tuples
@@ -270,6 +276,75 @@ def test_same_type_candidate_rewrites_are_caught():
             OrderedGroupoid.from_candidate(cand)
     assert all(not validate(cand).ok for cand in brandt)
     assert first["associativity"] > 50
+
+
+def test_validate_and_check_share_one_associativity_scan(monkeypatch):
+    calls = []
+
+    def spy(elements, after, cod):
+        calls.append(list(elements))
+        return associativity_failures(elements, after, cod)
+
+    g0 = fixtures.load("clifford").groupoid
+    cand = candidate_of(g0)
+    monkeypatch.setattr(groupoid, "associativity_failures", spy)
+    monkeypatch.setattr(category, "associativity_failures", spy)
+    assert validate(cand).ok
+    assert calls == [g0.arrows]
+    cat = build_lcat(g0).category  # the constructor runs check
+    assert cat.check() == []
+    assert calls == [g0.arrows, cat.morphisms, cat.morphisms]
+    rng = random.Random(11)
+    bad = next(bad for bad in same_type_rewrites(cat, rng, 20)
+               if "associativity" in category_problems_by_triples(
+                   bad)[0])
+    del calls[:]
+    assert bad.check() == category_problems_by_triples(bad)
+    assert calls == [cat.morphisms]
+
+
+def tie_edit(table, elements, composable, rng):
+    """table with one composable entry dropped and one pair of elements
+    that is not composable given a composite, so that it keeps as many
+    entries as there are composable pairs."""
+    assert sorted(table) == sorted(composable)
+    illegal = sorted({(a, b) for a in elements for b in elements}
+                     - set(composable))
+    edited = dict(table)
+    del edited[rng.choice(composable)]
+    edited[rng.choice(illegal)] = rng.choice(elements)
+    assert len(edited) == len(composable)
+    return edited
+
+
+def test_illegal_key_is_found_when_the_count_ties():
+    rng = random.Random(12)
+    tied = 0
+    for g0 in GROUPOIDS:
+        if len(g0.identities) < 2:
+            continue
+        cat = build_lcat(g0).category
+        pairs = [(m1, m2) for m1 in cat.morphisms
+                 for m2 in cat.outgoing[cat.cod[m1]]]
+        bad = copy.copy(cat)
+        bad._compose = tie_edit(cat._compose, cat.morphisms, pairs, rng)
+        problems = bad.check()
+        assert problems == category_problems_by_triples(bad)
+        assert any(p.endswith("missing") for p in problems)
+        assert any(p.endswith("defined illegally") for p in problems)
+        cand = candidate_of(g0)
+        pairs = [(g, h) for g in cand.arrows for h in cand.arrows
+                 if cand.r[g] == cand.d[h]]
+        cand.compose = tie_edit(cand.compose, cand.arrows, pairs, rng)
+        report = validate(cand)
+        assert ([(v.axiom, v.witness) for v in report.violations]
+                == violations_by_triples(cand))
+        witnesses = [v.witness for v in report.violations
+                     if v.axiom == "compose-domain"]
+        assert len(witnesses) == 2
+        assert {w in pairs for w in witnesses} == {True, False}
+        tied += 1
+    assert tied > 70
 
 
 def test_lcat_table_matches_pairwise_composition():
