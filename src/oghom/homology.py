@@ -30,8 +30,8 @@ Mrozek & Ślusarek, 1998), working on the sparse columns: a generator a of
 C_n and a generator b of C_(n-1) of the same order k, with u = <∂a, b> a
 unit mod k (±1 when k = 0), are cancelled together, and every other
 column a' of ∂_n becomes a' - <∂a', b> u⁻¹ ∂a.  Only the small residual
-is handed, through its dense views, to the Smith-form solver
-`homology_at`.
+is handed, through its dense views, to `homology_at`, which solves it
+with one Hermite pass through `ColumnSolver`.
 Homology is asked only below the top degree, where just the image of
 the top boundary counts, so the residual keeps only its nonzero
 columns, on free generators.
@@ -44,7 +44,7 @@ from collections import deque
 from itertools import accumulate, combinations
 from math import gcd
 
-from .errors import StructuralDefect
+from .errors import PreconditionViolation, StructuralDefect
 from .gmodules import colim_category, colim_E
 from .zmodule import (AbHom, EchelonBasis, FgAbGroup, ZMatrix, homology_at,
                       kernel_basis)
@@ -428,6 +428,8 @@ def tensor(resolution, module):
     `bar_resolution`, each coefficient group in canonical coordinates
     ⊕ Z/d_i with those of order 1 dropped, at its generator's offset."""
     bases, faces = resolution
+    if len(bases) < 2:
+        raise StructuralDefect("a complex needs at least degree 1")
     # equal coefficient groups share one instance, so one Smith form;
     # kept[g]: the canonical coordinates of g whose order is not 1
     first = {}
@@ -489,8 +491,6 @@ def tensor(resolution, module):
 def nerve_complex(cat, module, maxdeg):
     """Chain complex of the normalized nerve up to degree maxdeg: the
     bar resolution tensored with the module."""
-    if maxdeg < 1:
-        raise StructuralDefect("a complex needs at least degree 1")
     return tensor(bar_resolution(cat, maxdeg), module)
 
 
@@ -541,6 +541,8 @@ class TheoremReport:
 def check_theorem(g0, lc, a_module, degrees):
     """Compare H_n over the groupoid's category with H_n of the class
     colimits over the quotient, degree by degree."""
+    if not degrees:
+        raise PreconditionViolation("no degree to compare")
     colim = colim_E(g0, lc, a_module)
     qc = colim.module.base
     top = max(degrees)

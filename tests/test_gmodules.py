@@ -29,6 +29,7 @@ from oghom.gmodules import (
     tau,
 )
 from oghom.groupoid import GroupoidCandidate, OrderedGroupoid
+from oghom.homology import homology, homology_profile
 from oghom.lcat import build_lcat
 from oghom.randgen import random_module, random_og
 from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
@@ -39,7 +40,7 @@ from .oracles import (
     module_action_by_dfs,
     random_ses,
 )
-from .test_connected import connected_doc
+from .test_connected import brandt_z2_doc, connected_doc
 from .test_reduction import cyclic_bundle, theorem_inputs
 
 
@@ -449,27 +450,86 @@ def test_corrupted_component_fails_the_sum_check(which, extra, monkeypatch):
     assert len(calls) == 5
 
 
-def test_missing_relator_fails_the_coequalize_check(monkeypatch):
-    # the total presentation loses its last relator column, so the
-    # canonical maps no longer agree along the last morphism
-    bundle = fixtures.load("chain2")
-    cat, module = bundle.lc.category, bundle.modules["const"]
-    colim_category(cat, module)
+def modules_under_test():
+    """(label, category, module) for every fixture module and for module
+    m of the connected and the Brandt Z/2 groupoids."""
+    out = []
+    for name in fixtures.names():
+        bundle = fixtures.load(name)
+        out += [("%s/%s" % (name, m), bundle.lc.category, module)
+                for m, module in sorted(bundle.modules.items())]
+    for label, doc in [("connected", connected_doc()),
+                       ("brandt_z2", brandt_z2_doc())]:
+        _, cand, module_docs = io.load(doc)
+        g0 = OrderedGroupoid.from_candidate(cand)
+        lc = build_lcat(g0)
+        out.append((label, lc.category,
+                    io.build_module(g0, lc, module_docs["m"])))
+    return out
 
-    def drop_last_relator(cat, module, objs, morphisms):
+
+def last_relator_changed(change):
+    """A stand-in for _presentation whose last relator column c becomes
+    change(c), or is dropped where that is None."""
+    def present(cat, module, objs, morphisms):
         group, offsets, injections = _presentation(cat, module, objs,
                                                    morphisms)
         rel = group.relations
-        short = FgAbGroup(group.ngens, ZMatrix.from_cols(
-            [rel.col(j) for j in range(rel.ncols - 1)], rel.nrows))
-        return short, offsets, {
-            o: AbHom(h.source, short, h.matrix, checked=True)
+        cols = [rel.col(j) for j in range(rel.ncols - 1)]
+        last = change(rel.col(rel.ncols - 1))
+        if last is not None:
+            cols.append(last)
+        changed = FgAbGroup(group.ngens, ZMatrix.from_cols(cols, rel.nrows))
+        return changed, offsets, {
+            o: AbHom(h.source, changed, h.matrix, checked=True)
             for o, h in injections.items()}
+    return present
 
-    monkeypatch.setattr("oghom.gmodules._presentation", drop_last_relator)
+
+def test_missing_relator_fails_the_h0_check(monkeypatch):
+    # the presentation loses its last relator column, so the colimit
+    # gains the free summand that the relator of (e, f) killed
+    bundle = fixtures.load("chain2")
+    cat, module = bundle.lc.category, bundle.modules["const"]
+    assert homology(cat, module, 0).canonical_form() == (1, ())
+    monkeypatch.setattr("oghom.gmodules._presentation",
+                        last_relator_changed(lambda col: None))
     with pytest.raises(StructuralDefect, match=re.escape(
-            "canonical maps fail to coequalize at ('e', 'f')")):
-        colim_category(cat, module)
+            "H_0 (1, ()) disagrees with the colimit (2, ())")):
+        homology(cat, module, 0)
+
+
+def test_doubled_relator_fails_the_h0_check(monkeypatch):
+    # the last relator column counts twice; every module not listed has
+    # that column zero or redundant (a trivial action, or t3 acting by
+    # the sign on Z/4 after t1 did), so its mutant is equivalent
+    cases = modules_under_test()
+    monkeypatch.setattr("oghom.gmodules._presentation",
+                        last_relator_changed(lambda col: [2 * v for v in col]))
+    rejected = []
+    for label, cat, module in cases:
+        try:
+            homology_profile(cat, module, 1)
+        except StructuralDefect as exc:
+            assert str(exc).startswith("H_0 "), exc
+            rejected.append(label)
+    assert rejected == ["chain2/const", "chain2/mixed", "cyclic2/sign",
+                        "z2/sign"]
+
+
+def test_colimit_builds_no_smith_transform(monkeypatch):
+    # the component sum and result.canonical_form() read invariant
+    # factors, so no Smith form with transforms is built
+    cases = modules_under_test()
+    want = [colim_category(cat, module).result.canonical_form()
+            for _, cat, module in cases]
+
+    def no_snf(m):
+        raise AssertionError("snf called")
+
+    monkeypatch.setattr("oghom.zmodule.snf", no_snf)
+    assert [colim_category(cat, module).result.canonical_form()
+            for _, cat, module in cases] == want
 
 
 @pytest.mark.parametrize("kind", ["ell", "representative"])

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from oghom import fixtures
-from oghom.errors import StructuralDefect
+from oghom.errors import PreconditionViolation, StructuralDefect
 from oghom.gmodules import colim_category
 from oghom.homology import (
     ChainComplex,
@@ -22,6 +22,7 @@ from .oracles import (
     in_relation_span_by_solve,
     periodic_cyclic_homology,
 )
+from .test_gmodules import modules_under_test
 from .test_reduction import cyclic_bundle
 
 
@@ -185,6 +186,45 @@ def test_wrong_colimit_fails_the_h0_check(extra, monkeypatch):
     with pytest.raises(StructuralDefect, match="H_0"):
         homology(cat, module, 0, complex_=cx)
     assert homology(cat, module, 1, complex_=cx).canonical_form() == (0, (3,))
+
+
+def test_wrong_boundary_entry_fails_the_h0_check():
+    # the first row of the first degree-1 boundary column is off by one,
+    # in a complex built to degree 1 only, where ∂² = 0 checks nothing;
+    # on chain2/const the column f - e becomes f, whose cokernel is Z as
+    # well, so that mutant is equivalent
+    accepted = []
+    for label, cat, module in modules_under_test():
+        cx = nerve_complex(cat, module, 1)
+        col, k = dict(cx.columns[1][0]), cx.orders[0][0]
+        v = col.pop(0, 0) + 1
+        v = v % k if k else v
+        if v:
+            col[0] = v
+        wrong = ChainComplex(cx.orders, [None, [col] + cx.columns[1][1:]])
+        try:
+            homology(cat, module, 0, complex_=wrong)
+        except StructuralDefect as exc:
+            assert str(exc).startswith("H_0 "), exc
+        else:
+            accepted.append(label)
+    assert accepted == ["chain2/const"]
+
+
+@pytest.mark.parametrize("name", ["chain2", "cyclic3"])
+def test_negative_degree_is_refused(name):
+    # a group is tensored with group_resolution, any other category with
+    # the bar resolution; tensor refuses both the same way
+    bundle = fixtures.load(name)
+    with pytest.raises(StructuralDefect, match="at least degree 1"):
+        homology_profile(bundle.lc.category, bundle.modules["const"], -1)
+
+
+def test_theorem_needs_a_degree():
+    bundle = fixtures.load("chain2")
+    with pytest.raises(PreconditionViolation, match="no degree"):
+        check_theorem(bundle.groupoid, bundle.lc, bundle.modules["const"],
+                      [])
 
 
 def test_chain_tuples_counts():
