@@ -11,9 +11,10 @@ determinant on dense square matrices.  A canonical form needs only the
 invariant factors, which `invariant_factors` reads from the passes with
 no transform tracked; canonical coordinates, and so membership in a
 relation span, go through `snf` and its unimodular transforms.  Kernels
-and solves, and so `homology_at`, need only one Hermite pass with its
-left transform (`ColumnSolver`).  All arithmetic uses Python's
-unbounded integers; nothing here may silently overflow or round.
+and solves, and so `homology_at`, need only one Hermite pass over
+[M^T | I] (`ColumnSolver`), which gives kernels in reduced Hermite
+form.  All arithmetic uses Python's unbounded integers; nothing here
+may silently overflow or round.
 """
 
 from math import prod
@@ -339,7 +340,10 @@ def _hermite_rows(a, u, w):
     of w.
 
     Rows enter one at a time by `_insert_row`.  Last, the rows are put
-    in the order of their pivots, zero rows at the bottom.
+    in the order of their pivots, zero rows at the bottom.  Pivots are
+    positive, but an entry above a pivot can leave [0, pivot) when a
+    column to its left is reduced later, so the form is reduced only
+    after one more sweep in pivot order, as `ColumnSolver` makes.
     """
     pivots = {}  # pivot column -> its row
     for new in range(len(a)):
@@ -508,33 +512,41 @@ class ColumnSolver:
     """Solves M X = C over the integers for a fixed M; None answers a
     right-hand side outside the column span of M.
 
-    One Hermite pass (`_hermite_rows`) over the rows of M^T, tracking
-    only the left transform U, gives echelon rows E = U M^T (Cohen, *A
-    Course in Computational Algebraic Number Theory*, 1993, §2.4).  The
-    U rows of the zero rows of E are a basis of the kernel of M, the
-    columns of `kernel`.  A solve writes the right-hand side as an
-    integer combination of the nonzero rows of E by forward
-    substitution, and x is the same combination of their U rows.
+    One Hermite pass (`_hermite_rows`) over the rows of [M^T | I], then
+    one sweep in pivot order that reduces the entries above each pivot
+    into [0, pivot), gives the reduced Hermite form of that matrix
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
+    §2.4).  Its rows are (E, U) with E = U M^T.  The U parts of the rows
+    with E zero are the kernel of M in reduced Hermite form, which is
+    unique: the columns of `kernel`.  A solve writes the right-hand side as an integer
+    combination of the nonzero rows of E by forward substitution, and
+    x is the same combination of their U parts, which the sweep has
+    reduced modulo the kernel.
 
     >>> s = ColumnSolver(ZMatrix([[2, 4, 6], [1, 2, 3]]))
     >>> s.kernel.rows
-    ((-2, -3), (1, 0), (0, 1))
+    ((1, 0), (1, 3), (-1, -2))
     >>> s.solve_vector((4, 2)), s.solve_vector((1, 0))
-    ((2, 0, 0), None)
+    ((0, 4, -2), None)
     """
 
     def __init__(self, m):
         self.m = m
-        n = m.ncols
-        a = [list(col) for col in zip(*m.rows)] or [[] for _ in range(n)]
-        u = _identity_rows(n)
-        _hermite_rows(a, u, [[] for _ in range(n)])
-        # (pivot column, echelon row, its U row) for the nonzero rows of
-        # E, which come first
-        rank = sum(1 for row in a if any(row))
-        self._echelon = [(_leading(row, 0, m.nrows), row, urow)
-                         for row, urow in zip(a[:rank], u)]
-        self.kernel = ZMatrix.from_cols(u[rank:], n)
+        h, n = m.nrows, m.ncols
+        a = [[row[j] for row in m.rows] + e
+             for j, e in enumerate(_identity_rows(n))]
+        none = [[] for _ in a], [[] for _ in a]
+        _hermite_rows(a, *none)
+        # [M^T | I] has full row rank, so every row has a pivot; the rows
+        # come in pivot order, so the sweep runs left to right
+        pivots = {_leading(row, 0, h + n): i for i, row in enumerate(a)}
+        for c in pivots:
+            _reduce_above(a, *none, pivots, c)
+        # (pivot column, E row, its U part) for the nonzero rows of E
+        self._echelon = [(c, a[i][:h], a[i][h:])
+                         for c, i in pivots.items() if c < h]
+        self.kernel = ZMatrix.from_cols(
+            [a[i][h:] for c, i in pivots.items() if c >= h], n)
 
     def solve_vector(self, vec):
         """Some integer x with M x = vec, or None."""

@@ -212,12 +212,25 @@ def test_wrong_boundary_entry_fails_the_h0_check():
 
 
 @pytest.mark.parametrize("name", ["chain2", "cyclic3"])
-def test_negative_degree_is_refused(name):
-    # a group is tensored with group_resolution, any other category with
-    # the bar resolution; tensor refuses both the same way
+def test_negative_degree_is_refused(name, monkeypatch):
+    # on a group (cyclic3) or not, each entry point refuses a negative
+    # degree with one message before it builds a colimit or a complex
+    def built(*args):
+        raise AssertionError("built before the degree was checked")
+
+    for what in ("colim_E", "colim_category", "tensor"):
+        monkeypatch.setattr(sys.modules["oghom.homology"], what, built)
     bundle = fixtures.load(name)
-    with pytest.raises(StructuralDefect, match="at least degree 1"):
-        homology_profile(bundle.lc.category, bundle.modules["const"], -1)
+    cat, module = bundle.lc.category, bundle.modules["const"]
+    calls = [lambda: homology_profile(cat, module, -1),
+             lambda: homology(cat, module, -1),
+             lambda: check_theorem(bundle.groupoid, bundle.lc, module, [-1]),
+             lambda: check_theorem(bundle.groupoid, bundle.lc, module,
+                                   [-1, 1])]
+    for call in calls:
+        with pytest.raises(PreconditionViolation,
+                           match=r"^homology needs degrees >= 0$"):
+            call()
 
 
 def test_theorem_needs_a_degree():

@@ -21,6 +21,7 @@ abelianization read from the group table.  The groups are closed from
 permutations in the tests.
 """
 
+import sys
 from collections import Counter
 from math import gcd
 
@@ -35,13 +36,14 @@ from oghom.groupoid import OrderedGroupoid
 from oghom.homology import (
     _chain_tuples,
     bar_resolution,
+    check_theorem,
     group_resolution,
     homology,
     homology_profile,
     nerve_complex,
 )
 from oghom.lcat import build_lcat
-from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
+from oghom.zmodule import AbHom, EchelonBasis, FgAbGroup, ZMatrix
 from .oracles import (
     group_category,
     hermite_rows_by_min_abs,
@@ -247,8 +249,31 @@ def test_group_resolution_ranks():
     assert {name: ranks(group_resolution(GROUPS[name], 4))
             for name in ["Z2xZ2", "S3", "D4", "Q8", "A4", "S4"]} == {
         "Z2xZ2": [1, 2, 3, 4, 5], "S3": [1, 2, 3, 4, 5],
-        "D4": [1, 2, 3, 4, 5], "Q8": [1, 2, 3, 2, 1],
-        "A4": [1, 2, 3, 4, 5], "S4": [1, 2, 3, 4, 6]}
+        "D4": [1, 2, 3, 4, 5], "Q8": [1, 2, 2, 1, 1],
+        "A4": [1, 2, 3, 4, 5], "S4": [1, 2, 3, 4, 5]}
+
+
+def test_s4_to_degree_six(monkeypatch):
+    # the translates' span grows from kernel rows in reduced Hermite
+    # form; inserting a kernel basis into an EchelonBasis row by row
+    # instead took its entries to 727 bits by degree 5 and to 42,015
+    # bits in degree 6
+    cat, peak, add = GROUPS["S4"], [0], EchelonBasis.add
+
+    def spy(lattice, row):
+        grew = add(lattice, row)
+        peak[0] = max([peak[0]] + [abs(v).bit_length()
+                                   for r in lattice.rows for v in r])
+        return grew
+
+    monkeypatch.setattr(EchelonBasis, "add", spy)
+    assert ranks(group_resolution(cat, 5)) == [1, 2, 3, 4, 5, 6]
+    assert 0 < peak[0] <= 16
+    monkeypatch.undo()
+    resolution = group_resolution(cat, 6)
+    assert ranks(resolution) == [1, 2, 3, 4, 5, 6, 7]
+    assert_resolution(cat, resolution, 6)
+    assert_exact(cat, resolution, 6)
 
 
 def test_equal_rank_is_not_the_whole_kernel():
@@ -281,6 +306,34 @@ def test_group_resolution_needs_a_group():
     cat = fixtures.load("chain2").lc.category
     with pytest.raises(StructuralDefect):
         group_resolution(cat, 2)
+
+
+@pytest.mark.parametrize("name", ["chain2", "cyclic3"])
+def test_one_resolution_choice(name, monkeypatch):
+    # homology_profile and the quotient side of check_theorem test for a
+    # group once; the L(G) side of check_theorem stays the bar nerve, so
+    # a one-object quotient is checked against an independent algorithm
+    calls, where = Counter(), sys.modules["oghom.homology"]
+
+    def counted(f):
+        def call(*args):
+            calls[f.__name__] += 1
+            return f(*args)
+        return call
+
+    for what in ("_is_group", "group_resolution", "bar_resolution"):
+        monkeypatch.setattr(where, what, counted(getattr(where, what)))
+    bundle = fixtures.load(name)
+    cat, module = bundle.lc.category, bundle.modules["const"]
+    is_group = name == "cyclic3"
+    homology_profile(cat, module, 2)
+    assert calls["_is_group"] == 1
+    assert calls["bar_resolution"] == (0 if is_group else 1)
+    calls.clear()
+    assert check_theorem(bundle.groupoid, bundle.lc, module, [0, 1, 2]).ok
+    # chain2's L(G) is not a group, but its quotient is
+    assert calls == {"_is_group": 1, "group_resolution": 1,
+                     "bar_resolution": 1}
 
 
 def character_module(cat, k, char):
