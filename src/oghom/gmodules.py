@@ -74,10 +74,15 @@ def check_functorial(base, groups, action):
         i = base.identity[o]
         if not action[i].equal_as_maps(AbHom.identity(groups[o])):
             out.append("identity of %r does not act as the identity" % (o,))
+    # a pulled-back module shares one hom among the morphisms of a class,
+    # so each distinct triple of hom objects is decided once
+    verdicts = {}
     for m1 in base.morphisms:
         for m2 in base.outgoing[base.cod[m1]]:
-            both = action[m1].then(action[m2])
-            if not both.equal_as_maps(action[base.compose(m1, m2)]):
+            h1, h2, h12 = action[m1], action[m2], action[base.compose(m1, m2)]
+            if (h1, h2, h12) not in verdicts:
+                verdicts[h1, h2, h12] = h1.then(h2).equal_as_maps(h12)
+            if not verdicts[h1, h2, h12]:
                 out.append("functoriality fails at (%r, %r)" % (m1, m2))
     return out
 
@@ -212,9 +217,12 @@ class ColimitPresentation:
 def _presentation(cat, module, objs, morphisms):
     """(group, offsets, injections) presenting the colimit of `module`
     over `objs` along `morphisms`: the direct sum of the groups at objs
-    modulo one relator column a - a ◁ m per generator a at dom(m), in
-    the order given.  offsets[o] locates M(o)'s generators in the sum;
-    injections[o] is the map M(o) -> group."""
+    modulo the relator columns a - a ◁ m, for each generator a at dom(m)
+    in the order given, each nonzero relator once, up to sign.  A
+    skipped relator is zero or ± one already written, so the span, and
+    so the colimit, is that of every a - a ◁ m.  offsets[o] locates
+    M(o)'s generators in the sum; injections[o] is the map M(o) ->
+    group."""
     groups = [module.groups[o] for o in objs]
     offsets = {}
     total = 0
@@ -222,6 +230,7 @@ def _presentation(cat, module, objs, morphisms):
         offsets[o] = total
         total += g.ngens
     cols = []
+    written = {(0,) * total}
     for m in morphisms:
         src, tgt = cat.dom[m], cat.cod[m]
         amat = module.action[m].matrix
@@ -230,7 +239,10 @@ def _presentation(cat, module, objs, morphisms):
             col[offsets[src] + i] += 1
             for rix in range(amat.nrows):
                 col[offsets[tgt] + rix] -= amat.rows[rix][i]
-            cols.append(col)
+            col = tuple(col)
+            if col not in written:
+                written.update((col, tuple(-v for v in col)))
+                cols.append(col)
     group = FgAbGroup(total, block_diag([g.relations for g in groups])
                       .hstack(ZMatrix.from_cols(cols, total)))
     injections = {}
@@ -245,13 +257,15 @@ def _presentation(cat, module, objs, morphisms):
 
 def colim_category(cat, module):
     """The colimit of `module` over `cat` as a ColimitPresentation:
-    `result` is the direct sum of the groups at all objects modulo one
-    relator column a - a ◁ m per generator a at the domain of each
-    non-identity morphism m, and `canonical[o]` injects M(o) into it.
+    `result` is the direct sum of the groups at all objects modulo the
+    relators a - a ◁ m, for each generator a at the domain of each
+    non-identity morphism m, each nonzero relator once, up to sign; and
+    `canonical[o]` injects M(o) into it.
 
     The canonical maps coequalize by construction: along m, a ◁ m
     injected at cod(m) minus a injected at dom(m) is the negated relator
-    column of a and m.  The check kept is the component sum: each
+    of a and m, a column of `result` unless it is zero or ± one already
+    written.  The check kept is the component sum: each
     connected component is presented on its own, and the sum of those
     colimits must have the canonical form of `result`.  Both forms are
     invariant factors, so no Smith transform is built.

@@ -20,6 +20,7 @@ import re
 from .errors import DanglingReference, SchemaViolation
 from .gmodules import module_from_parts
 from .groupoid import GroupoidCandidate
+from .homology import MAX_CHAIN_RANK
 from .zmodule import FgAbGroup, ZMatrix
 
 _MATRIX = {"type": "array",
@@ -317,17 +318,14 @@ def candidate_from_doc(gdoc, base=""):
     return GroupoidCandidate.from_parts(identities, arrows, compose, order)
 
 
-# Larger groups are refused before any matrix is allocated; a group is a
-# summand of a chain group in every degree (homology.MAX_CHAIN_RANK).
-MAX_GENERATORS = 10000
-
-
 def group_from_spec(spec):
     ngens = (int(spec["rank"]) + len(spec.get("torsion", []))
              if "rank" in spec else spec["ngens"])
-    if ngens > MAX_GENERATORS:
+    # refused before any matrix is allocated: a group is a summand of a
+    # chain group in every degree
+    if ngens > MAX_CHAIN_RANK:
         raise SchemaViolation("", "group has %d generators; at most %d are"
-                              " supported" % (ngens, MAX_GENERATORS))
+                              " supported" % (ngens, MAX_CHAIN_RANK))
     if "rank" in spec:
         return FgAbGroup.from_invariants(spec["rank"],
                                          spec.get("torsion", []))

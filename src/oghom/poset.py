@@ -1,9 +1,11 @@
 """Finite partial orders on hashable elements.
 
 `order_closure` turns generating pairs into the reflexive-transitive
-closure; a Poset is built from closed pairs and rejects antisymmetry
-failures.  The groupoid layer keeps one of these for its arrows and one
-for its identities.
+closure; a Poset is built from closed pairs and rejects repeated and
+unknown elements.  It trusts the pairs to be antisymmetric: groupoid
+validation reports every pair related both ways before one is built.
+The groupoid layer keeps one of these for its arrows and one for its
+identities.
 """
 
 from .errors import StructuralDefect
@@ -58,19 +60,7 @@ class Poset:
             if hi not in index:
                 raise StructuralDefect("order pair mentions unknown element %r" % (hi,))
             below[index[hi]].add(index[lo])
-        for i in range(n):
-            for j in below[i]:
-                if i != j and i in below[j]:
-                    raise StructuralDefect(
-                        "antisymmetry fails: %r and %r are comparable both ways"
-                        % (self.elements[i], self.elements[j]))
         self._below = below
-
-    def __contains__(self, e):
-        return e in self._index
-
-    def __len__(self):
-        return len(self.elements)
 
     def leq(self, a, b):
         return self._index[a] in self._below[self._index[b]]

@@ -151,26 +151,6 @@ def block_diag(blocks):
     return ZMatrix._trusted(out, ncols)
 
 
-def prune_columns(m):
-    """Drop zero columns and repeated columns (up to sign).
-
-    The column span is unchanged, which is all the membership, kernel
-    and quotient routines care about.  Boundary matrices of nerves are
-    full of duplicates, so this is a large constant-factor win.
-    """
-    seen = set()
-    keep = []
-    for c in zip(*m.rows):
-        if all(v == 0 for v in c):
-            continue
-        cn = tuple(-v for v in c)
-        if c in seen or cn in seen:
-            continue
-        seen.add(c)
-        keep.append(c)
-    return ZMatrix.from_cols(keep, m.nrows)
-
-
 class SNFResult:
     """Holds S = U M V with U, V unimodular and S in Smith normal form."""
 
@@ -288,11 +268,10 @@ def _diagonalize(m, left, right):
                 if not x or y % x == 0:
                     continue
                 # diag(x, y) -> diag(h, x y / h) as L diag(x, y) R with
-                # L = [[s, t], [-y', x']], R = [[1, -t y'], [1, s x']]
+                # L = [[s, t], [-y', x']], R = [[1, -t y'], [1, s x']];
+                # x and y are positive, so h is their positive gcd
                 s, t, _, _ = _bezout(x, y)
                 h = s * x + t * y
-                if h < 0:
-                    s, t, h = -s, -t, -h
                 xq, yq = x // h, y // h
                 _mix(left[0], i, j, s, t, -yq, xq)
                 _mix(left[1], i, j, xq, yq, -t, s)
@@ -631,7 +610,7 @@ class FgAbGroup:
         # orders[i] is the order of the i-th canonical coordinate
         # (0 meaning infinite); x-coordinates convert via y = U x.
         if self._decomp is None:
-            res = snf(prune_columns(self.relations))
+            res = snf(self.relations)
             diag = res.diagonal
             orders = []
             for i in range(self.ngens):
@@ -648,7 +627,7 @@ class FgAbGroup:
         if self._decomp is not None:
             return self._decomp[0]
         if self._orders is None:
-            self._orders = invariant_factors(prune_columns(self.relations))
+            self._orders = invariant_factors(self.relations)
         return self._orders
 
     def canonical_form(self):
@@ -777,7 +756,7 @@ class AbHom:
 
 def preimage_lattice(matrix, target_relations):
     """Generators of {x : matrix @ x lies in the span of target_relations}."""
-    w = matrix.hstack(prune_columns(target_relations))
+    w = matrix.hstack(target_relations)
     ker = kernel_basis(w)
     return ZMatrix._trusted(ker.rows[:matrix.ncols], ker.ncols)
 
@@ -810,7 +789,7 @@ def homology_at(f, g):
     kgens = preimage_lattice(g.matrix, g.target.relations)
     if kgens.ncols == 0:
         return FgAbGroup.trivial()
-    rhs = f.matrix.hstack(prune_columns(b.relations))
+    rhs = f.matrix.hstack(b.relations)
     solver = ColumnSolver(kgens)
     q = solver.solve_matrix(rhs)
     if q is None:

@@ -71,7 +71,6 @@ from oghom.zmodule import (
     ZMatrix,
     block_diag,
     homology_at,
-    prune_columns,
     snf,
 )
 
@@ -367,7 +366,7 @@ class SmithColumnSolver:
 def canonical_orders_by_snf(group):
     """Orders of the canonical coordinates from the diagonal of a Smith
     form with transforms, padded with zeros to the number of generators."""
-    diag = snf(prune_columns(group.relations)).diagonal
+    diag = snf(group.relations).diagonal
     return tuple(diag) + (0,) * (group.ngens - len(diag))
 
 
@@ -663,10 +662,10 @@ def dense_nerve_complex(cat, module, maxdeg):
 
 
 def in_relation_span_by_solve(group, vec):
-    """True iff some integer x has R x = vec, for the pruned relations R
-    of the group, found by a Hermite solve (`ColumnSolver`) where the
+    """True iff some integer x has R x = vec, for the relations R of
+    the group, found by a Hermite solve (`ColumnSolver`) where the
     library reads the group's canonical coordinates from a Smith form."""
-    return ColumnSolver(prune_columns(group.relations)).solve_vector(
+    return ColumnSolver(group.relations).solve_vector(
         vec) is not None
 
 
@@ -1336,6 +1335,16 @@ def lcat_compose(g0, m1, m2):
         raise NotComposable("r(%s) != %s" % (g, f))
     k = g0.compose(g0.corestriction(g, g0.d[h]), h)
     return (e, k)
+
+
+def functoriality_failures_by_pair(base, action):
+    """check_functorial's composite-law problems with one equal_as_maps
+    per composable pair (m1, m2), in the library's order."""
+    return ["functoriality fails at (%r, %r)" % (m1, m2)
+            for m1 in base.morphisms
+            for m2 in base.outgoing[base.cod[m1]]
+            if not action[m1].then(action[m2]).equal_as_maps(
+                action[base.compose(m1, m2)])]
 
 
 # ---------------------------------------------------------------- covering paths

@@ -36,6 +36,7 @@ from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
 from .oracles import (
     direct_sum,
     enumerate_gmaps,
+    functoriality_failures_by_pair,
     group_order,
     module_action_by_dfs,
     random_ses,
@@ -187,6 +188,72 @@ def test_corrupted_action_is_reported(case):
         action[m] = AbHom(h.source, h.target, ZMatrix(rows), checked=True)
         problems = check_functorial(cat, module.groups, action)
         assert any(repr(m) in p for p in problems), (m, problems)
+        assert composite_problems(problems) == \
+            functoriality_failures_by_pair(cat, action)
+
+
+def composite_problems(problems):
+    return [p for p in problems if p.startswith("functoriality fails")]
+
+
+def pull_back_cases():
+    """(q, lc, B) for B the quotient sign module of clifford, and for B
+    colim_E of a random module over random_og(Random(1648), 10, 12)."""
+    g0, lc, _ = clifford_parts()
+    q = quotient(g0)
+    yield q, lc, quotient_sign_module(q)
+    rng = random.Random(1648)
+    rog = random_og(rng, 10, 12)
+    lc = build_lcat(rog.groupoid)
+    colim = colim_E(rog.groupoid, lc, random_module(rng, rog, lc))
+    yield colim.q, lc, colim.module
+
+
+def test_shared_action_problems_match_the_pair_loop():
+    # one corrupted class hom is shared by every morphism of its class;
+    # every failing pair is still listed, in the pair loop's order
+    for q, lc, b_module in pull_back_cases():
+        eb = expand(q, lc, b_module)
+        homs = list({id(h): h for h in eb.action.values()}.values())
+        failing = 0
+        for h in homs:
+            rows = [list(r) for r in h.matrix.rows]
+            rows[0][0] += 1
+            bad = AbHom(h.source, h.target, ZMatrix(rows), checked=True)
+            action = {m: bad if a is h else a for m, a in eb.action.items()}
+            problems = check_functorial(lc.category, eb.groups, action)
+            pairs = functoriality_failures_by_pair(lc.category, action)
+            assert composite_problems(problems) == pairs
+            failing += bool(pairs)
+            if failing == 2:
+                break
+        assert failing == 2
+
+
+def test_pull_back_decides_each_triple_once(monkeypatch):
+    # expand gives every morphism of a class the class's hom object, so
+    # the composite law is decided once per distinct triple of hom
+    # objects, and the identity law once per object
+    equal_as_maps = AbHom.equal_as_maps
+    calls = []
+
+    def spy(self, other):
+        calls.append(other)
+        return equal_as_maps(self, other)
+
+    for q, lc, b_module in pull_back_cases():
+        cat = lc.category
+        calls.clear()
+        monkeypatch.setattr(AbHom, "equal_as_maps", spy)
+        eb = expand(q, lc, b_module)
+        monkeypatch.undo()
+        triples = {(id(eb.action[m1]), id(eb.action[m2]),
+                    id(eb.action[cat.compose(m1, m2)]))
+                   for m1 in cat.morphisms
+                   for m2 in cat.outgoing[cat.cod[m1]]}
+        pairs = sum(len(cat.outgoing[cat.cod[m]]) for m in cat.morphisms)
+        assert len(triples) < pairs
+        assert len(calls) == len(cat.objects) + len(triples)
 
 
 def test_naturality_rejected():
@@ -468,13 +535,41 @@ def modules_under_test():
     return out
 
 
+def test_presentation_writes_each_nonzero_relator_once_up_to_sign():
+    # every nonzero a - a ◁ m is a relator column up to sign, and no two
+    # relator columns agree up to sign
+    for label, cat, module in modules_under_test():
+        objs = list(cat.objects)
+        morphisms = cat.nonidentity_morphisms()
+        group, offsets, _ = _presentation(cat, module, objs, morphisms)
+        rel = group.relations
+        first = sum(module.groups[o].relations.ncols for o in objs)
+        written = [rel.col(j) for j in range(first, rel.ncols)]
+        want = set()
+        for m in morphisms:
+            src, tgt = cat.dom[m], cat.cod[m]
+            for i in range(module.groups[src].ngens):
+                col = [0] * group.ngens
+                col[offsets[src] + i] += 1
+                for r, v in enumerate(module.action[m].matrix.col(i)):
+                    col[offsets[tgt] + r] -= v
+                if any(col):
+                    want.add(frozenset({tuple(col), tuple(-v for v in col)}))
+        assert len(written) == len(want), label
+        assert {frozenset({c, tuple(-v for v in c)})
+                for c in written} == want, label
+
+
 def last_relator_changed(change):
     """A stand-in for _presentation whose last relator column c becomes
-    change(c), or is dropped where that is None."""
+    change(c), or is dropped where that is None; a presentation with no
+    relator column (every a - a ◁ m zero) comes back as it is."""
     def present(cat, module, objs, morphisms):
         group, offsets, injections = _presentation(cat, module, objs,
                                                    morphisms)
         rel = group.relations
+        if rel.ncols == sum(module.groups[o].relations.ncols for o in objs):
+            return group, offsets, injections
         cols = [rel.col(j) for j in range(rel.ncols - 1)]
         last = change(rel.col(rel.ncols - 1))
         if last is not None:
@@ -500,9 +595,11 @@ def test_missing_relator_fails_the_h0_check(monkeypatch):
 
 
 def test_doubled_relator_fails_the_h0_check(monkeypatch):
-    # the last relator column counts twice; every module not listed has
-    # that column zero or redundant (a trivial action, or t3 acting by
-    # the sign on Z/4 after t1 did), so its mutant is equivalent
+    # the last relator column counts twice; every module not listed
+    # writes no relator (a group acting trivially: cyclicN/const and
+    # z2/const) or has its last relator in the span of the others
+    # (clifford/sign, twofold/const, connected, brandt_z2), so its
+    # mutant is equivalent
     cases = modules_under_test()
     monkeypatch.setattr("oghom.gmodules._presentation",
                         last_relator_changed(lambda col: [2 * v for v in col]))
@@ -513,7 +610,8 @@ def test_doubled_relator_fails_the_h0_check(monkeypatch):
         except StructuralDefect as exc:
             assert str(exc).startswith("H_0 "), exc
             rejected.append(label)
-    assert rejected == ["chain2/const", "chain2/mixed", "cyclic2/sign",
+    assert rejected == ["chain2/const", "chain2/mixed", "clifford/const",
+                        "cyclic2/sign", "cyclic4/sign", "cyclic6/sign",
                         "z2/sign"]
 
 

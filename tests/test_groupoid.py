@@ -68,6 +68,25 @@ def test_from_parts_inserts_units():
     assert validate(c).ok
 
 
+def test_identity_outside_the_arrows_is_identity_typing():
+    # io gives every identity its own d, r and inv, so only a hand-built
+    # candidate can leave one out
+    c = GroupoidCandidate(["e", "f"], {"f": "f"}, {"f": "f"}, {"f": "f"},
+                          {("f", "f"): "f"}, {("f", "f")})
+    assert [(v.axiom, v.witness) for v in validate(c).violations] == [
+        ("identity-typing", ("e",))]
+
+
+def test_repeated_identity_is_refused_by_the_poset():
+    # validate reports nothing for a repeated identity; the identity
+    # poset's duplicate check is what refuses it
+    c = GroupoidCandidate(["e", "e"], {"e": "e"}, {"e": "e"}, {"e": "e"},
+                          {("e", "e"): "e"}, {("e", "e")})
+    assert validate(c).ok
+    with pytest.raises(StructuralDefect, match="duplicate element 'e'"):
+        OrderedGroupoid.from_candidate(c)
+
+
 def test_from_parts_keeps_order_cycles_for_validation():
     # closing generating pairs must not reject a cycle; the validator
     # reports it as an axiom violation with a witness

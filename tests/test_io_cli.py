@@ -18,6 +18,7 @@ from oghom.cli import main
 from oghom.errors import DanglingReference, SchemaViolation
 from oghom.gmodules import module_from_parts
 from oghom.groupoid import OrderedGroupoid, validate
+from oghom.homology import MAX_CHAIN_RANK
 from oghom.lcat import build_lcat
 from oghom.zmodule import FgAbGroup, ZMatrix
 
@@ -343,6 +344,18 @@ def test_cli_validate_rejects(tmp_path, capsys):
         payload["violations"])
 
 
+def test_cli_validate_reports_arrow_typing(tmp_path, capsys):
+    # s's inverse named as t: t is not s's inverse, and s s^-1 is no unit
+    doc = mutated("clifford",
+                  lambda d: d["groupoid"]["arrows"][0].update(inv="t"))
+    p = tmp_path / "bad.json"
+    p.write_text(io.dumps(doc))
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().out == (
+        "arrow-typing violated, witness ('s',)\n"
+        "inverse-law violated, witness ('s',)\n")
+
+
 def test_cli_validate_order_ignores_hash_seed(tmp_path):
     # without e<1 and f<1 twofold breaks OG2 many times over; the
     # violation list must not follow the iteration order of string sets
@@ -400,7 +413,7 @@ def test_cli_oversized_group_is_input_error(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err == ("input error at /modules/sign/groups/1: group has %d"
                    " generators; at most %d are supported\n"
-                   % (10 ** 30, io.MAX_GENERATORS))
+                   % (10 ** 30, MAX_CHAIN_RANK))
 
 
 @pytest.mark.parametrize("mutate,pointer,message", [
@@ -409,6 +422,16 @@ def test_cli_oversized_group_is_input_error(tmp_path, capsys, spec):
      "/modules/sign/groups/1", "ragged relation matrix"),
     (lambda d: d["groupoid"]["order"].append(["nope", "s"]),
      "/groupoid/order/0/0", "unresolved id 'nope'"),
+    (lambda d: d["groupoid"]["arrows"][0].update(d="nope"),
+     "/groupoid/arrows/0/d", "unresolved id 'nope'"),
+    (lambda d: d["groupoid"]["arrows"][0].update(inv="nope"),
+     "/groupoid/arrows/0/inv", "unresolved id 'nope'"),
+    (lambda d: d["modules"]["sign"]["groups"].update(zz={"rank": 1}),
+     "/modules/sign/groups/zz", "unresolved id 'zz'"),
+    (lambda d: d["modules"]["sign"]["poset_maps"].update({"1f": [[1]]}),
+     "/modules/sign/poset_maps/1f", "key must look like upper>lower"),
+    (lambda d: d["modules"]["sign"]["poset_maps"].update({"1>nope": [[1]]}),
+     "/modules/sign/poset_maps/1>nope", "unresolved id 'nope'"),
 ])
 def test_cli_input_error_prints_pointer_once(tmp_path, capsys, mutate,
                                              pointer, message):
@@ -419,6 +442,14 @@ def test_cli_input_error_prints_pointer_once(tmp_path, capsys, mutate,
     assert main(["colim", str(p), "--module", "sign"]) == 2
     err = capsys.readouterr().err
     assert err == "input error at %s: %s\n" % (pointer, message)
+
+
+def test_cli_top_level_array_is_input_error(tmp_path, capsys):
+    p = tmp_path / "array.json"
+    p.write_text(io.dumps([fixtures.doc("z2")]))
+    assert main(["colim", str(p), "--module", "sign"]) == 2
+    assert capsys.readouterr().err == (
+        "input error at /: top-level document must be an object\n")
 
 
 def test_cli_overlong_integer_literal_is_input_error(tmp_path, capsys):

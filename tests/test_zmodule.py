@@ -23,7 +23,6 @@ from oghom.zmodule import (
     homology_at,
     invariant_factors,
     kernel_basis,
-    prune_columns,
     snf,
 )
 from .oracles import (
@@ -309,12 +308,10 @@ def test_unimodular_and_det():
         assert det(ZMatrix(rows)) == sympy.Matrix(rows).det()
 
 
-def test_block_diag_and_prune():
+def test_block_diag():
     b = block_diag([ZMatrix([[1, 2]]), ZMatrix([[3], [4]])])
     assert b.to_lists() == [[1, 2, 0], [0, 0, 3], [0, 0, 4]]
     assert block_diag([]) == ZMatrix.zeros(0, 0)
-    p = prune_columns(ZMatrix([[1, 0, 1], [0, 0, 2]]))
-    assert p.ncols == 2 and p.nrows == 2
 
 
 def test_constructors_and_empty_shapes():
@@ -351,16 +348,45 @@ def sympy_orders(m):
 def assert_orders_agree(m):
     """invariant_factors and canonical_orders against the Smith form with
     transforms, which runs the same passes, and against two oracles that
-    share no code with them, sympy and the min-abs-pivot Smith form;
-    returns the orders."""
+    share no code with them, sympy and the min-abs-pivot Smith form,
+    and unchanged by dead columns; returns the orders."""
     want = canonical_orders_by_snf(FgAbGroup(m.nrows, m))
     assert invariant_factors(m) == want
-    assert invariant_factors(prune_columns(m)) == want
     assert FgAbGroup(m.nrows, m).canonical_orders() == want
     assert sympy_orders(m) == want
     diag = snf_min_abs(m).diagonal
     assert diag + (0,) * (m.nrows - len(diag)) == want
+    assert_dead_columns_change_nothing(m, want)
     return want
+
+
+def assert_dead_columns_change_nothing(m, orders):
+    """m followed by a zero column, a repeat of its first column and the
+    negation of its last presents the same group, which the Hermite and
+    Kannan–Bachem passes see with no pre-pass: invariant factors,
+    canonical orders, span membership of each column and unit vector,
+    and homology_at with the group in the middle (B itself) and as the
+    target (the kernel of Z^n -> B) do not change."""
+    n = m.nrows
+    cols = [m.col(j) for j in range(m.ncols)]
+    dead_cols = cols + [(0,) * n]
+    if cols:
+        dead_cols += [cols[0], tuple(-v for v in cols[-1])]
+    dead = ZMatrix.from_cols(dead_cols, n)
+    assert invariant_factors(dead) == orders
+    assert FgAbGroup(n, dead).canonical_orders() == orders
+
+    def answers(rel):
+        group = FgAbGroup(n, rel)
+        free, zero = FgAbGroup.free(n), FgAbGroup.trivial()
+        probes = cols + list(ZMatrix.identity(n).rows)
+        middle = homology_at(AbHom.zero(zero, group), AbHom.zero(group, zero))
+        kernel = homology_at(AbHom.zero(zero, free),
+                             AbHom(free, group, ZMatrix.identity(n)))
+        return ([group.in_relation_span(v) for v in probes],
+                middle.canonical_form(), kernel.canonical_form())
+
+    assert answers(dead) == answers(m)
 
 
 def scrambled(rng, diagonal, nrows, ncols, steps=12):
