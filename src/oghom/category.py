@@ -41,6 +41,7 @@ class FiniteCategory:
         self.outgoing = {o: [] for o in self.objects}
         for m in self.morphisms:
             self.outgoing.setdefault(self.dom[m], []).append(m)
+        self._generators = None
         problems = self.check()
         if problems:
             raise StructuralDefect("not a category: %s" % problems[0])
@@ -100,6 +101,38 @@ class FiniteCategory:
 
     def nonidentity_morphisms(self):
         return [m for m in self.morphisms if not self.is_identity(m)]
+
+    def generators(self):
+        """Non-identity morphisms whose composites give every non-identity
+        morphism: first each one that is no composite of two non-identity
+        morphisms, as every generating set must hold it, then, in
+        morphism order, each one that products of those before it do not
+        reach.  The set of products reached is kept closed under
+        composing with a generator on the right, so it holds every
+        product of generators, and at the end every morphism.  Computed
+        on the first call and kept."""
+        if self._generators is None:
+            comp, outgoing, dom, cod = (self._compose, self.outgoing,
+                                        self.dom, self.cod)
+            nonid = self.nonidentity_morphisms()
+            nonid_set = set(nonid)
+            composites = {comp[(m1, m2)] for m1 in nonid
+                          for m2 in outgoing[cod[m1]] if m2 in nonid_set}
+            gens, reached, by_dom = [], set(), {}
+            for m in [m for m in nonid if m not in composites] + nonid:
+                if m in reached:
+                    continue
+                gens.append(m)
+                by_dom.setdefault(dom[m], []).append(m)
+                todo = [m] + [comp[(r, m)] for r in reached
+                              if cod[r] == dom[m]]
+                while todo:
+                    r = todo.pop()
+                    if r not in reached:
+                        reached.add(r)
+                        todo += [comp[(r, s)] for s in by_dom.get(cod[r], ())]
+            self._generators = gens
+        return self._generators
 
     def left_cancellative(self):
         """(verdict, witness): witness is (m, h1, h2) with m h1 = m h2,

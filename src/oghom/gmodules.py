@@ -39,7 +39,8 @@ class GModule:
     """Functor from a finite category to abelian groups.
 
     groups: object -> FgAbGroup; action: morphism -> AbHom.  The
-    constructor checks functoriality on the full composition table.
+    constructor checks functoriality with check_functorial, which
+    decides the composite law at generators of the base.
     """
 
     def __init__(self, base, groups, action):
@@ -55,7 +56,18 @@ class GModule:
 
 
 def check_functorial(base, groups, action):
-    """Functoriality violations as readable strings (empty = module)."""
+    """Functoriality violations as readable strings (empty = module).
+
+    The composite law is decided only at pairs (m, s), m a non-identity
+    morphism and s in base.generators().  With the identity law and
+    every hom well defined (an AbHom's invariant) that proves it at
+    every pair (m1, m2), by induction on m2 = m2' s: F(m1 m2' s) =
+    F(m1 m2') then F(s) = F(m1) then F(m2') then F(s) = F(m1) then
+    F(m2' s) as maps, where following an equality of maps by F(s) needs
+    F(s) well defined and preceding one by F(m1) needs nothing.  On any
+    failure every composable pair is decided, so the problems are those
+    of the full pair loop, in its order.
+    """
     out = []
     for o in base.objects:
         if o not in groups:
@@ -77,14 +89,21 @@ def check_functorial(base, groups, action):
     # a pulled-back module shares one hom among the morphisms of a class,
     # so each distinct triple of hom objects is decided once
     verdicts = {}
-    for m1 in base.morphisms:
-        for m2 in base.outgoing[base.cod[m1]]:
-            h1, h2, h12 = action[m1], action[m2], action[base.compose(m1, m2)]
-            if (h1, h2, h12) not in verdicts:
-                verdicts[h1, h2, h12] = h1.then(h2).equal_as_maps(h12)
-            if not verdicts[h1, h2, h12]:
-                out.append("functoriality fails at (%r, %r)" % (m1, m2))
-    return out
+
+    def holds(m1, m2):
+        key = (action[m1], action[m2], action[base.compose(m1, m2)])
+        if key not in verdicts:
+            verdicts[key] = key[0].then(key[1]).equal_as_maps(key[2])
+        return verdicts[key]
+
+    if not out:
+        gens = set(base.generators())
+        if all(holds(m, s) for m in base.nonidentity_morphisms()
+               for s in base.outgoing[base.cod[m]] if s in gens):
+            return out
+    return out + ["functoriality fails at (%r, %r)" % (m1, m2)
+                  for m1 in base.morphisms
+                  for m2 in base.outgoing[base.cod[m1]] if not holds(m1, m2)]
 
 
 class GMap:
@@ -122,6 +141,14 @@ class GMap:
 
 
 def check_natural(source, target, components):
+    """Naturality violations as readable strings (empty = natural).
+
+    Naturality is decided at base.generators() only: at m' s it follows
+    from m' and s as functoriality does in check_functorial, given that
+    the modules are functorial and the components well defined, and at
+    identities from the identity law.  If a generator fails, every
+    morphism is decided, so the problems are those of the full loop.
+    """
     out = []
     base = source.base
     for o in base.objects:
@@ -132,12 +159,16 @@ def check_natural(source, target, components):
             out.append("component at %r has wrong endpoints" % (o,))
     if out:
         return out
-    for m in base.morphisms:
+
+    def natural_at(m):
         left = components[base.dom[m]].then(target.action[m])
         right = source.action[m].then(components[base.cod[m]])
-        if not left.equal_as_maps(right):
-            out.append("naturality fails at %r" % (m,))
-    return out
+        return left.equal_as_maps(right)
+
+    if all(map(natural_at, base.generators())):
+        return out
+    return ["naturality fails at %r" % (m,)
+            for m in base.morphisms if not natural_at(m)]
 
 
 def module_from_parts(lc, groups, poset_maps, arrow_maps):
@@ -150,11 +181,26 @@ def module_from_parts(lc, groups, poset_maps, arrow_maps):
     the covering maps down the chain that steps from e to f if f covers
     e, else to e's largest cover above f (the functoriality check
     rejects path-dependent data).
+
+    Each covering map and arrow map is the action of one morphism, and
+    every action is a product of them, so well-definedness is checked
+    once per input map and the products are taken as checked; if an
+    input map fails, every action is checked in morphism order, and the
+    first that does not descend is refused.
     """
     g0 = lc.groupoid
     down = {}
     for (lo, hi) in g0.identity_poset.covers():
         down.setdefault(hi, []).append(lo)
+    try:
+        for hi, lows in down.items():
+            for lo in lows:
+                AbHom(groups[hi], groups[lo], poset_maps[(hi, lo)])
+        for g in g0.nonidentity_arrows():
+            AbHom(groups[g0.d[g]], groups[g0.r[g]], arrow_maps[g])
+        checked = True
+    except (KeyError, ValueError, PreconditionViolation):
+        checked = False
 
     @cache
     def poset_matrix(e, f):
@@ -172,7 +218,7 @@ def module_from_parts(lc, groups, poset_maps, arrow_maps):
             mat = poset_matrix(e, g)
         else:
             mat = arrow_maps[g].mul(poset_matrix(e, g0.d[g]))
-        action[(e, g)] = AbHom(groups[e], groups[g0.r[g]], mat)
+        action[(e, g)] = AbHom(groups[e], groups[g0.r[g]], mat, checked)
     return GModule(lc.category, groups, action)
 
 

@@ -12,6 +12,8 @@ when r(g) = d(h).  The axioms checked, with their witness shapes:
   order-reflexive      (x,)            x !<= x
   order-transitive     (x, y, z)       x <= y <= z but not x <= z
   order-antisymmetry   (x, y)          x <= y <= x with x != y
+  order-typing         (x, y)          x <= y where x or y is no arrow
+  identity-repeated    (e,)            identity listed again
   identity-typing      (e,)            identity with d/r/inv not itself
   arrow-typing         (x,)            inverse or d/r bookkeeping broken
   compose-domain       (g, h)          table defined/missing wrongly
@@ -105,17 +107,24 @@ def validate(cand):
     """Check every axiom instance; violations come back as data.
 
     Order pairs are visited in sorted order, so the violation list does
-    not depend on set iteration order.  after[g] = {h: gh} is read once
-    per composable pair, and the keys are walked for illegal pairs only
-    as in FiniteCategory.check.  OG2 compares rows once per order pair
-    (x, y), and walks pairs of order pairs only where rows differ."""
+    not depend on set iteration order; a pair naming a non-arrow is
+    reported and left out of the order axioms.  after[g] = {h: gh} is
+    read once per composable pair, and the keys are walked for illegal
+    pairs only as in FiniteCategory.check.  OG2 compares rows once per
+    order pair (x, y), and walks pairs of order pairs only where rows
+    differ."""
     out = []
     arrows = cand.arrows
     idset = set(cand.identities)
     d, r, inv = cand.d, cand.r, cand.inv
     comp = cand.compose
     pairs = cand.order_pairs
-    sorted_pairs = sorted(pairs)
+    sorted_pairs = []
+    for (a, b) in sorted(pairs):
+        if a in d and b in d:
+            sorted_pairs.append((a, b))
+        else:
+            out.append(Violation("order-typing", (a, b)))
 
     def leq(a, b):
         return (a, b) in pairs
@@ -123,12 +132,10 @@ def validate(cand):
     # up[x] / down[x]: the arrows above / below x, in sorted order
     up, down = {}, {}
     for (a, b) in sorted_pairs:
-        if b in d:
-            up.setdefault(a, []).append(b)
-        if a in d:
-            down.setdefault(b, []).append(a)
+        up.setdefault(a, []).append(b)
+        down.setdefault(b, []).append(a)
 
-    # order is a partial order
+    # order is a partial order on the arrows
     for x in arrows:
         if not leq(x, x):
             out.append(Violation("order-reflexive", (x,)))
@@ -142,7 +149,11 @@ def validate(cand):
                 out.append(Violation("order-antisymmetry", (a, b)))
 
     # typing of identities, inverses, d and r
+    seen = set()
     for e in cand.identities:
+        if e in seen:
+            out.append(Violation("identity-repeated", (e,)))
+        seen.add(e)
         if e not in d or d[e] != e or r[e] != e or inv[e] != e:
             out.append(Violation("identity-typing", (e,)))
     for x in arrows:

@@ -524,8 +524,9 @@ class ColumnSolver:
         # (pivot column, E row, its U part) for the nonzero rows of E
         self._echelon = [(c, a[i][:h], a[i][h:])
                          for c, i in pivots.items() if c < h]
-        self.kernel = ZMatrix.from_cols(
-            [a[i][h:] for c, i in pivots.items() if c >= h], n)
+        kernel = [a[i][h:] for c, i in pivots.items() if c >= h]
+        self.kernel = ZMatrix._trusted(zip(*kernel) if kernel else [()] * n,
+                                       len(kernel))
 
     def solve_vector(self, vec):
         """Some integer x with M x = vec, or None."""

@@ -1347,6 +1347,43 @@ def functoriality_failures_by_pair(base, action):
                 action[base.compose(m1, m2)])]
 
 
+def functoriality_problems_by_pair(base, groups, action):
+    """check_functorial's problems for an action with the right
+    endpoints: the identity law at each object, then the composite law
+    at every composable pair."""
+    return ["identity of %r does not act as the identity" % (o,)
+            for o in base.objects
+            if not action[base.identity[o]].equal_as_maps(
+                AbHom.identity(groups[o]))] + functoriality_failures_by_pair(
+        base, action)
+
+
+def naturality_failures_by_morphism(source, target, components):
+    """check_natural's problems for components with the right endpoints,
+    with one test per morphism of the base, in morphism order."""
+    base = source.base
+    return ["naturality fails at %r" % (m,) for m in base.morphisms
+            if not components[base.dom[m]].then(target.action[m])
+            .equal_as_maps(source.action[m].then(components[base.cod[m]]))]
+
+
+def products_of_generators(cat, gens):
+    """Every composite of one or more morphisms of `gens`, by a
+    breadth-first search that composes with a generator on the left."""
+    reached, frontier = set(gens), list(gens)
+    while frontier:
+        step = []
+        for x in frontier:
+            for s in gens:
+                if cat.composable(s, x):
+                    k = cat.compose(s, x)
+                    if k not in reached:
+                        reached.add(k)
+                        step.append(k)
+        frontier = step
+    return reached
+
+
 # ---------------------------------------------------------------- covering paths
 
 

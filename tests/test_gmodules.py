@@ -2,12 +2,13 @@
 
 import random
 import re
+from functools import cache
 
 import pytest
 
 from oghom import fixtures, gmodules, io, randgen
-from oghom.beta import quotient
-from oghom.category import groupoid_as_category
+from oghom.beta import is_principally_directed, quotient
+from oghom.category import FiniteCategory, groupoid_as_category
 from oghom.errors import PreconditionViolation, StructuralDefect
 from oghom.gmodules import (
     GMap,
@@ -18,6 +19,7 @@ from oghom.gmodules import (
     check_adjunction,
     check_colim_composition,
     check_functorial,
+    check_natural,
     check_quotient_action,
     colim_E,
     colim_E_map,
@@ -32,13 +34,18 @@ from oghom.groupoid import GroupoidCandidate, OrderedGroupoid
 from oghom.homology import homology, homology_profile
 from oghom.lcat import build_lcat
 from oghom.randgen import random_module, random_og
-from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
+from oghom.zmodule import AbHom, FgAbGroup, ZMatrix, hom_welldefined
 from .oracles import (
     direct_sum,
     enumerate_gmaps,
     functoriality_failures_by_pair,
+    functoriality_problems_by_pair,
+    group_category,
     group_order,
     module_action_by_dfs,
+    naturality_failures_by_morphism,
+    permutation_group,
+    products_of_generators,
     random_ses,
 )
 from .test_connected import brandt_z2_doc, connected_doc
@@ -80,6 +87,16 @@ def test_functoriality_rejected():
     arrows = {"s": ZMatrix([[2]]), "t": ZMatrix([[-1]])}
     with pytest.raises(StructuralDefect):
         module_from_parts(lc, groups, poset, arrows)
+
+
+def test_input_map_that_does_not_descend_is_refused():
+    # Z/2 -> Z sending the generator to 1 sends the relation 2 to 2 != 0;
+    # the actions are then checked one by one and the first is refused
+    bundle = fixtures.load("chain2")
+    groups = {"e": FgAbGroup.from_invariants(0, [2]), "f": FgAbGroup.free(1)}
+    with pytest.raises(PreconditionViolation,
+                       match="matrix does not descend to the quotients"):
+        module_from_parts(bundle.lc, groups, {("e", "f"): ZMatrix([[1]])}, {})
 
 
 def assert_action_matches_dfs(lc, parts):
@@ -171,14 +188,16 @@ def test_path_dependent_diamond_is_rejected_as_before():
     assert module.action[("top", "bot")].matrix == ZMatrix([[1]])
 
 
-@pytest.mark.parametrize("case", ["cyclic3-const", "cyclic4-z5-unit2"])
+@pytest.mark.parametrize("case", ["cyclic3-const", "cyclic4-z5-unit2",
+                                  "clifford-sign", "chain2-mixed"])
 def test_corrupted_action_is_reported(case):
-    if case == "cyclic3-const":
-        bundle = fixtures.load("cyclic3")
-        cat, module = bundle.lc.category, bundle.modules["const"]
-    else:
+    if case == "cyclic4-z5-unit2":
         cat, module = cyclic_bundle(
             4, fixtures.cyclic_module_spec(4, 0, [5], 2))
+    else:
+        name, label = case.split("-")
+        bundle = fixtures.load(name)
+        cat, module = bundle.lc.category, bundle.modules[label]
     assert check_functorial(cat, module.groups, module.action) == []
     for m in cat.morphisms:
         h = module.action[m]
@@ -187,9 +206,12 @@ def test_corrupted_action_is_reported(case):
         action = dict(module.action)
         action[m] = AbHom(h.source, h.target, ZMatrix(rows), checked=True)
         problems = check_functorial(cat, module.groups, action)
-        assert any(repr(m) in p for p in problems), (m, problems)
-        assert composite_problems(problems) == \
-            functoriality_failures_by_pair(cat, action)
+        assert problems == functoriality_problems_by_pair(
+            cat, module.groups, action)
+        # chain2's one non-identity morphism composes with identities
+        # only, so any value for it leaves a module
+        if (case, m) != ("chain2-mixed", ("e", "f")):
+            assert any(repr(m) in p for p in problems), (m, problems)
 
 
 def composite_problems(problems):
@@ -233,7 +255,8 @@ def test_shared_action_problems_match_the_pair_loop():
 def test_pull_back_decides_each_triple_once(monkeypatch):
     # expand gives every morphism of a class the class's hom object, so
     # the composite law is decided once per distinct triple of hom
-    # objects, and the identity law once per object
+    # objects over the pairs (m, s) with m a non-identity morphism and s
+    # a generator, and the identity law once per object
     equal_as_maps = AbHom.equal_as_maps
     calls = []
 
@@ -247,12 +270,12 @@ def test_pull_back_decides_each_triple_once(monkeypatch):
         monkeypatch.setattr(AbHom, "equal_as_maps", spy)
         eb = expand(q, lc, b_module)
         monkeypatch.undo()
-        triples = {(id(eb.action[m1]), id(eb.action[m2]),
-                    id(eb.action[cat.compose(m1, m2)]))
-                   for m1 in cat.morphisms
-                   for m2 in cat.outgoing[cat.cod[m1]]}
-        pairs = sum(len(cat.outgoing[cat.cod[m]]) for m in cat.morphisms)
-        assert len(triples) < pairs
+        gens = set(cat.generators())
+        pairs = [(m, s) for m in cat.nonidentity_morphisms()
+                 for s in cat.outgoing[cat.cod[m]] if s in gens]
+        triples = {(id(eb.action[m]), id(eb.action[s]),
+                    id(eb.action[cat.compose(m, s)])) for m, s in pairs}
+        assert len(triples) < len(pairs)
         assert len(calls) == len(cat.objects) + len(triples)
 
 
@@ -517,22 +540,28 @@ def test_corrupted_component_fails_the_sum_check(which, extra, monkeypatch):
     assert len(calls) == 5
 
 
-def modules_under_test():
-    """(label, category, module) for every fixture module and for module
-    m of the connected and the Brandt Z/2 groupoids."""
+def groupoid_modules():
+    """(label, g0, lc, module) for every fixture module and for module m
+    of the connected and the Brandt Z/2 groupoids."""
     out = []
     for name in fixtures.names():
         bundle = fixtures.load(name)
-        out += [("%s/%s" % (name, m), bundle.lc.category, module)
+        out += [("%s/%s" % (name, m), bundle.groupoid, bundle.lc, module)
                 for m, module in sorted(bundle.modules.items())]
     for label, doc in [("connected", connected_doc()),
                        ("brandt_z2", brandt_z2_doc())]:
         _, cand, module_docs = io.load(doc)
         g0 = OrderedGroupoid.from_candidate(cand)
         lc = build_lcat(g0)
-        out.append((label, lc.category,
+        out.append((label, g0, lc,
                     io.build_module(g0, lc, module_docs["m"])))
     return out
+
+
+def modules_under_test():
+    """(label, category, module) for the modules of groupoid_modules."""
+    return [(label, lc.category, module)
+            for label, _, lc, module in groupoid_modules()]
 
 
 def test_presentation_writes_each_nonzero_relator_once_up_to_sign():
@@ -678,3 +707,181 @@ def test_class_action_that_does_not_descend_fails_the_descent_check(
     rep = check_quotient_action(g0, lc, mods["sign"])
     assert not rep.ok
     assert {f[0] for f in rep.failures} == {"descent"}
+
+
+def seeded_modules():
+    """(label, g0, lc, module) for 50 seeded random_og instances:
+    random_module over the directed ones, and over the free ones, where
+    random_module does not apply, the constant module of a cyclic
+    group."""
+    rng = random.Random(25)
+    out = []
+    for i in range(50):
+        directed = i % 2 == 0
+        rog = random_og(rng, n_identities=rng.randint(1, 5),
+                        max_group=rng.randint(1, 4), directed=directed)
+        g0 = rog.groupoid
+        lc = build_lcat(g0)
+        if directed:
+            module = random_module(rng, rog, lc, finite=rng.random() < 0.5)
+        else:
+            group = FgAbGroup.from_invariants(*rng.choice(
+                [(1, []), (0, [2]), (0, [3])]))
+            one = ZMatrix.identity(group.ngens)
+            module = module_from_parts(
+                lc, {e: group for e in g0.identities},
+                {(hi, lo): one for (lo, hi) in g0.identity_poset.covers()},
+                {g: one for g in g0.nonidentity_arrows()})
+        out.append(("seed25/%d/%s" % (i, "directed" if directed else "free"),
+                    g0, lc, module))
+    return out
+
+
+@cache
+def differential_cases():
+    """(modules, maps) for the differential tests: every module of
+    groupoid_modules and seeded_modules, and, where beta is
+    transitive, B = colim_E of it and E(B); maps holds the identity of
+    each module and the unit A -> E(B) of colim_E ⊣ E."""
+    modules, maps = [], []
+    for label, g0, lc, a_module in groupoid_modules() + seeded_modules():
+        modules.append((label, a_module))
+        if not is_principally_directed(g0)[0]:
+            continue
+        colim = colim_E(g0, lc, a_module)
+        b_module = colim.module
+        eb = expand(colim.q, lc, b_module)
+        modules += [(label + "/colim_E", b_module), (label + "/E(B)", eb)]
+        maps.append((label + "/unit", tau(
+            colim, b_module, GMap.identity(b_module), eb)))
+    maps += [(label + "/identity", GMap.identity(module))
+             for label, module in modules]
+    return modules, maps
+
+
+def corrupted(h):
+    """h with one matrix entry raised by 1, the first entry for which
+    that stays well defined, or None where there is none."""
+    rows = h.matrix.to_lists()
+    for row in rows:
+        for j in range(len(row)):
+            row[j] += 1
+            mat = ZMatrix(rows, ncols=h.matrix.ncols)
+            if hom_welldefined(h.source, h.target, mat):
+                return AbHom(h.source, h.target, mat, checked=True)
+            row[j] -= 1
+    return None
+
+
+def test_functoriality_matches_the_pair_loop():
+    # clean, and with each distinct hom object corrupted in turn (a hom
+    # that expand shares among a class is corrupted for all of them)
+    failing = 0
+    modules, _ = differential_cases()
+    for label, module in modules:
+        cat, groups = module.base, module.groups
+        assert check_functorial(cat, groups, module.action) == [], label
+        assert functoriality_problems_by_pair(
+            cat, groups, module.action) == [], label
+        for h in {id(h): h for h in module.action.values()}.values():
+            bad = corrupted(h)
+            if bad is None:
+                continue
+            action = {m: bad if a is h else a
+                      for m, a in module.action.items()}
+            problems = check_functorial(cat, groups, action)
+            assert problems == functoriality_problems_by_pair(
+                cat, groups, action), label
+            failing += bool(problems)
+    assert failing > 500
+
+
+def test_naturality_matches_the_morphism_loop():
+    failing = 0
+    _, maps = differential_cases()
+    for label, gmap in maps:
+        src, tgt, comps = gmap.source, gmap.target, gmap.components
+        assert check_natural(src, tgt, comps) == [], label
+        assert naturality_failures_by_morphism(src, tgt, comps) == [], label
+        for o, h in comps.items():
+            bad = corrupted(h)
+            if bad is None:
+                continue
+            comps_bad = dict(comps)
+            comps_bad[o] = bad
+            problems = check_natural(src, tgt, comps_bad)
+            assert problems == naturality_failures_by_morphism(
+                src, tgt, comps_bad), label
+            failing += bool(problems)
+    assert failing > 150
+
+
+def generator_categories():
+    """(label, category): the bases of the differential modules, among
+    them the quotient categories, the cyclic groups Z/1 .. Z/6 and S_3
+    as one-object categories."""
+    modules, _ = differential_cases()
+    cats = list({id(m.base): (label, m.base) for label, m in modules}
+                .values())
+    cats += [("Z/%d" % m, group_category(m)) for m in range(1, 7)]
+    cats.append(("S_3", permutation_group([(1, 0, 2), (1, 2, 0)])))
+    return cats
+
+
+def test_generators_generate():
+    # the morphisms that are no composite of two non-identity ones come
+    # first and the rest in morphism order, no generator is a product of
+    # those before it, and every non-identity morphism is a product of
+    # generators
+    for label, cat in generator_categories():
+        gens = cat.generators()
+        assert cat.generators() is gens
+        nonid = cat.nonidentity_morphisms()
+        composites = {cat.compose(a, b) for a in nonid for b in nonid
+                      if cat.composable(a, b)}
+        irreducible = [m for m in nonid if m not in composites]
+        rest = gens[len(irreducible):]
+        assert gens[:len(irreducible)] == irreducible, label
+        assert rest == sorted(rest, key=nonid.index), label
+        for i, g in enumerate(gens):
+            assert g in nonid and g not in products_of_generators(
+                cat, gens[:i]), label
+        assert set(nonid) <= products_of_generators(cat, gens), label
+    assert group_category(3).generators() == ["t1"]
+
+
+def test_generators_are_not_computed_by_construction_or_check(monkeypatch):
+    # the order_structure path builds categories but no module
+    def refuse(self):
+        raise AssertionError("generators computed")
+
+    monkeypatch.setattr(FiniteCategory, "generators", refuse)
+    for name in fixtures.names():
+        _, cand, _ = io.load(fixtures.doc(name))
+        g0 = OrderedGroupoid.from_candidate(cand)
+        lc = build_lcat(g0)
+        assert lc.category.check() == []
+        lc.category.left_cancellative()
+        if is_principally_directed(g0)[0]:
+            groupoid_as_category(quotient(g0).groupoid).check()
+
+
+def test_check_adjunction_decides_few_maps(monkeypatch):
+    # with functoriality and naturality decided at generators, the
+    # triangle identities on seed 1648's random_og(rng, 10, 12) (163 L(G)
+    # morphisms) take 258 equal_as_maps calls; deciding every composable
+    # pair and every morphism takes 1,669
+    rng = random.Random(1648)
+    rog = random_og(rng, 10, 12)
+    lc = build_lcat(rog.groupoid)
+    a_module = random_module(rng, rog, lc)
+    equal_as_maps = AbHom.equal_as_maps
+    calls = []
+
+    def spy(self, other):
+        calls.append(other)
+        return equal_as_maps(self, other)
+
+    monkeypatch.setattr(AbHom, "equal_as_maps", spy)
+    assert check_adjunction(rog.groupoid, lc, a_module) == (True, True)
+    assert len(calls) == 258

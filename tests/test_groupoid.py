@@ -3,7 +3,12 @@
 import pytest
 
 from oghom import fixtures, io
-from oghom.errors import PreconditionViolation, StructuralDefect
+from oghom.errors import (
+    DanglingReference,
+    PreconditionViolation,
+    SchemaViolation,
+    StructuralDefect,
+)
 from oghom.groupoid import GroupoidCandidate, OrderedGroupoid, validate
 
 FIXTURES = ["chain2", "z2", "clifford", "twofold"]
@@ -77,14 +82,33 @@ def test_identity_outside_the_arrows_is_identity_typing():
         ("identity-typing", ("e",))]
 
 
-def test_repeated_identity_is_refused_by_the_poset():
-    # validate reports nothing for a repeated identity; the identity
-    # poset's duplicate check is what refuses it
+def test_repeated_identity_is_a_violation():
+    # io refuses a repeated id first, so only a hand-built candidate can
+    # repeat an identity
     c = GroupoidCandidate(["e", "e"], {"e": "e"}, {"e": "e"}, {"e": "e"},
                           {("e", "e"): "e"}, {("e", "e")})
-    assert validate(c).ok
-    with pytest.raises(StructuralDefect, match="duplicate element 'e'"):
+    assert [(v.axiom, v.witness) for v in validate(c).violations] == [
+        ("identity-repeated", ("e",))]
+    with pytest.raises(StructuralDefect, match="identity-repeated"):
         OrderedGroupoid.from_candidate(c)
+    doc = fixtures.doc("chain2")
+    doc["groupoid"]["identities"].append("e")
+    with pytest.raises(SchemaViolation, match="duplicate id 'e'"):
+        io.load(doc)
+
+
+def test_order_pair_naming_a_non_arrow_is_a_violation():
+    # the pair is reported and left out of the order axioms, which would
+    # look up its inverse and its domain; io refuses the dangling
+    # reference first
+    c = GroupoidCandidate(["e"], {"e": "e"}, {"e": "e"}, {"e": "e"},
+                          {("e", "e"): "e"}, {("e", "e"), ("zz", "e")})
+    assert [(v.axiom, v.witness) for v in validate(c).violations] == [
+        ("order-typing", ("zz", "e"))]
+    doc = fixtures.doc("chain2")
+    doc["groupoid"]["order"].append(["zz", "e"])
+    with pytest.raises(DanglingReference):
+        io.load(doc)
 
 
 def test_from_parts_keeps_order_cycles_for_validation():
