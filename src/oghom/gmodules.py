@@ -184,23 +184,18 @@ def module_from_parts(lc, groups, poset_maps, arrow_maps):
 
     Each covering map and arrow map is the action of one morphism, and
     every action is a product of them, so well-definedness is checked
-    once per input map and the products are taken as checked; if an
-    input map fails, every action is checked in morphism order, and the
-    first that does not descend is refused.
+    once per input map, which is refused if it does not descend, and
+    the products are taken as checked.
     """
     g0 = lc.groupoid
     down = {}
     for (lo, hi) in g0.identity_poset.covers():
         down.setdefault(hi, []).append(lo)
-    try:
-        for hi, lows in down.items():
-            for lo in lows:
-                AbHom(groups[hi], groups[lo], poset_maps[(hi, lo)])
-        for g in g0.nonidentity_arrows():
-            AbHom(groups[g0.d[g]], groups[g0.r[g]], arrow_maps[g])
-        checked = True
-    except (KeyError, ValueError, PreconditionViolation):
-        checked = False
+    for hi, lows in down.items():
+        for lo in lows:
+            AbHom(groups[hi], groups[lo], poset_maps[(hi, lo)])
+    for g in g0.nonidentity_arrows():
+        AbHom(groups[g0.d[g]], groups[g0.r[g]], arrow_maps[g])
 
     @cache
     def poset_matrix(e, f):
@@ -218,7 +213,7 @@ def module_from_parts(lc, groups, poset_maps, arrow_maps):
             mat = poset_matrix(e, g)
         else:
             mat = arrow_maps[g].mul(poset_matrix(e, g0.d[g]))
-        action[(e, g)] = AbHom(groups[e], groups[g0.r[g]], mat, checked)
+        action[(e, g)] = AbHom(groups[e], groups[g0.r[g]], mat, checked=True)
     return GModule(lc.category, groups, action)
 
 

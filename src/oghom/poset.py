@@ -1,14 +1,14 @@
 """Finite partial orders on hashable elements.
 
 `order_closure` turns generating pairs into the reflexive-transitive
-closure; a Poset is built from closed pairs and rejects repeated and
-unknown elements.  It trusts the pairs to be antisymmetric: groupoid
-validation reports every pair related both ways before one is built.
+closure; a Poset is built from distinct elements and closed pairs among
+them.  It trusts the pairs to be antisymmetric and the elements to be
+distinct and to cover the pairs: groupoid validation reports every pair
+related both ways, every repeated identity and every pair naming a
+non-arrow before one is built.
 The groupoid layer keeps one of these for its arrows and one for its
 identities.
 """
-
-from .errors import StructuralDefect
 
 
 def order_closure(elements, pairs):
@@ -44,21 +44,12 @@ class Poset:
 
     def __init__(self, elements, pairs):
         self.elements = list(elements)
-        index = {}
-        for e in self.elements:
-            if e in index:
-                raise StructuralDefect("duplicate element %r" % (e,))
-            index[e] = len(index)
-        self._index = index
+        self._index = index = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
         below = [set() for _ in range(n)]  # below[i] = {j : e_j <= e_i}
         for i in range(n):
             below[i].add(i)
         for lo, hi in pairs:
-            if lo not in index:
-                raise StructuralDefect("order pair mentions unknown element %r" % (lo,))
-            if hi not in index:
-                raise StructuralDefect("order pair mentions unknown element %r" % (hi,))
             below[index[hi]].add(index[lo])
         self._below = below
 

@@ -91,7 +91,7 @@ def test_functoriality_rejected():
 
 def test_input_map_that_does_not_descend_is_refused():
     # Z/2 -> Z sending the generator to 1 sends the relation 2 to 2 != 0;
-    # the actions are then checked one by one and the first is refused
+    # the input map is checked on its own and refused
     bundle = fixtures.load("chain2")
     groups = {"e": FgAbGroup.from_invariants(0, [2]), "f": FgAbGroup.free(1)}
     with pytest.raises(PreconditionViolation,
