@@ -6,6 +6,7 @@ principal order ideal is directed, and only then does the set of
 beta-classes form a groupoid.
 """
 
+from .category import groupoid_as_category
 from .errors import NotPrincipallyDirected, StructuralDefect
 from .groupoid import GroupoidCandidate, OrderedGroupoid, validate
 
@@ -83,13 +84,21 @@ class QuotientGroupoid:
     """The groupoid of beta-classes, trivially ordered.
 
     groupoid: an OrderedGroupoid on class ids; class_of: arrow -> class;
-    classes: class id -> sorted member arrows.
+    classes: class id -> sorted member arrows; category: the groupoid's
+    underlying FiniteCategory, built and checked on first use and kept.
     """
 
     def __init__(self, groupoid, classes, class_of):
         self.groupoid = groupoid
         self.classes = classes
         self.class_of = class_of
+        self._category = None
+
+    @property
+    def category(self):
+        if self._category is None:
+            self._category = groupoid_as_category(self.groupoid)
+        return self._category
 
     def __repr__(self):
         return "QuotientGroupoid(%d classes)" % len(self.classes)

@@ -24,7 +24,6 @@ expand through the unit, the counit and the two triangle identities.
 from functools import cache
 
 from .beta import quotient
-from .category import groupoid_as_category
 from .errors import PreconditionViolation, StructuralDefect
 from .zmodule import (
     AbHom,
@@ -393,7 +392,7 @@ def colim_E(g0, lc, a_module):
     choice independence has its own checker, check_quotient_action.
     """
     q = quotient(g0)
-    qc = groupoid_as_category(q.groupoid)
+    qc = q.category
 
     members = {}
     offsets = {}

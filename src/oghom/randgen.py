@@ -16,7 +16,6 @@ module constructor re-checks everything.
 
 from math import gcd
 
-from .category import groupoid_as_category
 from .gmodules import GModule, module_from_parts
 from .groupoid import GroupoidCandidate, OrderedGroupoid
 from .zmodule import AbHom, FgAbGroup, ZMatrix
@@ -197,7 +196,7 @@ def random_quotient_module(rng, q, max_order=6):
     """Random module over the quotient groupoid's category: cyclic
     groups with a sign action through a generating loop where one
     exists, the constant module otherwise."""
-    qc = groupoid_as_category(q.groupoid)
+    qc = q.category
     loops_at = {x: [] for x in qc.objects}
     crossing = False
     for m in qc.morphisms:

@@ -9,12 +9,13 @@ as soon as it changes.  That keeps every entry, and so the transforms,
 polynomial in size, within a few times the bit length of the
 determinant on dense square matrices.  A canonical form needs only the
 invariant factors, which `invariant_factors` reads from the passes with
-no transform tracked; canonical coordinates, and so membership in a
-relation span, go through `snf` and its unimodular transforms.  Kernels
-and solves, and so `homology_at`, need only one Hermite pass over
-[M^T | I] (`ColumnSolver`), which gives kernels in reduced Hermite
-form.  All arithmetic uses Python's unbounded integers; nothing here
-may silently overflow or round.
+no transform tracked; only canonical coordinates go through the Smith
+transform U and its inverse.  Every other lattice question reads the
+echelon rows of one lattice type, `EchelonBasis`: membership in a
+relation span reduces a vector by a basis of the relations, and kernels
+and solves, and so `homology_at`, reduce by the reduced Hermite form of
+[M^T | I] (`ColumnSolver`).  All arithmetic uses Python's unbounded
+integers; nothing here may silently overflow or round.
 """
 
 from math import prod
@@ -208,11 +209,6 @@ def snf(m):
     True
     """
     nr, nc = m.nrows, m.ncols
-    d = [m.rows[i][i] for i in range(min(nr, nc))]
-    if min(d, default=0) >= 0 and _is_chain(d) and _is_diagonal(m.rows):
-        eye = ZMatrix.identity(nr)
-        eye_c = eye if nc == nr else ZMatrix.identity(nc)
-        return SNFResult(m, eye, eye_c, eye, eye_c)
     # U with the rows of U^-T, and V^T with V^-1
     left = _identity_rows(nr), _identity_rows(nr)
     right = _identity_rows(nc), _identity_rows(nc)
@@ -322,7 +318,7 @@ def _hermite_rows(a, u, w):
     in the order of their pivots, zero rows at the bottom.  Pivots are
     positive, but an entry above a pivot can leave [0, pivot) when a
     column to its left is reduced later, so the form is reduced only
-    after one more sweep in pivot order, as `ColumnSolver` makes.
+    after one more sweep in pivot order, `EchelonBasis.reduce`.
     """
     pivots = {}  # pivot column -> its row
     for new in range(len(a)):
@@ -393,13 +389,17 @@ def _insert_row(a, u, w, pivots, r):
 class EchelonBasis:
     """A sublattice of Z^width kept as rows in echelon form, grown one row
     at a time by the insertion step of `_hermite_rows`, with no transform
-    tracked.
+    tracked.  It is the library's one lattice type: relation-span
+    membership, `ColumnSolver`'s solves and kernels and the spans of
+    `group_resolution` all read its rows.
 
     >>> lat = EchelonBasis()
     >>> lat.add([2, 4]), lat.add([3, 0]), lat.add([1, 8])
     (True, True, False)
     >>> lat.rows, lat.rank, lat.pivot_product()
     ([[1, 8], [0, 12]], 2, 12)
+    >>> lat.contains([5, 4]), lat.contains([0, 6]), lat.residual([0, 30], 2)
+    (True, False, [0, 6])
     """
 
     __slots__ = ("_rows", "_none", "_pivots")
@@ -429,6 +429,35 @@ class EchelonBasis:
         same rank it is [L : S] times that of L, so S is L when the two
         products agree."""
         return prod(self._rows[k][c] for c, k in self._pivots.items())
+
+    def reduce(self):
+        """Bring the rows to reduced Hermite form, which is unique: one
+        sweep in pivot order reduces the entries above each pivot into
+        [0, pivot).  Reducing column c only changes columns from c on,
+        so the sweep keeps what it has reduced (Cohen, *A Course in
+        Computational Algebraic Number Theory*, 1993, §2.4)."""
+        for c in sorted(self._pivots):
+            _reduce_above(self._rows, *self._none, self._pivots, c)
+
+    def residual(self, vec, stop):
+        """vec less the multiples of the rows with pivot column below
+        stop that bring each of its entries at those pivots into
+        [0, pivot), in pivot order: forward substitution.  vec minus the
+        residual is in the lattice, so with stop past the last pivot the
+        residual is zero exactly when vec lies in the lattice."""
+        rest, rows, pivots = list(vec), self._rows, self._pivots
+        for c in sorted(pivots):
+            if c >= stop:
+                break
+            row = rows[pivots[c]]
+            q = rest[c] // row[c]
+            if q:
+                rest = [y - q * e for y, e in zip(rest, row)]
+        return rest
+
+    def contains(self, vec):
+        """True iff vec, as long as the rows, lies in the lattice."""
+        return not any(self.residual(vec, len(vec)))
 
 
 def _leading(row, start, width):
@@ -478,12 +507,13 @@ def invariant_factors(m):
     >>> invariant_factors(ZMatrix([[2, 4], [0, 0], [6, 3]]))
     (1, 18, 0)
     """
-    if not m.ncols or not m.nrows:
-        # nothing to eliminate: every coordinate is free
-        return (0,) * m.nrows
-    rows = [[] for _ in range(m.nrows)], [[] for _ in range(m.nrows)]
-    cols = [[] for _ in range(m.ncols)], [[] for _ in range(m.ncols)]
-    d = _diagonalize(m, rows, cols)
+    d = [m.rows[i][i] for i in range(min(m.nrows, m.ncols))]
+    if min(d, default=0) < 0 or not _is_chain(d) or not _is_diagonal(m.rows):
+        # not already in Smith form, as a cyclic group's relations or a
+        # matrix with no rows or no columns is
+        rows = [[] for _ in range(m.nrows)], [[] for _ in range(m.nrows)]
+        cols = [[] for _ in range(m.ncols)], [[] for _ in range(m.ncols)]
+        d = _diagonalize(m, rows, cols)
     return tuple(d) + (0,) * (m.nrows - len(d))
 
 
@@ -491,16 +521,14 @@ class ColumnSolver:
     """Solves M X = C over the integers for a fixed M; None answers a
     right-hand side outside the column span of M.
 
-    One Hermite pass (`_hermite_rows`) over the rows of [M^T | I], then
-    one sweep in pivot order that reduces the entries above each pivot
-    into [0, pivot), gives the reduced Hermite form of that matrix
-    (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
-    §2.4).  Its rows are (E, U) with E = U M^T.  The U parts of the rows
-    with E zero are the kernel of M in reduced Hermite form, which is
-    unique: the columns of `kernel`.  A solve writes the right-hand side as an integer
-    combination of the nonzero rows of E by forward substitution, and
-    x is the same combination of their U parts, which the sweep has
-    reduced modulo the kernel.
+    The rows of [M^T | I] go into an `EchelonBasis`, whose `reduce`
+    gives the reduced Hermite form of that matrix.  Its rows are (E, U)
+    with E = U M^T.  The U parts of the rows with E zero are the kernel
+    of M in reduced Hermite form, which is unique: the columns of
+    `kernel`.  A solve reduces (vec, 0) by the rows whose pivot lies in
+    E (`EchelonBasis.residual`); vec is in the column span exactly when
+    that leaves (0, -x), and then M x = vec with x reduced modulo the
+    kernel by the sweep.
 
     >>> s = ColumnSolver(ZMatrix([[2, 4, 6], [1, 2, 3]]))
     >>> s.kernel.rows
@@ -512,35 +540,23 @@ class ColumnSolver:
     def __init__(self, m):
         self.m = m
         h, n = m.nrows, m.ncols
-        a = [[row[j] for row in m.rows] + e
-             for j, e in enumerate(_identity_rows(n))]
-        none = [[] for _ in a], [[] for _ in a]
-        _hermite_rows(a, *none)
-        # [M^T | I] has full row rank, so every row has a pivot; the rows
-        # come in pivot order, so the sweep runs left to right
-        pivots = {_leading(row, 0, h + n): i for i, row in enumerate(a)}
-        for c in pivots:
-            _reduce_above(a, *none, pivots, c)
-        # (pivot column, E row, its U part) for the nonzero rows of E
-        self._echelon = [(c, a[i][:h], a[i][h:])
-                         for c, i in pivots.items() if c < h]
-        kernel = [a[i][h:] for c, i in pivots.items() if c >= h]
+        self._lattice = lat = EchelonBasis()
+        for j, e in enumerate(_identity_rows(n)):
+            lat.add([row[j] for row in m.rows] + e)
+        lat.reduce()
+        # [M^T | I] has full row rank, so the rows with E zero are the
+        # kernel's
+        kernel = [row[h:] for row in lat.rows if not any(row[:h])]
         self.kernel = ZMatrix._trusted(zip(*kernel) if kernel else [()] * n,
                                        len(kernel))
 
     def solve_vector(self, vec):
         """Some integer x with M x = vec, or None."""
-        if len(vec) != self.m.nrows:
+        h = self.m.nrows
+        if len(vec) != h:
             raise ValueError("vector of wrong length")
-        rest, x = list(vec), [0] * self.m.ncols
-        for c, row, urow in self._echelon:
-            q, r = divmod(rest[c], row[c])
-            if r:
-                return None
-            if q:
-                rest = [y - q * e for y, e in zip(rest, row)]
-                x = [y + q * e for y, e in zip(x, urow)]
-        return None if any(rest) else tuple(x)
+        rest = self._lattice.residual(list(vec) + [0] * self.m.ncols, h)
+        return None if any(rest[:h]) else tuple(-y for y in rest[h:])
 
     def solve_matrix(self, c):
         """Some integer X with M X = C, or None."""
@@ -574,7 +590,7 @@ class FgAbGroup:
     (1, 6)
     """
 
-    __slots__ = ("ngens", "relations", "_decomp", "_orders")
+    __slots__ = ("ngens", "relations", "_decomp", "_orders", "_span")
 
     def __init__(self, ngens, relations=None):
         self.ngens = int(ngens)
@@ -585,6 +601,7 @@ class FgAbGroup:
         self.relations = relations
         self._decomp = None
         self._orders = None
+        self._span = None
 
     @classmethod
     def free(cls, n):
@@ -609,14 +626,17 @@ class FgAbGroup:
 
     def _decomposition(self):
         # orders[i] is the order of the i-th canonical coordinate
-        # (0 meaning infinite); x-coordinates convert via y = U x.
+        # (0 meaning infinite); x-coordinates convert via y = U x.  The
+        # passes of `snf` track U and U^-1 only: the column side gets
+        # rows of width 0, as in `invariant_factors`.
         if self._decomp is None:
-            res = snf(self.relations)
-            diag = res.diagonal
-            orders = []
-            for i in range(self.ngens):
-                orders.append(diag[i] if i < len(diag) else 0)
-            self._decomp = (tuple(orders), res.u, res.uinv)
+            n, rel = self.ngens, self.relations
+            left = _identity_rows(n), _identity_rows(n)
+            d = _diagonalize(rel, left, ([[] for _ in range(rel.ncols)],
+                                         [[] for _ in range(rel.ncols)]))
+            self._decomp = (tuple(d) + (0,) * (n - len(d)),
+                            ZMatrix._trusted(left[0], n),
+                            ZMatrix._trusted(zip(*left[1]), n))
         return self._decomp
 
     def canonical_orders(self):
@@ -654,13 +674,22 @@ class FgAbGroup:
         return uinv.apply(y)
 
     def in_relation_span(self, vec):
-        """True iff every canonical coordinate of vec is zero."""
-        return not any(self.to_canonical(vec))
+        """True iff vec is an integer combination of the relation
+        columns, read from an `EchelonBasis` of the nonzero ones that is
+        built on the first call and kept."""
+        if len(vec) != self.ngens:
+            raise ValueError("vector of wrong length")
+        if self._span is None:
+            self._span = EchelonBasis()
+            for col in zip(*self.relations.rows):
+                if any(col):
+                    self._span.add(col)
+        return self._span.contains(vec)
 
     def kills(self, matrix):
         """True iff every column of `matrix` lies in the relation span.
 
-        Zero columns are accepted without touching the Smith form.
+        Zero columns are accepted without building the echelon basis.
 
         >>> FgAbGroup.from_invariants(1, [4]).kills(ZMatrix([[0, 8], [0, 3]]))
         False

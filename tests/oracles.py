@@ -20,9 +20,12 @@ an entry of least absolute value, with unreduced transforms; the tests
 compare its diagonal with the library's.  `SmithColumnSolver` is the
 solver the library used before its one Hermite pass: solves and kernels
 read from a Smith form with both transforms.
-Relation-span membership is decided by solving R x = v with a Hermite
-solve, where the library reads the group's canonical coordinates from a
-Smith form.  Canonical orders come from the diagonal of a Smith form
+Relation-span membership is read from the canonical coordinates of a
+min-abs Smith form (`in_relation_span_by_min_abs`), where the library
+reduces the vector by an echelon basis of the relations; the Hermite
+solve `in_relation_span_by_solve` shares that reduction
+(`EchelonBasis.residual`), so it is a second view, not an independent
+one.  Canonical orders come from the diagonal of a Smith form
 with transforms, where the library runs the same passes with no
 transform tracked.
 The all-pairs scans visit every pair or triple of arrows
@@ -663,10 +666,21 @@ def dense_nerve_complex(cat, module, maxdeg):
 
 def in_relation_span_by_solve(group, vec):
     """True iff some integer x has R x = vec, for the relations R of
-    the group, found by a Hermite solve (`ColumnSolver`) where the
-    library reads the group's canonical coordinates from a Smith form."""
+    the group, found by a Hermite solve (`ColumnSolver`), which reduces
+    by the same `EchelonBasis.residual` as the library's membership."""
     return ColumnSolver(group.relations).solve_vector(
         vec) is not None
+
+
+def in_relation_span_by_min_abs(group, vec):
+    """True iff U vec vanishes modulo the diagonal of the Smith form
+    S = U R V that `snf_min_abs` gives for the relations R of the group
+    (a zero or missing diagonal entry asks for an exact zero), where the
+    library reduces vec by an echelon basis of R."""
+    res = snf_min_abs(group.relations)
+    diag = res.diagonal
+    return all(y % diag[i] == 0 if i < len(diag) and diag[i] else y == 0
+               for i, y in enumerate(res.u.apply(vec)))
 
 
 # ---------------------------------------------------------------- periodic resolution

@@ -324,6 +324,14 @@ def test_colim_clifford_sign():
     assert lgroup.in_relation_span(diff)
 
 
+def test_colim_E_reads_the_kept_quotient_category():
+    g0, lc, mods = clifford_parts()
+    assert quotient(g0)._category is None
+    first = colim_E(g0, lc, mods["sign"])
+    second = colim_E(g0, lc, mods["const"])
+    assert first.module.base is second.module.base is quotient(g0).category
+
+
 def test_colim_chain2_mixed():
     bundle = fixtures.load("chain2")
     colim = colim_E(bundle.groupoid, bundle.lc, bundle.modules["mixed"])
@@ -651,10 +659,11 @@ def test_colimit_builds_no_smith_transform(monkeypatch):
     want = [colim_category(cat, module).result.canonical_form()
             for _, cat, module in cases]
 
-    def no_snf(m):
-        raise AssertionError("snf called")
+    def no_snf(*args):
+        raise AssertionError("Smith form with transforms built")
 
     monkeypatch.setattr("oghom.zmodule.snf", no_snf)
+    monkeypatch.setattr(FgAbGroup, "_decomposition", no_snf)
     assert [colim_category(cat, module).result.canonical_form()
             for _, cat, module in cases] == want
 

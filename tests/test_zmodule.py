@@ -36,6 +36,7 @@ from .oracles import (
     enumerate_homs,
     group_order,
     hermite_rows_by_min_abs,
+    in_relation_span_by_min_abs,
     in_relation_span_by_solve,
     is_unimodular,
     kernel_rows_by_min_abs,
@@ -467,6 +468,20 @@ def test_invariant_factors_of_empty_matrices_skip_the_passes(monkeypatch):
     assert FgAbGroup(2).canonical_orders() == (0, 0)
 
 
+def test_invariant_factors_of_smith_forms_skip_the_passes(monkeypatch):
+    def no_passes(*args):
+        raise AssertionError("_diagonalize called on a Smith form")
+
+    monkeypatch.setattr(zm, "_diagonalize", no_passes)
+    assert invariant_factors(ZMatrix([[5]])) == (5,)
+    assert invariant_factors(ZMatrix([[2, 0, 0], [0, 6, 0]])) == (2, 6)
+    assert invariant_factors(ZMatrix([[1, 0], [0, 0], [0, 0]])) == (1, 0, 0)
+    # diagonal but out of order, negative, or off the diagonal: passes
+    for rows in ([[4, 0], [0, 2]], [[-3]], [[0, 0], [0, 2]], [[2, 1]]):
+        with pytest.raises(AssertionError):
+            invariant_factors(ZMatrix(rows))
+
+
 def test_echelon_basis_grows_exactly_when_a_row_is_outside():
     rng = random.Random(41)
     for _ in range(300):
@@ -622,10 +637,28 @@ def test_relation_span():
         g.kills(ZMatrix.zeros(3, 1))
 
 
+def test_membership_refuses_a_vector_of_the_wrong_length():
+    # a short vector is not read as a prefix, nor a long one cut to the
+    # group's length: on Z/2 + Z, (2,) would read as in the span; Z^2
+    # has no relations, so an empty basis to reduce by
+    for g in (FgAbGroup.from_invariants(1, [2]), FgAbGroup.free(2)):
+        for vec in ((2,), (2, 0, 0)):
+            with pytest.raises(ValueError):
+                g.in_relation_span(vec)
+
+
+def test_membership_builds_no_smith_form():
+    g = FgAbGroup(2, ZMatrix([[4, 2], [2, 2]]))
+    assert g.kills(ZMatrix([[4, 0, 6], [2, 0, 4]]))
+    assert not g.kills(ZMatrix([[1], [0]]))
+    assert g._decomp is None and g._span.rank == 2
+
+
 def assert_membership_agrees(group, vectors):
-    """in_relation_span and kills against the solve oracle; returns the
-    oracle's verdict per vector."""
-    expected = [in_relation_span_by_solve(group, v) for v in vectors]
+    """in_relation_span and kills against the min-abs Smith oracle and the
+    solve oracle; returns the oracles' verdict per vector."""
+    expected = [in_relation_span_by_min_abs(group, v) for v in vectors]
+    assert [in_relation_span_by_solve(group, v) for v in vectors] == expected
     assert [group.in_relation_span(v) for v in vectors] == expected
     matrix = ZMatrix.from_cols(vectors, group.ngens)
     assert group.kills(matrix) == all(expected)
@@ -728,6 +761,7 @@ def test_equal_matrices_are_equal_maps_without_coordinates():
             for _ in range(2))
     assert f.equal_as_maps(g)
     assert target._decomp is None and target._orders is None
+    assert target._span is None
 
 
 def test_injective_surjective_iso():
