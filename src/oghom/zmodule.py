@@ -209,6 +209,11 @@ def snf(m):
     True
     """
     nr, nc = m.nrows, m.ncols
+    d = [m.rows[i][i] for i in range(min(nr, nc))]
+    if min(d, default=0) >= 0 and _is_chain(d) and _is_diagonal(m.rows):
+        eye = ZMatrix.identity(nr)
+        eye_c = eye if nc == nr else ZMatrix.identity(nc)
+        return SNFResult(m, eye, eye_c, eye, eye_c)
     # U with the rows of U^-T, and V^T with V^-1
     left = _identity_rows(nr), _identity_rows(nr)
     right = _identity_rows(nc), _identity_rows(nc)
@@ -507,13 +512,12 @@ def invariant_factors(m):
     >>> invariant_factors(ZMatrix([[2, 4], [0, 0], [6, 3]]))
     (1, 18, 0)
     """
-    d = [m.rows[i][i] for i in range(min(m.nrows, m.ncols))]
-    if min(d, default=0) < 0 or not _is_chain(d) or not _is_diagonal(m.rows):
-        # not already in Smith form, as a cyclic group's relations or a
-        # matrix with no rows or no columns is
-        rows = [[] for _ in range(m.nrows)], [[] for _ in range(m.nrows)]
-        cols = [[] for _ in range(m.ncols)], [[] for _ in range(m.ncols)]
-        d = _diagonalize(m, rows, cols)
+    if not m.ncols or not m.nrows:
+        # nothing to eliminate: every coordinate is free
+        return (0,) * m.nrows
+    rows = [[] for _ in range(m.nrows)], [[] for _ in range(m.nrows)]
+    cols = [[] for _ in range(m.ncols)], [[] for _ in range(m.ncols)]
+    d = _diagonalize(m, rows, cols)
     return tuple(d) + (0,) * (m.nrows - len(d))
 
 
@@ -626,17 +630,14 @@ class FgAbGroup:
 
     def _decomposition(self):
         # orders[i] is the order of the i-th canonical coordinate
-        # (0 meaning infinite); x-coordinates convert via y = U x.  The
-        # passes of `snf` track U and U^-1 only: the column side gets
-        # rows of width 0, as in `invariant_factors`.
+        # (0 meaning infinite); x-coordinates convert via y = U x.
         if self._decomp is None:
-            n, rel = self.ngens, self.relations
-            left = _identity_rows(n), _identity_rows(n)
-            d = _diagonalize(rel, left, ([[] for _ in range(rel.ncols)],
-                                         [[] for _ in range(rel.ncols)]))
-            self._decomp = (tuple(d) + (0,) * (n - len(d)),
-                            ZMatrix._trusted(left[0], n),
-                            ZMatrix._trusted(zip(*left[1]), n))
+            res = snf(self.relations)
+            diag = res.diagonal
+            orders = []
+            for i in range(self.ngens):
+                orders.append(diag[i] if i < len(diag) else 0)
+            self._decomp = (tuple(orders), res.u, res.uinv)
         return self._decomp
 
     def canonical_orders(self):

@@ -149,22 +149,22 @@ def test_square_check_builds_no_smith_form_of_a_chain_group(monkeypatch):
     # them; it reads the orders of their rows, not a chain group's
     # Smith form, and each coefficient group is put in canonical
     # coordinates once
-    decomposition = FgAbGroup._decomposition
+    zmodule = sys.modules["oghom.zmodule"]
+    true_snf = zmodule.snf
     calls = []
 
-    def counting_decomposition(group):
-        if group._decomp is None:
-            calls.append(group)
-        return decomposition(group)
+    def counting_snf(m):
+        calls.append(m)
+        return true_snf(m)
 
     cat, module = cyclic_bundle(4, fixtures.cyclic_module_spec(4, 0, [5], 2))
-    monkeypatch.setattr(FgAbGroup, "_decomposition", counting_decomposition)
+    monkeypatch.setattr(zmodule, "snf", counting_snf)
     cx = nerve_complex(cat, module, 3)
     lower = cx.columns[1]
     assert any(sum(v * lower[r].get(0, 0) for r, v in col.items())
                for col in cx.columns[2])
     assert cx._groups == [None] * 4
-    assert 1 <= len(calls) <= len(set(module.groups.values()))
+    assert len(calls) <= len(set(module.groups.values()))
 
 
 @pytest.mark.parametrize("extra", [FgAbGroup.free(1),
