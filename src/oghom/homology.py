@@ -29,9 +29,12 @@ unit-pivot elimination (the Gaussian-elimination lemma of Kaczynski,
 Mrozek & Ślusarek, 1998), working on the sparse columns: a generator a of
 C_n and a generator b of C_(n-1) of the same order k, with u = <∂a, b> a
 unit mod k (±1 when k = 0), are cancelled together, and every other
-column a' of ∂_n becomes a' - <∂a', b> u⁻¹ ∂a.  Only the small residual
-is handed, through its dense views, to `homology_at`, which solves it
-with one Hermite pass through `ColumnSolver`.
+column a' of ∂_n becomes a' - <∂a', b> u⁻¹ ∂a.  In most degrees the
+residual ∂_n is then zero, and H_n = C_n / im ∂_(n+1) is read off its
+sparse columns as a presentation, with nothing solved; only a degree
+whose residual ∂_n is nonzero goes, through its dense views, to
+`homology_at`, which solves it with one Hermite pass through
+`ColumnSolver`.
 Homology is asked only below the top degree, where just the image of
 the top boundary counts, so the residual keeps only its nonzero
 columns, on free generators.
@@ -70,7 +73,8 @@ class ChainComplex:
     Consecutive boundaries must compose to zero modulo the order of each
     row; unless checked=True promises it, the shapes and ∂² = 0 are
     checked here.  `groups` and `boundaries` are dense views, built on
-    first use."""
+    first use; `homology` needs them only where the reduced boundary
+    below the degree asked is nonzero."""
 
     def __init__(self, orders, columns, checked=False):
         self.orders = [list(ks) for ks in orders]
@@ -163,19 +167,21 @@ class ChainComplex:
     def homology(self, n):
         """ker ∂_n / im ∂_(n+1); requires degree n+1 to be present.
 
-        Solved by `homology_at` on the dense views of `reduced()`: the
-        elimination lemma it rests on holds because ∂² = 0 was checked
-        at construction (or promised by checked=True)."""
+        Read off `reduced()`: where its ∂_n is zero (always at n = 0),
+        H_n = C_n / im ∂_(n+1) is presented by the columns of ∂_(n+1)
+        and the orders of C_n as they stand; otherwise `homology_at`
+        solves its dense views.  The elimination lemma holds because
+        ∂² = 0 was checked at construction (or promised by
+        checked=True)."""
         if n < 0 or n + 1 > self.top_degree:
             raise StructuralDefect(
                 "homology at %d needs chains up to %d" % (n, n + 1))
         cx = self.reduced()
-        f = cx.boundaries[n + 1]
-        if n == 0:
-            g = AbHom.zero(cx.groups[0], FgAbGroup.trivial())
-        else:
-            g = cx.boundaries[n]
-        return homology_at(f, g)
+        if n and any(cx.columns[n]):
+            return homology_at(cx.boundaries[n + 1], cx.boundaries[n])
+        relations = [col for col in cx.columns[n + 1] if col] + [
+            {i: k} for i, k in enumerate(cx.orders[n]) if k]
+        return FgAbGroup(cx.ngens[n], _matrix(relations, cx.ngens[n]))
 
 
 def _reduce(cx):

@@ -533,6 +533,20 @@ def dense_homology(groups, boundaries, n):
     return homology_at(f, g).canonical_form()
 
 
+def homology_by_kernel_lattice(cx, n):
+    """H_n of a ChainComplex by one `homology_at` solve on the dense views
+    of its reduced complex, the zero map to the trivial group standing in
+    for ∂_0: the route `ChainComplex.homology` took in every degree
+    before it read a zero residual ∂_n as a cokernel."""
+    red = cx.reduced()
+    f = red.boundaries[n + 1]
+    if n == 0:
+        g = AbHom.zero(red.groups[0], FgAbGroup.trivial())
+    else:
+        g = red.boundaries[n]
+    return homology_at(f, g)
+
+
 # ---------------------------------------------------------------- dense nerve
 
 

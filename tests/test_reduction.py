@@ -1,37 +1,45 @@
 """Unit-pivot reduction of chain complexes against the dense solve.
 
-`ChainComplex.homology` solves a reduced complex in canonical
-coordinates; `dense_homology` solves the unreduced boundaries in
-presented coordinates.  Every comparison is of canonical forms, degree
-by degree below the top.
+`ChainComplex.homology` reads a reduced complex in canonical
+coordinates, as a cokernel wherever the reduced ∂_n is zero;
+`dense_homology` solves the unreduced boundaries in presented
+coordinates, and `homology_by_kernel_lattice` solves the reduced ones in
+every degree.  Every comparison is of canonical forms, degree by degree
+below the top.
 """
 
 import random
+import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oghom import fixtures, io
 from oghom.gmodules import colim_E
 from oghom.groupoid import OrderedGroupoid
-from oghom.homology import homology_profile, nerve_complex
+from oghom.homology import ChainComplex, homology_profile, nerve_complex
 from oghom.lcat import build_lcat
 from oghom.randgen import _cyclic_group, random_module, random_og
-from oghom.zmodule import AbHom, FgAbGroup, ZMatrix
+from oghom.zmodule import AbHom, FgAbGroup, ZMatrix, homology_at
 from .oracles import (
     complex_from_dense,
     dense_homology,
     dense_nerve_complex,
+    homology_by_kernel_lattice,
     periodic_cyclic_homology,
 )
+from .test_connected import Z, Z2, brandt_z2_doc, connected_doc
 
 
 def assert_matches_dense(cx, groups, boundaries):
     """cx against the dense solve of `groups` and `boundaries`, which
-    present the same complex in their own coordinates."""
+    present the same complex in their own coordinates, and against the
+    kernel-lattice solve of its own reduced complex."""
     for n in range(cx.top_degree):
-        assert cx.homology(n).canonical_form() == dense_homology(
-            groups, boundaries, n), n
+        form = cx.homology(n).canonical_form()
+        assert form == dense_homology(groups, boundaries, n), n
+        assert form == homology_by_kernel_lattice(cx, n).canonical_form(), n
     # entries in a row of finite cyclic order k stay in [0, k)
     red = cx.reduced()
     for n in range(1, red.top_degree + 1):
@@ -101,6 +109,19 @@ def test_theorem_complexes_match_dense():
     # the class colimits present many generators that canonical
     # coordinates drop
     assert canonical < presented
+
+
+@pytest.mark.parametrize("doc", [connected_doc, brandt_z2_doc])
+@pytest.mark.parametrize("group_at_0", [Z, Z2])
+def test_connected_groupoids_match_dense(doc, group_at_0):
+    # the only inputs with an arrow between distinct identities
+    _, cand, module_docs = io.load(doc(group_at_0))
+    g0 = OrderedGroupoid.from_candidate(cand)
+    lc = build_lcat(g0)
+    module = io.build_module(g0, lc, module_docs["m"])
+    colim = colim_E(g0, lc, module)
+    assert_nerve_matches_dense(lc.category, module)
+    assert_nerve_matches_dense(colim.module.base, colim.module)
 
 
 @given(st.integers(0, 10 ** 6), st.booleans())
@@ -177,3 +198,40 @@ def test_dead_generators_are_dropped():
     cx = assert_nerve_matches_dense(*cyclic_bundle(3, spec))
     assert [g.ngens for g in cx.groups] == [0, 0, 0, 0]
     assert [g.ngens for g in cx.reduced().groups] == [0, 0, 0, 0]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The `homology_at` calls that `ChainComplex.homology` makes."""
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return homology_at(f, g)
+
+    # the package's `homology` function hides the module of that name
+    monkeypatch.setattr(sys.modules["oghom.homology"], "homology_at", counted)
+    return calls
+
+
+def test_h0_is_read_as_a_cokernel(solves):
+    # ∂_1 = 2 is no unit: it stays, and H_0 is still read off directly
+    cx = ChainComplex([[0], [0]], [None, [{0: 2}]])
+    assert cx.homology(0).canonical_form() == (0, (2,))
+    assert not solves
+
+
+def test_only_a_nonzero_residual_is_solved(solves):
+    # Z/4 <-2- Z/4 <-2- Z/4: 2 is no unit mod 4, so nothing cancels
+    cx = ChainComplex([[4], [4], [4]], [None, [{0: 2}], [{0: 2}]])
+    assert cx.homology(0).canonical_form() == (0, (2,))
+    assert not solves
+    assert cx.homology(1).canonical_form() == (0, ())
+    assert len(solves) == 1
+
+
+def test_zero_complex_is_never_solved(solves):
+    cx = ChainComplex([[0], [0], [0]], [None, [{}], [{}]])
+    assert [cx.homology(n).canonical_form() for n in range(2)] == [
+        (1, ()), (1, ())]
+    assert not solves
