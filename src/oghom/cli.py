@@ -201,8 +201,8 @@ def cmd_check(args):
         elif args.kind == "colim-composition":
             report = check_colim_composition(g0, lc, module)
             row = {"module": name,
-                   "total_colimit": io.group_to_doc(report.lhs.result),
-                   "through_quotient": io.group_to_doc(report.rhs.result),
+                   "total_colimit": io.group_to_doc(report.lhs),
+                   "through_quotient": io.group_to_doc(report.rhs),
                    "equal_canonical": report.equal_canonical,
                    "comparison_iso": report.iso}
             row_ok = report.ok

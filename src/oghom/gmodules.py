@@ -239,30 +239,14 @@ def expand_map(q, lc, xi):
     return GMap(src, tgt, comps)
 
 
-class ColimitPresentation:
-    """Colimit of a module over a finite category.
-
-    result = (direct sum of all groups) / (a - a ◁ m per morphism m);
-    canonical[o] maps M(o) into the result.
-    """
-
-    def __init__(self, result, canonical):
-        self.result = result
-        self.canonical = canonical
-
-    def __repr__(self):
-        return "ColimitPresentation(%r)" % (self.result,)
-
-
 def _presentation(cat, module, objs, morphisms):
-    """(group, offsets, injections) presenting the colimit of `module`
-    over `objs` along `morphisms`: the direct sum of the groups at objs
-    modulo the relator columns a - a ◁ m, for each generator a at dom(m)
-    in the order given, each nonzero relator once, up to sign.  A
-    skipped relator is zero or ± one already written, so the span, and
-    so the colimit, is that of every a - a ◁ m.  offsets[o] locates
-    M(o)'s generators in the sum; injections[o] is the map M(o) ->
-    group."""
+    """(group, offsets) presenting the colimit of `module` over `objs`
+    along `morphisms`: the direct sum of the groups at objs modulo the
+    relator columns a - a ◁ m, for each generator a at dom(m) in the
+    order given, each nonzero relator once, up to sign.  A skipped
+    relator is zero or ± one already written, so the span, and so the
+    colimit, is that of every a - a ◁ m.  M(o) sits in the sum at
+    offsets[o]: its generator i is generator offsets[o] + i of group."""
     groups = [module.groups[o] for o in objs]
     offsets = {}
     total = 0
@@ -285,40 +269,34 @@ def _presentation(cat, module, objs, morphisms):
                 cols.append(col)
     group = FgAbGroup(total, block_diag([g.relations for g in groups])
                       .hstack(ZMatrix.from_cols(cols, total)))
-    injections = {}
-    for o, g in zip(objs, groups):
-        at = offsets[o]
-        inj = ZMatrix._trusted([[1 if r - at == i else 0
-                                 for i in range(g.ngens)]
-                                for r in range(total)], g.ngens)
-        injections[o] = AbHom(g, group, inj, checked=True)
-    return group, offsets, injections
+    return group, offsets
 
 
 def colim_category(cat, module):
-    """The colimit of `module` over `cat` as a ColimitPresentation:
-    `result` is the direct sum of the groups at all objects modulo the
-    relators a - a ◁ m, for each generator a at the domain of each
-    non-identity morphism m, each nonzero relator once, up to sign; and
-    `canonical[o]` injects M(o) into it.
+    """The colimit of `module` over `cat` as (group, offsets): `group` is
+    the direct sum of the groups at all objects modulo the relators
+    a - a ◁ m, for each generator a at the domain of each non-identity
+    morphism m, each nonzero relator once, up to sign; and M(o) sits in
+    it at `offsets[o]`, its generator i being generator offsets[o] + i.
 
-    The canonical maps coequalize by construction: along m, a ◁ m
-    injected at cod(m) minus a injected at dom(m) is the negated relator
-    of a and m, a column of `result` unless it is zero or ± one already
-    written.  The check kept is the component sum: each
-    connected component is presented on its own, and the sum of those
-    colimits must have the canonical form of `result`.  Both forms are
-    invariant factors, so no Smith transform is built.
+    The canonical maps, generator i of M(o) to generator offsets[o] + i,
+    coequalize by construction: along m, a ◁ m at cod(m) minus a at
+    dom(m) is the negated relator of a and m, a column of `group` unless
+    it is zero or ± one already written.  The check kept is the
+    component sum: each connected component is presented on its own,
+    and the sum of those colimits must have the canonical form of
+    `group`.  Both forms are invariant factors, so no Smith transform is
+    built.
 
     >>> from oghom import fixtures
     >>> b = fixtures.load("chain2")
-    >>> colim = colim_category(b.lc.category, b.modules["const"])
-    >>> colim.result.canonical_form()
-    (1, ())
+    >>> group, offsets = colim_category(b.lc.category, b.modules["const"])
+    >>> group.canonical_form(), offsets
+    ((1, ()), {'e': 0, 'f': 1})
     """
     objs = list(cat.objects)
     morphisms = cat.nonidentity_morphisms()
-    result, _, canonical = _presentation(cat, module, objs, morphisms)
+    group, offsets = _presentation(cat, module, objs, morphisms)
     groups = []
     for comp_objs in cat.components():
         inset = set(comp_objs)
@@ -327,28 +305,27 @@ def colim_category(cat, module):
             [m for m in morphisms if cat.dom[m] in inset])[0])
     summed = FgAbGroup(sum(g.ngens for g in groups),
                        block_diag([g.relations for g in groups]))
-    if summed.canonical_form() != result.canonical_form():
+    if summed.canonical_form() != group.canonical_form():
         raise StructuralDefect(
             "component decomposition disagrees with the total colimit")
-    return ColimitPresentation(result, canonical)
+    return group, offsets
 
 
 class ColimEResult:
     """Per-class colimits of a groupoid module, as a quotient module.
 
     module: the induced module over the quotient category; members maps
-    each identity class to its identity members; offsets locates each
-    member's generators inside the class presentation; alpha holds the
-    canonical maps A_e -> L_{class of e}.
+    each identity class to its identity members; A_e sits in the group
+    L_x of its class x at offsets[x][e]: the canonical map A_e -> L_x
+    sends generator i of A_e to generator offsets[x][e] + i.
     """
 
-    def __init__(self, q, source, module, members, offsets, alpha):
+    def __init__(self, q, source, module, members, offsets):
         self.q = q
         self.source = source
         self.module = module
         self.members = members
         self.offsets = offsets
-        self.alpha = alpha
 
     def __repr__(self):
         return "ColimEResult(%d classes)" % len(self.members)
@@ -396,16 +373,14 @@ def colim_E(g0, lc, a_module):
 
     members = {}
     offsets = {}
-    alpha = {}
     groups = {}
     for x in qc.objects:
         mem = [a for a in q.classes[x] if g0.is_identity(a)]
         members[x] = mem
         order_morphisms = [(e, f) for e in mem for f in mem
                            if f != e and g0.order.leq(f, e)]
-        groups[x], offsets[x], injs = _presentation(
+        groups[x], offsets[x] = _presentation(
             lc.category, a_module, mem, order_morphisms)
-        alpha.update(injs)
 
     action = {}
     for m in qc.morphisms:
@@ -423,7 +398,7 @@ def colim_E(g0, lc, a_module):
                 "quotient action of %r does not descend: %s" % (m, exc))
 
     module = GModule(qc, groups, action)
-    return ColimEResult(q, a_module, module, members, offsets, alpha)
+    return ColimEResult(q, a_module, module, members, offsets)
 
 
 class ActionChoiceReport:
@@ -514,12 +489,19 @@ def rho(colim, b_module, phi):
 
 
 def tau(colim, b_module, psi, expanded):
-    """Turn a map colim_E(A) -> B into A -> expansion(B): at e, inject
-    into the class colimit and apply the class component."""
+    """Turn a map colim_E(A) -> B into A -> expansion(B): at e, the
+    class component psi_x on A_e, which is its columns offsets[x][e] up
+    to offsets[x][e] + ngens(A_e)."""
     comps = {}
-    for e, a_e in colim.alpha.items():
-        x = colim.q.class_of[e]
-        comps[e] = a_e.then(psi.components[x])
+    for x, mem in colim.members.items():
+        psi_x = psi.components[x]
+        for e in mem:
+            a_e = colim.source.groups[e]
+            at = colim.offsets[x][e]
+            cols = ZMatrix._trusted(
+                [row[at:at + a_e.ngens] for row in psi_x.matrix.rows],
+                a_e.ngens)
+            comps[e] = AbHom(a_e, psi_x.target, cols, checked=True)
     return GMap(colim.source, expanded, comps)
 
 
@@ -564,46 +546,47 @@ class ColimCompositionReport:
     def __repr__(self):
         return ("ColimCompositionReport(equal=%s, iso=%s, %r vs %r)"
                 % (self.equal_canonical, self.iso,
-                   self.lhs.result.canonical_form(),
-                   self.rhs.result.canonical_form()))
+                   self.lhs.canonical_form(), self.rhs.canonical_form()))
+
+
+def _unit_columns(image, nrows):
+    """The 0/1 matrix whose column j is the unit vector at image[j]."""
+    return ZMatrix._trusted([[1 if i == r else 0 for i in image]
+                             for r in range(nrows)], len(image))
 
 
 def check_colim_composition(g0, lc, a_module):
-    """Compare the one-step colimit over the groupoid category with the
-    two-step colimit through the quotient, including an explicit
-    comparison isomorphism induced by the universal property."""
-    lhs = colim_category(lc.category, a_module)
+    """Compare the one-step colimit over the groupoid category (lhs) with
+    the two-step colimit through the quotient (rhs), including an
+    explicit comparison isomorphism induced by the universal property.
+
+    Generator i of A_e is generator lhs_at[e] + i of lhs and, with x
+    the class of e, generator rhs_at[x] + offsets[x][e] + i of rhs.  The
+    comparison maps fwd and bwd send each such generator of one side to
+    the same generator of the other: unit columns read off the offsets.
+    """
+    lhs, lhs_at = colim_category(lc.category, a_module)
     colim = colim_E(g0, lc, a_module)
-    qc = colim.module.base
-    rhs = colim_category(qc, colim.module)
+    rhs, rhs_at = colim_category(colim.module.base, colim.module)
 
-    equal_canonical = (lhs.result.canonical_form()
-                       == rhs.result.canonical_form())
+    equal_canonical = lhs.canonical_form() == rhs.canonical_form()
 
-    # forward: each generator of A_e goes through alpha_e into its class
-    # group, then through the class group's canonical injection
-    fwd_cols = []
-    for e in lc.category.objects:
-        x = colim.q.class_of[e]
-        through = colim.alpha[e].then(rhs.canonical[x])
-        for i in range(a_module.groups[e].ngens):
-            fwd_cols.append(through.matrix.col(i))
-    fwd = ZMatrix.from_cols(fwd_cols, rhs.result.ngens)
-
-    # backward: each generator of A_e inside a class group goes through
-    # the one-step canonical injection
-    bwd_cols = []
-    for x in qc.objects:
-        for e in colim.members[x]:
+    fwd_image = [None] * lhs.ngens
+    bwd_image = [None] * rhs.ngens
+    for x, mem in colim.members.items():
+        for e in mem:
             for i in range(a_module.groups[e].ngens):
-                bwd_cols.append(lhs.canonical[e].matrix.col(i))
-    bwd = ZMatrix.from_cols(bwd_cols, lhs.result.ngens)
+                left = lhs_at[e] + i
+                right = rhs_at[x] + colim.offsets[x][e] + i
+                fwd_image[left] = right
+                bwd_image[right] = left
+    fwd = _unit_columns(fwd_image, rhs.ngens)
+    bwd = _unit_columns(bwd_image, lhs.ngens)
 
     iso = False
-    if (hom_welldefined(lhs.result, rhs.result, fwd)
-            and hom_welldefined(rhs.result, lhs.result, bwd)):
-        f = AbHom(lhs.result, rhs.result, fwd, checked=True)
-        b = AbHom(rhs.result, lhs.result, bwd, checked=True)
-        iso = (f.then(b).equal_as_maps(AbHom.identity(lhs.result))
-               and b.then(f).equal_as_maps(AbHom.identity(rhs.result)))
+    if hom_welldefined(lhs, rhs, fwd) and hom_welldefined(rhs, lhs, bwd):
+        f = AbHom(lhs, rhs, fwd, checked=True)
+        b = AbHom(rhs, lhs, bwd, checked=True)
+        iso = (f.then(b).equal_as_maps(AbHom.identity(lhs))
+               and b.then(f).equal_as_maps(AbHom.identity(rhs)))
     return ColimCompositionReport(lhs, rhs, equal_canonical, iso)

@@ -524,11 +524,11 @@ def homology(cat, module, n, complex_=None):
     cx = complex_ or nerve_complex(cat, module, n + 1)
     h = cx.homology(n)
     if n == 0:
-        colim = colim_category(cat, module)
-        if h.canonical_form() != colim.result.canonical_form():
+        colim, _ = colim_category(cat, module)
+        if h.canonical_form() != colim.canonical_form():
             raise StructuralDefect(
                 "H_0 %r disagrees with the colimit %r"
-                % (h.canonical_form(), colim.result.canonical_form()))
+                % (h.canonical_form(), colim.canonical_form()))
     return h
 
 

@@ -629,25 +629,16 @@ class FgAbGroup:
         return cls(n, ZMatrix.from_cols(cols, n))
 
     def _decomposition(self):
-        # orders[i] is the order of the i-th canonical coordinate
-        # (0 meaning infinite); x-coordinates convert via y = U x.
+        # (U, U^-1) of the Smith form: x-coordinates convert via y = U x,
+        # and coordinate i of y has order canonical_orders()[i].
         if self._decomp is None:
             res = snf(self.relations)
-            diag = res.diagonal
-            orders = []
-            for i in range(self.ngens):
-                orders.append(diag[i] if i < len(diag) else 0)
-            self._decomp = (tuple(orders), res.u, res.uinv)
+            self._decomp = (res.u, res.uinv)
         return self._decomp
 
     def canonical_orders(self):
-        """Order of each canonical coordinate, 0 meaning a free factor.
-
-        Read from the Smith form when coordinates were already asked
-        for; otherwise computed without transforms.
-        """
-        if self._decomp is not None:
-            return self._decomp[0]
+        """Order of each canonical coordinate, 0 meaning a free factor,
+        computed without transforms."""
         if self._orders is None:
             self._orders = invariant_factors(self.relations)
         return self._orders
@@ -663,15 +654,15 @@ class FgAbGroup:
         return self.canonical_form() == (0, ())
 
     def to_canonical(self, x):
-        orders, u, _ = self._decomposition()
+        u, _ = self._decomposition()
         y = list(u.apply(x))
-        for i, d in enumerate(orders):
+        for i, d in enumerate(self.canonical_orders()):
             if d:
                 y[i] %= d
         return tuple(y)
 
     def from_canonical(self, y):
-        _, _, uinv = self._decomposition()
+        _, uinv = self._decomposition()
         return uinv.apply(y)
 
     def in_relation_span(self, vec):

@@ -43,7 +43,11 @@ Hom sets of groups and of modules are listed element by element, where
 the library checks the colim_E/expansion adjunction through its unit,
 counit and triangle identities; `direct_sum` builds a sum group with
 injections and projections through the converting `ZMatrix`
-constructor.
+constructor.  A colimit's summands are placed by dense identity-block
+injections (`injection`), and the comparison maps of
+`check_colim_composition` are products of them
+(`colim_composition_by_injections`), where the library reads unit
+columns and column slices off the colimit's offsets.
 A document's first schema error comes from jsonschema's Draft 2020-12
 validator over the schema dicts of `oghom.io`, where the library walks
 those dicts with its own checker.
@@ -62,7 +66,13 @@ from jsonschema import Draft202012Validator
 
 from oghom.category import FiniteCategory
 from oghom.errors import NotComposable, PreconditionViolation, StructuralDefect
-from oghom.gmodules import GMap, GModule, module_from_parts
+from oghom.gmodules import (
+    GMap,
+    GModule,
+    colim_category,
+    colim_E,
+    module_from_parts,
+)
 from oghom.homology import MAX_CHAIN_RANK, ChainComplex, _chain_tuples
 from oghom.lcat import build_lcat
 from oghom.randgen import _cyclic_group, random_og
@@ -73,6 +83,7 @@ from oghom.zmodule import (
     SNFResult,
     ZMatrix,
     block_diag,
+    hom_welldefined,
     homology_at,
     snf,
 )
@@ -111,8 +122,8 @@ def enumerate_homs(source, target, max_count=200000):
     Works through the canonical decompositions; the hom set must be
     finite (source torsion or target finite).
     """
-    s_orders, s_u, _ = source._decomposition()
-    t_orders, _, t_uinv = target._decomposition()
+    s_orders, (s_u, _) = source.canonical_orders(), source._decomposition()
+    t_orders, (_, t_uinv) = target.canonical_orders(), target._decomposition()
     free_target = any(d == 0 for d in t_orders)
 
     per_coord = []
@@ -199,6 +210,55 @@ def enumerate_gmaps(source, target):
 
     place(0)
     return results
+
+
+def injection(source, group, offset):
+    """The identity-block map source -> group sending generator i to
+    generator offset + i, through the checking `AbHom` constructor: the
+    map a colimit kept for each summand before it kept only the
+    summand's offset."""
+    return AbHom(source, group, ZMatrix(
+        [[1 if r - offset == i else 0 for i in range(source.ngens)]
+         for r in range(group.ngens)], ncols=source.ngens))
+
+
+def colim_composition_by_injections(g0, lc, a_module):
+    """(equal_canonical, iso) of `check_colim_composition` with the
+    comparison maps built from injection products, where the library
+    reads unit columns off the offsets: forward, A_e goes through its
+    injection into its class group and on through that group's
+    injection into the two-step colimit; backward, A_e inside a class
+    group goes through its injection into the one-step colimit."""
+    lhs, lhs_at = colim_category(lc.category, a_module)
+    colim = colim_E(g0, lc, a_module)
+    qc = colim.module.base
+    rhs, rhs_at = colim_category(qc, colim.module)
+    equal_canonical = lhs.canonical_form() == rhs.canonical_form()
+
+    fwd_cols = []
+    for e in lc.category.objects:
+        x = colim.q.class_of[e]
+        lx = colim.module.groups[x]
+        through = injection(a_module.groups[e], lx, colim.offsets[x][e]).then(
+            injection(lx, rhs, rhs_at[x]))
+        fwd_cols += [through.matrix.col(i) for i in range(through.source.ngens)]
+    fwd = ZMatrix.from_cols(fwd_cols, rhs.ngens)
+
+    bwd_cols = []
+    for x in qc.objects:
+        for e in colim.members[x]:
+            inj = injection(a_module.groups[e], lhs, lhs_at[e])
+            bwd_cols += [inj.matrix.col(i) for i in range(inj.source.ngens)]
+    bwd = ZMatrix.from_cols(bwd_cols, lhs.ngens)
+
+    iso = False
+    if (hom_welldefined(lhs, rhs, fwd)
+            and hom_welldefined(rhs, lhs, bwd)):
+        f = AbHom(lhs, rhs, fwd, checked=True)
+        b = AbHom(rhs, lhs, bwd, checked=True)
+        iso = (f.then(b).equal_as_maps(AbHom.identity(lhs))
+               and b.then(f).equal_as_maps(AbHom.identity(rhs)))
+    return equal_canonical, iso
 
 
 # ---------------------------------------------------------------- Smith forms
@@ -774,7 +834,7 @@ def random_hom(rng, source, target, target_orders):
     of the source is chosen freely among the target elements it is
     allowed to hit, then pushed back to presentation coordinates.
     """
-    s_orders, s_u, _ = source._decomposition()
+    s_orders, (s_u, _) = source.canonical_orders(), source._decomposition()
     cols = []
     for s in s_orders:
         col = []

@@ -36,12 +36,14 @@ from oghom.lcat import build_lcat
 from oghom.randgen import random_module, random_og
 from oghom.zmodule import AbHom, FgAbGroup, ZMatrix, hom_welldefined
 from .oracles import (
+    colim_composition_by_injections,
     direct_sum,
     enumerate_gmaps,
     functoriality_failures_by_pair,
     functoriality_problems_by_pair,
     group_category,
     group_order,
+    injection,
     module_action_by_dfs,
     naturality_failures_by_morphism,
     permutation_group,
@@ -49,7 +51,7 @@ from .oracles import (
     random_ses,
 )
 from .test_connected import brandt_z2_doc, connected_doc
-from .test_reduction import cyclic_bundle, theorem_inputs
+from .test_reduction import cyclic_bundle, theorem_inputs, theorem_instance
 
 
 def clifford_parts():
@@ -313,13 +315,19 @@ def test_colim_clifford_sign():
     assert lgroup.canonical_form() == (1, ())
     # the class of s still acts by negation on the fused copy
     act = colim.module.action["s"]
-    v = list(colim.alpha["1"].matrix.col(0))
+
+    def injected(e):
+        col = [0] * lgroup.ngens
+        col[colim.offsets["1"][e]] = 1
+        return col
+
+    v = injected("1")
     image = act.matrix.apply(v)
     total = [a + b for a, b in zip(image, v)]
     assert lgroup.in_relation_span(total)
     # both injections hit the same canonical generator
-    a1 = colim.alpha["1"].matrix.col(0)
-    af = colim.alpha["f"].matrix.col(0)
+    a1 = injected("1")
+    af = injected("f")
     diff = [a - b for a, b in zip(a1, af)]
     assert lgroup.in_relation_span(diff)
 
@@ -578,7 +586,7 @@ def test_presentation_writes_each_nonzero_relator_once_up_to_sign():
     for label, cat, module in modules_under_test():
         objs = list(cat.objects)
         morphisms = cat.nonidentity_morphisms()
-        group, offsets, _ = _presentation(cat, module, objs, morphisms)
+        group, offsets = _presentation(cat, module, objs, morphisms)
         rel = group.relations
         first = sum(module.groups[o].relations.ncols for o in objs)
         written = [rel.col(j) for j in range(first, rel.ncols)]
@@ -602,19 +610,16 @@ def last_relator_changed(change):
     change(c), or is dropped where that is None; a presentation with no
     relator column (every a - a ◁ m zero) comes back as it is."""
     def present(cat, module, objs, morphisms):
-        group, offsets, injections = _presentation(cat, module, objs,
-                                                   morphisms)
+        group, offsets = _presentation(cat, module, objs, morphisms)
         rel = group.relations
         if rel.ncols == sum(module.groups[o].relations.ncols for o in objs):
-            return group, offsets, injections
+            return group, offsets
         cols = [rel.col(j) for j in range(rel.ncols - 1)]
         last = change(rel.col(rel.ncols - 1))
         if last is not None:
             cols.append(last)
         changed = FgAbGroup(group.ngens, ZMatrix.from_cols(cols, rel.nrows))
-        return changed, offsets, {
-            o: AbHom(h.source, changed, h.matrix, checked=True)
-            for o, h in injections.items()}
+        return changed, offsets
     return present
 
 
@@ -653,18 +658,79 @@ def test_doubled_relator_fails_the_h0_check(monkeypatch):
 
 
 def test_colimit_builds_no_smith_transform(monkeypatch):
-    # the component sum and result.canonical_form() read invariant
+    # the component sum and the colimit's canonical_form() read invariant
     # factors, so no Smith form with transforms is built
     cases = modules_under_test()
-    want = [colim_category(cat, module).result.canonical_form()
+    want = [colim_category(cat, module)[0].canonical_form()
             for _, cat, module in cases]
 
     def no_snf(m):
         raise AssertionError("snf called")
 
     monkeypatch.setattr("oghom.zmodule.snf", no_snf)
-    assert [colim_category(cat, module).result.canonical_form()
+    assert [colim_category(cat, module)[0].canonical_form()
             for _, cat, module in cases] == want
+
+
+def offset_inputs():
+    """(label, g0, lc, module) for every fixture module, the connected
+    and Brandt Z/2 groupoids, and the seeded theorem instances, each
+    where the groupoid is principally directed (colim_E refuses the
+    twofold fixture)."""
+    out = groupoid_modules()
+    for seed in range(40):
+        for finite in (True, False):
+            out.append(("seed %d %s" % (seed, finite),)
+                       + theorem_instance(seed, finite))
+    return [case for case in out if is_principally_directed(case[1])[0]]
+
+
+def test_offsets_agree_with_injections():
+    # tau's column slices are the products injection then psi_x, and
+    # the unit columns of check_colim_composition decide what the
+    # injection products decide
+    for label, g0, lc, module in offset_inputs():
+        colim = colim_E(g0, lc, module)
+        b = colim.module
+        up = expand(colim.q, lc, b)
+        double = GMap(b, b, {x: AbHom(g, g, ZMatrix(
+            [[2 * (r == c) for c in range(g.ngens)] for r in range(g.ngens)],
+            ncols=g.ngens)) for x, g in b.groups.items()})
+        for psi in (GMap.identity(b), double):
+            got = tau(colim, b, psi, up)
+            for x, mem in colim.members.items():
+                for e in mem:
+                    want = injection(module.groups[e], b.groups[x],
+                                     colim.offsets[x][e]).then(
+                        psi.components[x])
+                    assert got.components[e].matrix == want.matrix, (label, e)
+        rep = check_colim_composition(g0, lc, module)
+        assert (rep.equal_canonical, rep.iso) == \
+            colim_composition_by_injections(g0, lc, module), label
+
+
+def test_shifted_unit_column_fails_the_comparison(monkeypatch):
+    # the first unit column of fwd moves down one generator; where the
+    # injection products give an isomorphism, the mutant must not on at
+    # least one input
+    true_unit_columns = gmodules._unit_columns
+    calls = []
+
+    def shifted(image, nrows):
+        calls.append(nrows)
+        if len(calls) % 2 and image and nrows > 1:  # fwd, not bwd
+            image = [(image[0] + 1) % nrows] + list(image[1:])
+        return true_unit_columns(image, nrows)
+
+    cases = offset_inputs()
+    want = [colim_composition_by_injections(g0, lc, module)[1]
+            for _, g0, lc, module in cases]
+    monkeypatch.setattr("oghom.gmodules._unit_columns", shifted)
+    got = [check_colim_composition(g0, lc, module).iso
+           for _, g0, lc, module in cases]
+    assert len(calls) == 2 * len(cases)
+    assert not any(g and not w for g, w in zip(got, want))
+    assert any(w and not g for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("kind", ["ell", "representative"])

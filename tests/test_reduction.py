@@ -60,15 +60,21 @@ def cyclic_bundle(m, spec):
     return lc.category, io.build_module(g0, lc, module_docs["a"])
 
 
-def theorem_inputs(seed, finite):
-    """The (category, module) pairs whose nerves `check_theorem` solves,
-    on a seeded instance."""
+def theorem_instance(seed, finite):
+    """A seeded (groupoid, L(G), module) instance of `check_theorem`."""
     rng = random.Random(seed)
     rog = random_og(rng, n_identities=rng.randint(1, 4),
                     max_group=rng.randint(1, 3))
     lc = build_lcat(rog.groupoid)
-    module = random_module(rng, rog, lc, finite=finite, max_order=6)
-    colim = colim_E(rog.groupoid, lc, module)
+    return rog.groupoid, lc, random_module(rng, rog, lc, finite=finite,
+                                           max_order=6)
+
+
+def theorem_inputs(seed, finite):
+    """The (category, module) pairs whose nerves `check_theorem` solves,
+    on the seeded instance of `theorem_instance`."""
+    g0, lc, module = theorem_instance(seed, finite)
+    colim = colim_E(g0, lc, module)
     return [(lc.category, module), (colim.module.base, colim.module)]
 
 
