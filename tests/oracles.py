@@ -48,6 +48,9 @@ injections (`injection`), and the comparison maps of
 `check_colim_composition` are products of them
 (`colim_composition_by_injections`), where the library reads unit
 columns and column slices off the colimit's offsets.
+`colim_by_components` presents a colimit one connected component at a
+time and sums the parts, where the library presents the whole
+category at once.
 A document's first schema error comes from jsonschema's Draft 2020-12
 validator over the schema dicts of `oghom.io`, where the library walks
 those dicts with its own checker.
@@ -69,6 +72,7 @@ from oghom.errors import NotComposable, PreconditionViolation, StructuralDefect
 from oghom.gmodules import (
     GMap,
     GModule,
+    _presentation,
     colim_category,
     colim_E,
     module_from_parts,
@@ -220,6 +224,24 @@ def injection(source, group, offset):
     return AbHom(source, group, ZMatrix(
         [[1 if r - offset == i else 0 for i in range(source.ngens)]
          for r in range(group.ngens)], ncols=source.ngens))
+
+
+def colim_by_components(cat, module):
+    """(group, parts): the colimit of `module` over `cat` as the direct
+    sum of its connected components' colimits, each presented on its
+    own by `_presentation`; parts lists each component's (group,
+    offsets) in the order of `cat.components()`."""
+    objs = list(cat.objects)
+    morphisms = cat.nonidentity_morphisms()
+    parts = []
+    for comp in cat.components():
+        inset = set(comp)
+        parts.append(_presentation(
+            cat, module, [o for o in objs if o in inset],
+            [m for m in morphisms if cat.dom[m] in inset]))
+    group = FgAbGroup(sum(g.ngens for g, _ in parts),
+                      block_diag([g.relations for g, _ in parts]))
+    return group, parts
 
 
 def colim_composition_by_injections(g0, lc, a_module):

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -35,7 +36,9 @@ from oghom.homology import homology, homology_profile
 from oghom.lcat import build_lcat
 from oghom.randgen import random_module, random_og
 from oghom.zmodule import AbHom, FgAbGroup, ZMatrix, hom_welldefined
+from . import oracles
 from .oracles import (
+    colim_by_components,
     colim_composition_by_injections,
     direct_sum,
     enumerate_gmaps,
@@ -535,11 +538,11 @@ def test_ses_colim_exact_small():
 @pytest.mark.parametrize("extra", [FgAbGroup.free(1),
                                    FgAbGroup.from_invariants(0, [2])])
 def test_corrupted_component_fails_the_sum_check(which, extra, monkeypatch):
-    # one component colimit gains a summand; the sum of the components
-    # must then disagree with the total colimit
+    # one component colimit of the oracle gains a summand; the sum of the
+    # components must then disagree with the total colimit, which is
+    # presented by one call
     cat, module = theorem_inputs(0, True)[1]  # four one-object components
     assert len(cat.components()) == 4
-    colim_category(cat, module)
     calls = []
 
     def corrupt_one(cat, module, objs, morphisms):
@@ -550,9 +553,11 @@ def test_corrupted_component_fails_the_sum_check(which, extra, monkeypatch):
         return out
 
     monkeypatch.setattr("oghom.gmodules._presentation", corrupt_one)
-    with pytest.raises(StructuralDefect,
-                       match="component decomposition disagrees"):
-        colim_category(cat, module)
+    monkeypatch.setattr(oracles, "_presentation", corrupt_one)
+    total = colim_category(cat, module)[0]
+    assert len(calls) == 1
+    summed = colim_by_components(cat, module)[0]
+    assert summed.canonical_form() != total.canonical_form()
     assert len(calls) == 5
 
 
@@ -658,8 +663,8 @@ def test_doubled_relator_fails_the_h0_check(monkeypatch):
 
 
 def test_colimit_builds_no_smith_transform(monkeypatch):
-    # the component sum and the colimit's canonical_form() read invariant
-    # factors, so no Smith form with transforms is built
+    # the colimit's canonical_form() reads invariant factors, so no Smith
+    # form with transforms is built
     cases = modules_under_test()
     want = [colim_category(cat, module)[0].canonical_form()
             for _, cat, module in cases]
@@ -670,6 +675,82 @@ def test_colimit_builds_no_smith_transform(monkeypatch):
     monkeypatch.setattr("oghom.zmodule.snf", no_snf)
     assert [colim_category(cat, module)[0].canonical_form()
             for _, cat, module in cases] == want
+
+
+@cache
+def colimit_inputs():
+    """(label, category, module) for the modules of groupoid_modules,
+    the class colimits of those whose groupoid is principally directed,
+    and both categories of theorem_inputs for seeds 0-39."""
+    out = []
+    for label, g0, lc, module in groupoid_modules():
+        out.append((label, lc.category, module))
+        if is_principally_directed(g0)[0]:
+            colim = colim_E(g0, lc, module).module
+            out.append((label + " over G/beta", colim.base, colim))
+    for seed in range(40):
+        for finite in (True, False):
+            for side, (cat, module) in zip(
+                    ("L(G)", "G/beta"), theorem_inputs(seed, finite)):
+                out.append(("seed %d %s %s" % (seed, finite, side),
+                            cat, module))
+    return out
+
+
+def test_colimit_agrees_with_the_sum_of_its_components():
+    many = 0
+    for label, cat, module in colimit_inputs():
+        many += len(cat.components()) > 1
+        want = colim_by_components(cat, module)[0].canonical_form()
+        assert colim_category(cat, module)[0].canonical_form() == want, label
+    assert many  # the oracle sums more than one part somewhere
+
+
+def test_colimit_is_the_block_sum_of_its_components():
+    # re-indexed by the offsets, the components' relation blocks and
+    # relator columns are those of the total, as multisets
+    def split(group, module, objs):
+        first = sum(module.groups[o].relations.ncols for o in objs)
+        rel = group.relations
+        return ([rel.col(j) for j in range(first)],
+                [rel.col(j) for j in range(first, rel.ncols)])
+
+    for label, cat, module in colimit_inputs():
+        group, offsets = colim_category(cat, module)
+        want = [Counter(map(tuple, cols))
+                for cols in split(group, module, cat.objects)]
+        got = [Counter(), Counter()]
+        _, parts = colim_by_components(cat, module)
+        assert sorted(o for _, at in parts for o in at) == \
+            sorted(cat.objects), label
+        for part, at in parts:
+            for count, cols in zip(got, split(part, module, at)):
+                for col in cols:
+                    moved = [0] * group.ngens
+                    for o, start in at.items():
+                        for i in range(module.groups[o].ngens):
+                            moved[offsets[o] + i] = col[start + i]
+                    count[tuple(moved)] += 1
+        assert got == want, label
+
+
+def test_colimit_presents_once_and_reads_no_canonical_form(monkeypatch):
+    cases = modules_under_test()
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _presentation(*args)
+
+    def no_canonical_form(self):
+        raise AssertionError("canonical_form called")
+
+    monkeypatch.setattr("oghom.gmodules._presentation", spy)
+    monkeypatch.setattr(FgAbGroup, "canonical_form", no_canonical_form)
+    for label, cat, module in cases:
+        del calls[:]
+        colim_category(cat, module)
+        assert len(calls) == 1, label
 
 
 def offset_inputs():
@@ -709,10 +790,10 @@ def test_offsets_agree_with_injections():
             colim_composition_by_injections(g0, lc, module), label
 
 
-def test_shifted_unit_column_fails_the_comparison(monkeypatch):
-    # the first unit column of fwd moves down one generator; where the
-    # injection products give an isomorphism, the mutant must not on at
-    # least one input
+def shift_first_fwd_column(monkeypatch):
+    """Make check_colim_composition's fwd send its first generator one
+    generator further down; returns the list of the nrows of every
+    _unit_columns call, which alternate fwd, bwd."""
     true_unit_columns = gmodules._unit_columns
     calls = []
 
@@ -722,15 +803,44 @@ def test_shifted_unit_column_fails_the_comparison(monkeypatch):
             image = [(image[0] + 1) % nrows] + list(image[1:])
         return true_unit_columns(image, nrows)
 
+    monkeypatch.setattr("oghom.gmodules._unit_columns", shifted)
+    return calls
+
+
+def test_shifted_unit_column_fails_the_comparison(monkeypatch):
+    # the first unit column of fwd moves down one generator; where the
+    # injection products give an isomorphism, the mutant must not on at
+    # least one input
     cases = offset_inputs()
     want = [colim_composition_by_injections(g0, lc, module)[1]
             for _, g0, lc, module in cases]
-    monkeypatch.setattr("oghom.gmodules._unit_columns", shifted)
+    calls = shift_first_fwd_column(monkeypatch)
     got = [check_colim_composition(g0, lc, module).iso
            for _, g0, lc, module in cases]
     assert len(calls) == 2 * len(cases)
     assert not any(g and not w for g, w in zip(got, want))
     assert any(w and not g for g, w in zip(got, want))
+
+
+def test_shifted_unit_column_needs_the_identity_comparisons(monkeypatch):
+    # with the shifted unit column, some input passes both well-definedness
+    # tests and is still no isomorphism: only the comparisons of f then b
+    # and b then f with the identities see it
+    true_welldefined = gmodules.hom_welldefined
+    verdicts = []
+
+    def recorded(source, target, matrix):
+        verdicts.append(true_welldefined(source, target, matrix))
+        return verdicts[-1]
+
+    shift_first_fwd_column(monkeypatch)
+    monkeypatch.setattr("oghom.gmodules.hom_welldefined", recorded)
+    only_identities = 0
+    for _, g0, lc, module in offset_inputs():
+        del verdicts[:]
+        iso = check_colim_composition(g0, lc, module).iso
+        only_identities += verdicts == [True, True] and not iso
+    assert only_identities
 
 
 @pytest.mark.parametrize("kind", ["ell", "representative"])

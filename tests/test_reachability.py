@@ -26,6 +26,8 @@ KEEP = {
     # next callers: the exactness check of colim_E (ROADMAP item 6)
     "gmodules.GMap.is_componentwise_surjective": "epimorphisms of modules",
     "zmodule.AbHom.is_injective": "monomorphisms of groups",
+    # next caller: ROADMAP item 1, homology by components and vertex groups
+    "category.FiniteCategory.components": "connected components of a category",
     # no runtime caller since H_0 is read as a cokernel; the `homology_at`
     # doctest and the dense oracles end their complexes with it
     "zmodule.AbHom.zero": "the zero hom between two groups",
