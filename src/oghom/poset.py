@@ -71,17 +71,6 @@ class Poset:
         ia, ib = self._index[a], self._index[b]
         return {self.elements[j] for j in self._below[ia] & self._below[ib]}
 
-    def undirected_pair(self, subset):
-        """The first pair (a, b) of `subset`, in its order, with no lower
-        bound inside `subset`; None when `subset` is directed down."""
-        idxs = [self._index[e] for e in subset]
-        for x, i in enumerate(idxs):
-            for k in idxs[x + 1:]:
-                if not any(j in self._below[i] and j in self._below[k]
-                           for j in idxs):
-                    return (self.elements[i], self.elements[k])
-        return None
-
     def covers(self):
         """Covering pairs (a, b): a < b with nothing strictly between."""
         out = []

@@ -28,6 +28,9 @@ solve `in_relation_span_by_solve` shares that reduction
 one.  Canonical orders come from the diagonal of a Smith form
 with transforms, where the library runs the same passes with no
 transform tracked.
+`ideals_directed_by_scan` decides principal directedness by looking
+for two members of a principal ideal with no common lower bound in it,
+where the library decides it by the transitivity of beta.
 The all-pairs scans visit every pair or triple of arrows
 or morphisms where the library reads only composable ones from
 per-object buckets.  The per-triple loops compare (gh)k with g(hk) one
@@ -1245,6 +1248,22 @@ def beta_transitive_by_scan(g0):
                     if worst is None or triple < worst:
                         worst = triple
     return (worst is None, worst)
+
+
+def ideals_directed_by_scan(g0):
+    """(verdict, None or (t, (a, b))): the first arrow t, in arrow order,
+    whose principal ideal holds a pair a, b (in sorted order) with no
+    common lower bound in that ideal.  The other side of the equivalence
+    that `beta_transitive` decides: then a beta t and t beta b, but not
+    a beta b, since every lower bound of a lies below t."""
+    for t in g0.arrows:
+        ideal = sorted(g0.principal_ideal(t))
+        for x, a in enumerate(ideal):
+            for b in ideal[x + 1:]:
+                if not any(g0.order.leq(k, a) and g0.order.leq(k, b)
+                           for k in ideal):
+                    return (False, (t, (a, b)))
+    return (True, None)
 
 
 def chain_tuples_by_scan(cat, maxdeg):

@@ -9,7 +9,6 @@ import pytest
 
 from oghom import fixtures, io
 from oghom.beta import (
-    all_ideals_directed,
     beta_classes,
     beta_transitive,
     beta_witness,
@@ -23,7 +22,47 @@ from oghom.io import groupoid_to_doc
 from oghom.lcat import build_lcat
 from oghom.randgen import random_og
 
-from .oracles import beta_classes_by_pairs
+from .oracles import (
+    beta_classes_by_pairs,
+    beta_transitive_by_scan,
+    ideals_directed_by_scan,
+)
+from .test_connected import (
+    brandt_z2_candidate,
+    connected_groupoid,
+    pair_twofold_groupoid,
+)
+
+
+def assert_verdict_matches_oracles(g0):
+    """The kept verdict is the ideal scan's.  On a negative one, the
+    scan's witness (t, (a, b)) is a failing chain a beta t beta b, and
+    the kept triple is the least failing chain of the triple scan.
+    Returns the verdict."""
+    ok, reason = is_principally_directed(g0)
+    scan_ok, witness = ideals_directed_by_scan(g0)
+    assert ok == scan_ok
+    if not ok:
+        t, (a, b) = witness
+        assert beta_witness(g0, a, t) is not None
+        assert beta_witness(g0, t, b) is not None
+        assert beta_witness(g0, a, b) is None
+        assert reason["triple"] == beta_transitive_by_scan(g0)[1]
+    return ok
+
+
+def criterion_02_groupoids():
+    """The 204 instances of acceptance criterion 02: four fixtures and
+    200 random groupoids, each directed or free by a coin flip."""
+    groupoids = [fixtures.load(name).groupoid
+                 for name in ["chain2", "z2", "clifford", "twofold"]]
+    rng = random.Random(202)
+    while len(groupoids) < 4 + 200:
+        rog = random_og(rng, n_identities=rng.randint(1, 5),
+                        max_group=rng.randint(1, 4),
+                        directed=rng.random() < 0.5)
+        groupoids.append(rog.groupoid)
+    return groupoids
 
 
 def test_beta_witness_clifford():
@@ -63,7 +102,7 @@ def test_beta_classes_match_pairwise_oracle():
 def test_directedness_verdicts():
     for name in ["chain2", "z2", "clifford"]:
         g = fixtures.load(name).groupoid
-        assert all_ideals_directed(g) == (True, None)
+        assert ideals_directed_by_scan(g) == (True, None)
         assert beta_transitive(g)[0]
         assert is_principally_directed(g) == (True, None)
 
@@ -85,17 +124,25 @@ def test_twofold_not_directed():
     assert beta_witness(g, "s", "sB") is not None
     assert beta_witness(g, "sA", "sB") is None
     # and the identity ideal over 1 is itself non-directed
-    ok_ideals, witness = all_ideals_directed(g)
-    assert not ok_ideals and witness == ("1", ("e", "f"))
+    assert ideals_directed_by_scan(g) == (False, ("1", ("e", "f")))
 
 
 def test_verdict_equivalence_on_fixtures():
-    # directedness of all principal ideals plus transitivity is exactly
-    # the principally-directed verdict
-    for name in fixtures.names():
-        g = fixtures.load(name).groupoid
-        both = all_ideals_directed(g)[0] and beta_transitive(g)[0]
-        assert is_principally_directed(g)[0] == both
+    # transitivity of beta decides exactly the directedness of every
+    # principal ideal
+    verdicts = {assert_verdict_matches_oracles(fixtures.load(name).groupoid)
+                for name in fixtures.names()}
+    assert verdicts == {True, False}
+
+
+def test_verdict_matches_ideal_scan():
+    groupoids = [connected_groupoid(),
+                 OrderedGroupoid.from_candidate(brandt_z2_candidate()),
+                 pair_twofold_groupoid()]
+    groupoids += criterion_02_groupoids()
+    verdicts = [assert_verdict_matches_oracles(g) for g in groupoids]
+    assert verdicts[:3] == [True, True, False]
+    assert 0 < verdicts.count(False) < len(verdicts)
 
 
 def test_quotient_clifford():
@@ -142,20 +189,18 @@ def test_quotient_composition_value():
 
 
 def count_deciders(monkeypatch):
-    """Count the runs of both directedness deciders."""
+    """The id of each groupoid that `beta_transitive` decides, one entry
+    per run.  It is the library's one directedness decider; the ideal
+    scan lives only in tests/oracles.py."""
     beta = sys.modules["oghom.beta"]
-    runs = {"ideals": 0, "chains": 0}
+    decide = beta.beta_transitive
+    runs = []
 
-    def counted(key, decide):
-        def run(g0):
-            runs[key] += 1
-            return decide(g0)
-        return run
+    def run(g0):
+        runs.append(id(g0))
+        return decide(g0)
 
-    monkeypatch.setattr(beta, "all_ideals_directed",
-                        counted("ideals", beta.all_ideals_directed))
-    monkeypatch.setattr(beta, "beta_transitive",
-                        counted("chains", beta.beta_transitive))
+    monkeypatch.setattr(beta, "beta_transitive", run)
     return runs
 
 
@@ -164,13 +209,14 @@ def test_groupoid_keeps_its_verdict_and_quotient(monkeypatch):
     g = fixtures.load("clifford").groupoid
     assert is_principally_directed(g) == (True, None)
     q = quotient(g)
-    assert runs == {"ideals": 1, "chains": 1}
+    assert runs == [id(g)]
     assert quotient(g) is q
     assert is_principally_directed(g) == (True, None)
-    assert runs == {"ideals": 1, "chains": 1}
+    assert runs == [id(g)]
     # another groupoid is decided on its own
-    quotient(fixtures.load("clifford").groupoid)
-    assert runs == {"ideals": 2, "chains": 2}
+    other = fixtures.load("clifford").groupoid
+    quotient(other)
+    assert runs == [id(g), id(other)]
 
 
 def test_negative_verdict_is_kept(monkeypatch):
@@ -182,22 +228,32 @@ def test_negative_verdict_is_kept(monkeypatch):
         with pytest.raises(NotPrincipallyDirected) as exc:
             quotient(g)
         assert exc.value.counterexample == counterexample
-    assert runs == {"ideals": 1, "chains": 1}
+    assert runs == [id(g)]
 
 
-def test_disagreeing_deciders_raise_every_time(monkeypatch):
-    runs = count_deciders(monkeypatch)
+def test_failing_decider_keeps_nothing(monkeypatch):
+    # a decider that raises leaves nothing on `derived`, so the next
+    # call decides again, and the first verdict it returns is kept
     beta = sys.modules["oghom.beta"]
-    monkeypatch.setattr(beta, "beta_transitive",
-                        lambda g0: (False, ("s", "t", "1")))
+
+    def broken(g0):
+        raise StructuralDefect("decider failed")
+
+    monkeypatch.setattr(beta, "beta_transitive", broken)
+    runs = count_deciders(monkeypatch)
     g = fixtures.load("clifford").groupoid
     for n in (1, 2):
-        with pytest.raises(StructuralDefect, match="disagree"):
+        with pytest.raises(StructuralDefect, match="decider failed"):
             quotient(g)
-        with pytest.raises(StructuralDefect, match="disagree"):
+        with pytest.raises(StructuralDefect, match="decider failed"):
             is_principally_directed(g)
-        assert runs["ideals"] == 2 * n
+        assert runs == [id(g)] * 2 * n
     assert "directed" not in g.derived and "quotient" not in g.derived
+    monkeypatch.undo()
+    runs = count_deciders(monkeypatch)
+    assert quotient(g).classes == {"1": ["1", "f"], "s": ["s", "t"]}
+    assert is_principally_directed(g) == (True, None)
+    assert runs == [id(g)]
 
 
 def test_wrong_middle_identity_fails_the_choice_check(monkeypatch):

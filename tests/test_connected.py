@@ -1,18 +1,29 @@
-"""An ordered groupoid with arrows between distinct identities.
+"""Ordered groupoids with arrows between distinct identities.
 
 Every fixture and generated instance has only loops, so code that
 buckets arrows by range where it should bucket them by domain passes on
 all of them.  Here a: e -> f and its inverse a_inv: f -> e join two
 identities, and the identity 0 lies below every arrow.  This is the
 groupoid of the five-element Brandt semigroup: it is principally
-directed and beta has a single class.
+directed and beta has a single class.  The Brandt groupoid over Z/2
+adds a second arrow from e to f.  The product of the pair groupoid on
+two objects with twofold's identity order is the one that is not
+principally directed.
 """
+
+import json
 
 import pytest
 
 from oghom import io
-from oghom.beta import check_quotient_welldefined, quotient
-from oghom.errors import StructuralDefect
+from oghom.beta import (
+    beta_witness,
+    check_quotient_welldefined,
+    is_principally_directed,
+    quotient,
+)
+from oghom.cli import main
+from oghom.errors import NotPrincipallyDirected, StructuralDefect
 from oghom.gmodules import colim_E
 from oghom.groupoid import OrderedGroupoid, validate
 from oghom.homology import check_theorem
@@ -79,6 +90,37 @@ def brandt_z2_doc(group_at_0=Z):
 def brandt_z2_candidate():
     _, cand, _ = io.load(brandt_z2_doc())
     return cand
+
+
+def pair_twofold_doc():
+    """The pair groupoid on {0, 1} times twofold's identity order e, f < u
+    (u is twofold's identity 1): 6 identities and 12 arrows, the arrow
+    from i to j at level x named x + i + j.  e01 and f01 both lie below
+    u01 and have no common lower bound, so the groupoid is not
+    principally directed.  Its module `const` is Z at every identity,
+    with every map the identity."""
+    moves = [("0", "1"), ("1", "0")]
+    arrows = [{"id": x + i + j, "d": x + i + i, "r": x + j + j,
+               "inv": x + j + i} for x in "efu" for i, j in moves]
+    identities = [x + i + i for x in "efu" for i in "01"]
+    return {"schema": 1,
+            "groupoid": {
+                "identities": identities,
+                "arrows": arrows,
+                "compose": [[x + i + j, x + j + i, x + i + i]
+                            for x in "efu" for i, j in moves],
+                "order": [[x + i + j, "u" + i + j] for x in "ef"
+                          for i in "01" for j in "01"]},
+            "modules": {
+                "const": {"groups": {e: Z for e in identities},
+                          "poset_maps": {"u%s%s>%s%s%s" % (i, i, x, i, i):
+                                         [[1]] for x in "ef" for i in "01"},
+                          "arrow_maps": {a["id"]: [[1]] for a in arrows}}}}
+
+
+def pair_twofold_groupoid():
+    _, cand, _ = io.load(pair_twofold_doc())
+    return OrderedGroupoid.from_candidate(cand)
 
 
 def connected_groupoid():
@@ -163,3 +205,44 @@ def test_illegal_composite_is_compose_domain():
     cand.compose[("a", "a")] = "f"  # r(a) = f but d(a) = e
     rep = validate(cand)
     assert rep.has("compose-domain", ("a", "a"))
+
+
+def test_pair_twofold_validates():
+    _, cand, _ = io.load(pair_twofold_doc())
+    rep = validate(cand)
+    assert rep.ok, rep.violations
+    g0 = OrderedGroupoid.from_candidate(cand)
+    assert (len(g0.identities), len(g0.arrows)) == (6, 12)
+    assert (g0.d["u01"], g0.r["u01"]) == ("u00", "u11")
+    assert sorted(g0.principal_ideal("u01")) == ["e01", "f01", "u01"]
+    assert g0.order.lower_bounds("e01", "f01") == set()
+
+
+def test_pair_twofold_is_not_principally_directed():
+    g0 = pair_twofold_groupoid()
+    ok, reason = is_principally_directed(g0)
+    assert not ok and reason == {"kind": "beta-chain",
+                                 "triple": ("e00", "u00", "f00")}
+    # the least failing chain is a genuine one
+    g, t, h = reason["triple"]
+    assert beta_witness(g0, g, t) is not None
+    assert beta_witness(g0, t, h) is not None
+    assert beta_witness(g0, g, h) is None
+    # and the split below the arrow from 0 to 1 fails the same way
+    assert beta_witness(g0, "e01", "u01") == "e01"
+    assert beta_witness(g0, "u01", "f01") == "f01"
+    assert beta_witness(g0, "e01", "f01") is None
+    with pytest.raises(NotPrincipallyDirected) as exc:
+        quotient(g0)
+    assert exc.value.counterexample == reason
+
+
+def test_pair_twofold_theorem_check_fails(tmp_path, capsys):
+    path = tmp_path / "pair-twofold.json"
+    path.write_text(json.dumps(pair_twofold_doc()), encoding="utf-8")
+    assert main(["check", "theorem", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "check failed: beta is not transitive; quotient undefined",
+        "counterexample: {'kind': 'beta-chain', "
+        "'triple': ('e00', 'u00', 'f00')}"]

@@ -8,7 +8,8 @@ Violations and problems must agree with them as sorted lists, and with
 the per-triple loops, which visit in the library's order, as lists.
 `left_cancellative` must return the per-composite loop's witness, L(G)
 must tabulate the per-pair composite, and the least failing beta triple
-and the chain order must agree exactly.  Composites rewritten to
+and the chain order must agree exactly; the hypothesis test also holds
+the directedness verdict to the ideal scan.  Composites rewritten to
 another morphism of the same domain and codomain pass every typing
 check, so only the unit, inverse, associativity and OG2 rows can catch
 them.  `validate` and `FiniteCategory.check` share one associativity
@@ -48,6 +49,7 @@ from .oracles import (
     validate_by_scan,
     violations_by_triples,
 )
+from .test_beta import assert_verdict_matches_oracles
 from .test_connected import (
     brandt_z2_candidate,
     connected_candidate,
@@ -383,4 +385,5 @@ def test_scans_agree_hypothesis(seed, directed):
     for bad in same_type_rewrites(cat, rng, 2):
         assert_check_agrees(bad)
     assert beta_transitive(g0) == beta_transitive_by_scan(g0)
+    assert_verdict_matches_oracles(g0)
     assert _chain_tuples(cat, 3) == chain_tuples_by_scan(cat, 3)
