@@ -319,15 +319,13 @@ class ColimEResult:
 def _quotient_action_column(g0, a_module, e, i, g, ell, tgt_group,
                             tgt_offsets):
     """Image of generator i of A_e under the action of the class of g,
-    using ell as the middle identity; a column in L_target coordinates."""
+    through the morphism (e, (ell|g)) of L(G), which is (e, ell) then
+    (ell, (ell|g)); a column in L_target coordinates."""
     k = g0.restriction(ell, g)
-    z = g0.r[k]
-    step1 = a_module.action[(e, ell)].matrix
-    step2 = a_module.action[(ell, k)].matrix
-    vec = step2.apply(step1.col(i))
+    at = tgt_offsets[g0.r[k]]
     col = [0] * tgt_group.ngens
-    for rix, v in enumerate(vec):
-        col[tgt_offsets[z] + rix] = v
+    for rix, v in enumerate(a_module.action[(e, k)].matrix.col(i)):
+        col[at + rix] = v
     return col
 
 
@@ -347,11 +345,11 @@ def colim_E(g0, lc, a_module):
     """Colimit along the order inside each identity class, as a module
     over the quotient groupoid.
 
-    The class of g acts on a generator a of A_e by restricting g to a
-    common lower bound ell of e and d(g), pushing a down to A_ell, then
-    along (ell, (ell|g)), and injecting at r((ell|g)).  Well-definedness
-    over the presentation is enforced by the homomorphism constructor;
-    choice independence has its own checker, check_quotient_action.
+    The class of g acts on a generator a of A_e through the morphism
+    (e, (ell|g)) of L(G), ell a common lower bound of e and d(g), and
+    lands at r((ell|g)).  Well-definedness over the presentation is
+    enforced by the homomorphism constructor; choice independence has
+    its own checker, check_quotient_action.
     """
     q = quotient(g0)
     qc = q.category
@@ -499,8 +497,10 @@ def check_adjunction(g0, lc, a_module):
     colim_E of the unit is the identity of B, which makes rho(tau(psi))
     = psi for every psi out of colim_E(A); expand_ok says E of the
     counit after the unit at E(B) is the identity of E(B), which makes
-    tau(rho(phi)) = phi for every phi into E(B).  Every map built on
-    the way is checked for naturality by its constructor.
+    tau(rho(phi)) = phi for every phi into E(B).  E of the counit is
+    read componentwise, at e the counit's component at the class of e;
+    rho checks the counit for naturality, and every other map's
+    constructor checks it.  E(B) and E(colim_E E(B)) are built once.
     """
     colim_a = colim_E(g0, lc, a_module)
     q, b_module = colim_a.q, colim_a.module
@@ -512,8 +512,8 @@ def check_adjunction(g0, lc, a_module):
         GMap.identity(b_module))
     unit_eb = tau(colim_eb, colim_eb.module, GMap.identity(colim_eb.module),
                   expand(q, lc, colim_eb.module))
-    expand_ok = unit_eb.then(expand_map(q, lc, counit_b)).equal(
-        GMap.identity(eb))
+    expand_ok = all(h.then(counit_b.components[q.class_of[e]]).equal_as_maps(
+        AbHom.identity(eb.groups[e])) for e, h in unit_eb.components.items())
     return colim_ok, expand_ok
 
 

@@ -508,12 +508,10 @@ def _refuse_negative(degrees):
 
 
 def _resolution(cat, maxdeg):
-    """`group_resolution` when cat is a group, which it checks, and
-    `bar_resolution` otherwise."""
-    try:
-        return group_resolution(cat, maxdeg)
-    except StructuralDefect:  # cat is not a group
-        return bar_resolution(cat, maxdeg)
+    """`group_resolution` when cat is a group and `bar_resolution`
+    otherwise."""
+    return (group_resolution if _is_group(cat) else bar_resolution)(
+        cat, maxdeg)
 
 
 def homology(cat, module, n, complex_=None):

@@ -54,6 +54,12 @@ columns and column slices off the colimit's offsets.
 `colim_by_components` presents a colimit one connected component at a
 time and sums the parts, where the library presents the whole
 category at once.
+`class_actions_by_two_steps` moves a generator of A_e down to a lower
+bound and then along the restricted arrow, one product per step, where
+`colim_E` reads one composite morphism of L(G); and
+`expand_triangle_by_expand_map` checks the second triangle identity
+through `expand_map`, where `check_adjunction` reads E of the counit
+off the counit's components.
 A document's first schema error comes from jsonschema's Draft 2020-12
 validator over the schema dicts of `oghom.io`, where the library walks
 those dicts with its own checker.
@@ -78,7 +84,11 @@ from oghom.gmodules import (
     _presentation,
     colim_category,
     colim_E,
+    expand,
+    expand_map,
     module_from_parts,
+    rho,
+    tau,
 )
 from oghom.homology import MAX_CHAIN_RANK, ChainComplex, _chain_tuples
 from oghom.lcat import build_lcat
@@ -284,6 +294,49 @@ def colim_composition_by_injections(g0, lc, a_module):
         iso = (f.then(b).equal_as_maps(AbHom.identity(lhs))
                and b.then(f).equal_as_maps(AbHom.identity(rhs)))
     return equal_canonical, iso
+
+
+def class_actions_by_two_steps(g0, colim):
+    """{m: matrix} for each non-identity morphism m of G/beta: the class
+    of m acting on colim's groups as `colim_E` did before it read one
+    morphism of L(G).  Generator i of A_e is pushed down along (e, ell),
+    ell the least common lower bound of e and d(m), and the result along
+    (ell, (ell|m)), one matrix-vector product each, where the library
+    reads column i of the composite (e, (ell|m))."""
+    a_module, qc = colim.source, colim.module.base
+    out = {}
+    for m in qc.nonidentity_morphisms():
+        target = colim.module.groups[qc.cod[m]]
+        cols = []
+        for e in colim.members[qc.dom[m]]:
+            ell = min(g0.identity_lower_bounds(e, g0.d[m]))
+            k = g0.restriction(ell, m)
+            step1 = a_module.action[(e, ell)].matrix
+            step2 = a_module.action[(ell, k)].matrix
+            at = colim.offsets[qc.cod[m]][g0.r[k]]
+            for i in range(a_module.groups[e].ngens):
+                col = [0] * target.ngens
+                for rix, v in enumerate(step2.apply(step1.col(i))):
+                    col[at + rix] = v
+                cols.append(col)
+        out[m] = ZMatrix.from_cols(cols, target.ngens)
+    return out
+
+
+def expand_triangle_by_expand_map(g0, lc, a_module):
+    """The second triangle identity of colim_E ⊣ E at B = colim_E(A), as
+    `check_adjunction` checked it before reading E of the counit
+    componentwise: the unit at E(B) then `expand_map` of the counit,
+    which expands B and colim_E E(B) once more and checks naturality
+    over L(G), compared with the identity of E(B) as module maps."""
+    colim_a = colim_E(g0, lc, a_module)
+    q, b_module = colim_a.q, colim_a.module
+    eb = expand(q, lc, b_module)
+    colim_eb = colim_E(g0, lc, eb)
+    counit_b = rho(colim_eb, b_module, GMap.identity(eb))
+    unit_eb = tau(colim_eb, colim_eb.module, GMap.identity(colim_eb.module),
+                  expand(q, lc, colim_eb.module))
+    return unit_eb.then(expand_map(q, lc, counit_b)).equal(GMap.identity(eb))
 
 
 # ---------------------------------------------------------------- Smith forms

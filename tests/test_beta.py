@@ -30,7 +30,7 @@ from .oracles import (
 from .test_connected import (
     brandt_z2_candidate,
     connected_groupoid,
-    pair_twofold_groupoid,
+    pair_groupoid,
 )
 
 
@@ -138,10 +138,10 @@ def test_verdict_equivalence_on_fixtures():
 def test_verdict_matches_ideal_scan():
     groupoids = [connected_groupoid(),
                  OrderedGroupoid.from_candidate(brandt_z2_candidate()),
-                 pair_twofold_groupoid()]
+                 pair_groupoid("ef"), pair_groupoid("e")]
     groupoids += criterion_02_groupoids()
     verdicts = [assert_verdict_matches_oracles(g) for g in groupoids]
-    assert verdicts[:3] == [True, True, False]
+    assert verdicts[:4] == [True, True, False, True]
     assert 0 < verdicts.count(False) < len(verdicts)
 
 

@@ -8,7 +8,10 @@ groupoid of the five-element Brandt semigroup: it is principally
 directed and beta has a single class.  The Brandt groupoid over Z/2
 adds a second arrow from e to f.  The product of the pair groupoid on
 two objects with twofold's identity order is the one that is not
-principally directed.
+principally directed.  The pair groupoid times a two-element chain is
+principally directed, and its quotient is the pair groupoid itself:
+the only one here whose class action joins two distinct identities,
+since the first two have the trivial group as quotient.
 """
 
 import json
@@ -24,10 +27,16 @@ from oghom.beta import (
 )
 from oghom.cli import main
 from oghom.errors import NotPrincipallyDirected, StructuralDefect
-from oghom.gmodules import colim_E
+from oghom.gmodules import (
+    check_adjunction,
+    check_colim_composition,
+    check_quotient_action,
+    colim_E,
+)
 from oghom.groupoid import OrderedGroupoid, validate
 from oghom.homology import check_theorem
 from oghom.lcat import build_lcat
+from .oracles import class_actions_by_two_steps
 
 Z = {"rank": 1, "torsion": []}
 Z2 = {"rank": 0, "torsion": [2]}
@@ -92,34 +101,43 @@ def brandt_z2_candidate():
     return cand
 
 
-def pair_twofold_doc():
-    """The pair groupoid on {0, 1} times twofold's identity order e, f < u
-    (u is twofold's identity 1): 6 identities and 12 arrows, the arrow
-    from i to j at level x named x + i + j.  e01 and f01 both lie below
-    u01 and have no common lower bound, so the groupoid is not
-    principally directed.  Its module `const` is Z at every identity,
-    with every map the identity."""
+def pair_doc(lower, group_below=Z):
+    """The pair groupoid on {0, 1} times an identity order whose levels
+    `lower` each lie below the level u: the arrow from i to j at level x
+    is named x + i + j, and x + i + j lies below u + i + j.  Its module
+    m is Z at level u and `group_below` at the lower levels, every map
+    sending the generator to the generator."""
     moves = [("0", "1"), ("1", "0")]
+    levels = lower + "u"
     arrows = [{"id": x + i + j, "d": x + i + i, "r": x + j + j,
-               "inv": x + j + i} for x in "efu" for i, j in moves]
-    identities = [x + i + i for x in "efu" for i in "01"]
+               "inv": x + j + i} for x in levels for i, j in moves]
+    identities = [x + i + i for x in levels for i in "01"]
     return {"schema": 1,
             "groupoid": {
                 "identities": identities,
                 "arrows": arrows,
                 "compose": [[x + i + j, x + j + i, x + i + i]
-                            for x in "efu" for i, j in moves],
-                "order": [[x + i + j, "u" + i + j] for x in "ef"
+                            for x in levels for i, j in moves],
+                "order": [[x + i + j, "u" + i + j] for x in lower
                           for i in "01" for j in "01"]},
             "modules": {
-                "const": {"groups": {e: Z for e in identities},
-                          "poset_maps": {"u%s%s>%s%s%s" % (i, i, x, i, i):
-                                         [[1]] for x in "ef" for i in "01"},
-                          "arrow_maps": {a["id"]: [[1]] for a in arrows}}}}
+                "m": {"groups": {e: Z if e[0] == "u" else group_below
+                                 for e in identities},
+                      "poset_maps": {"u%s%s>%s%s%s" % (i, i, x, i, i):
+                                     [[1]] for x in lower for i in "01"},
+                      "arrow_maps": {a["id"]: [[1]] for a in arrows}}}}
 
 
-def pair_twofold_groupoid():
-    _, cand, _ = io.load(pair_twofold_doc())
+def pair_twofold_doc():
+    """pair_doc over twofold's identity order e, f < u (u is twofold's
+    identity 1): 6 identities and 12 arrows.  e01 and f01 both lie below
+    u01 and have no common lower bound, so the groupoid is not
+    principally directed."""
+    return pair_doc("ef")
+
+
+def pair_groupoid(lower):
+    _, cand, _ = io.load(pair_doc(lower))
     return OrderedGroupoid.from_candidate(cand)
 
 
@@ -219,7 +237,7 @@ def test_pair_twofold_validates():
 
 
 def test_pair_twofold_is_not_principally_directed():
-    g0 = pair_twofold_groupoid()
+    g0 = pair_groupoid("ef")
     ok, reason = is_principally_directed(g0)
     assert not ok and reason == {"kind": "beta-chain",
                                  "triple": ("e00", "u00", "f00")}
@@ -246,3 +264,27 @@ def test_pair_twofold_theorem_check_fails(tmp_path, capsys):
         "check failed: beta is not transitive; quotient undefined",
         "counterexample: {'kind': 'beta-chain', "
         "'triple': ('e00', 'u00', 'f00')}"]
+
+
+@pytest.mark.parametrize("group_below", [Z, Z2])
+@pytest.mark.parametrize("make, crossing", [
+    (connected_doc, 0), (brandt_z2_doc, 0),
+    (lambda group: pair_doc("e", group), 2)])
+def test_adjunction_and_colimits_across_identities(make, crossing,
+                                                   group_below):
+    # the adjunction, the two-step colimit and the choice-free class
+    # action hold over groupoids with arrows between distinct
+    # identities; `crossing` counts the class actions between distinct
+    # objects of G/beta, which is trivial for the first two
+    _, cand, mdocs = io.load(make(group_below))
+    g0 = OrderedGroupoid.from_candidate(cand)
+    lc = build_lcat(g0)
+    module = io.build_module(g0, lc, mdocs["m"])
+    assert check_adjunction(g0, lc, module) == (True, True)
+    assert check_colim_composition(g0, lc, module).ok
+    assert check_quotient_action(g0, lc, module).ok
+    colim = colim_E(g0, lc, module)
+    qc = colim.module.base
+    assert class_actions_by_two_steps(g0, colim) == {
+        m: colim.module.action[m].matrix for m in qc.nonidentity_morphisms()}
+    assert sum(qc.dom[m] != qc.cod[m] for m in qc.morphisms) == crossing

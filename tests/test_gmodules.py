@@ -38,10 +38,12 @@ from oghom.randgen import random_module, random_og
 from oghom.zmodule import AbHom, FgAbGroup, ZMatrix, hom_welldefined
 from . import oracles
 from .oracles import (
+    class_actions_by_two_steps,
     colim_by_components,
     colim_composition_by_injections,
     direct_sum,
     enumerate_gmaps,
+    expand_triangle_by_expand_map,
     functoriality_failures_by_pair,
     functoriality_problems_by_pair,
     group_category,
@@ -459,7 +461,8 @@ def test_doubled_block_fails_the_adjunction_check(name, where, monkeypatch):
     # through twice its class component.  Clifford's class has two
     # members, so the doubled map no longer kills the relator between
     # them and is refused on construction; z2's class has one member,
-    # so the map is well defined and natural but both triangles fail.
+    # so the map is well defined and natural but both triangles fail,
+    # and the second also fails through expand_map.
     bundle = fixtures.load(name)
     g0, lc, sign = bundle.groupoid, bundle.lc, bundle.modules["sign"]
     assert check_adjunction(g0, lc, sign) == (True, True)
@@ -470,12 +473,14 @@ def test_doubled_block_fails_the_adjunction_check(name, where, monkeypatch):
         def corrupt(colim, b_module, psi, expanded):
             return _double_first_members(
                 colim, tau(colim, b_module, psi, expanded))
-    monkeypatch.setattr("oghom.gmodules." + where, corrupt)
+    for owner in (gmodules, oracles):
+        monkeypatch.setattr(owner, where, corrupt)
     if name == "clifford":
         with pytest.raises(PreconditionViolation, match="does not descend"):
             check_adjunction(g0, lc, sign)
     else:
         assert check_adjunction(g0, lc, sign) == (False, False)
+        assert expand_triangle_by_expand_map(g0, lc, sign) is False
 
 
 def test_enumerate_gmaps_counts():
@@ -1053,8 +1058,10 @@ def test_generators_are_not_computed_by_construction_or_check(monkeypatch):
 def test_check_adjunction_decides_few_maps(monkeypatch):
     # with functoriality and naturality decided at generators, the
     # triangle identities on seed 1648's random_og(rng, 10, 12) (163 L(G)
-    # morphisms) take 258 equal_as_maps calls; deciding every composable
-    # pair and every morphism takes 1,669
+    # morphisms) take 166 equal_as_maps calls; deciding every composable
+    # pair and every morphism takes 1,669.  Through expand_map, which
+    # expanded B and colim_E E(B) again and checked the functoriality of
+    # both and the naturality of E of the counit, they took 258
     rng = random.Random(1648)
     rog = random_og(rng, 10, 12)
     lc = build_lcat(rog.groupoid)
@@ -1068,4 +1075,100 @@ def test_check_adjunction_decides_few_maps(monkeypatch):
 
     monkeypatch.setattr(AbHom, "equal_as_maps", spy)
     assert check_adjunction(rog.groupoid, lc, a_module) == (True, True)
-    assert len(calls) == 258
+    assert len(calls) == 166
+
+
+@cache
+def action_inputs():
+    """(label, g0, lc, module): every principally directed module of
+    groupoid_modules, and random_module over random_og(Random(s), 5, 4)
+    for s = 0..39."""
+    out = [case for case in groupoid_modules()
+           if is_principally_directed(case[1])[0]]
+    for s in range(40):
+        rng = random.Random(s)
+        rog = random_og(rng, 5, 4)
+        lc = build_lcat(rog.groupoid)
+        out.append(("random_og(%d, 5, 4)" % s, rog.groupoid, lc,
+                    random_module(rng, rog, lc)))
+    return out
+
+
+def relation_shifted(module):
+    """module rebuilt by the GModule constructor with each action matrix
+    M replaced by M + R X, R the target's relations and X all ones: the
+    same maps, with other entries wherever the target has a relation."""
+    action = {}
+    for m, h in module.action.items():
+        shift = [sum(row) for row in h.target.relations.to_lists()]
+        action[m] = AbHom(h.source, h.target, ZMatrix(
+            [[v + d for v in row] for row, d in zip(h.matrix.to_lists(),
+                                                    shift)],
+            ncols=h.matrix.ncols))
+    return GModule(module.base, module.groups, action)
+
+
+def action_matrices(colim):
+    return {m: colim.module.action[m].matrix
+            for m in colim.module.base.nonidentity_morphisms()}
+
+
+def test_class_action_matches_the_two_step_route():
+    # over module_from_parts, (e, (ell|g)) acts by A_k P and the two
+    # steps by (A_k I) P; over an expansion, by B_k and by B_k I; so
+    # the matrices agree entry for entry at A and at E(colim_E A)
+    inputs = action_inputs()
+    assert len(inputs) == 55
+    for label, g0, lc, a_module in inputs:
+        colim = colim_E(g0, lc, a_module)
+        eb = expand(colim.q, lc, colim.module)
+        for c in (colim, colim_E(g0, lc, eb)):
+            assert action_matrices(c) == class_actions_by_two_steps(
+                g0, c), label
+
+
+def test_class_action_matches_the_two_step_route_as_maps():
+    # on a hand-built module whose matrices differ by relations, one
+    # morphism and two steps give equal maps, not equal matrices
+    differ = 0
+    for label, g0, lc, a_module in action_inputs():
+        colim = colim_E(g0, lc, relation_shifted(a_module))
+        for m, mat in class_actions_by_two_steps(g0, colim).items():
+            h = colim.module.action[m]
+            assert h.equal_as_maps(AbHom(h.source, h.target, mat)), label
+            differ += mat != h.matrix
+    assert differ
+
+
+def test_second_triangle_matches_expand_map():
+    for label, g0, lc, a_module in action_inputs():
+        for module in (a_module, relation_shifted(a_module)):
+            verdicts = check_adjunction(g0, lc, module)
+            assert verdicts == (True, True), label
+            assert verdicts[1] == expand_triangle_by_expand_map(
+                g0, lc, module), label
+
+
+def test_check_adjunction_builds_each_expansion_once(monkeypatch):
+    # E(B) and E(colim_E E(B)), and colim_E(A) and colim_E(E(B)), each
+    # built and checked for functoriality once; E of the counit is read
+    # off the counit, so expand_map is never called
+    calls = Counter()
+
+    def counted(f):
+        def call(*args):
+            calls[f.__name__] += 1
+            return f(*args)
+        return call
+
+    def refuse(*args):
+        raise AssertionError("expand_map called")
+
+    for what in ("expand", "colim_E", "check_functorial"):
+        monkeypatch.setattr(gmodules, what, counted(getattr(gmodules, what)))
+    monkeypatch.setattr(gmodules, "expand_map", refuse)
+    for label, g0, lc, a_module in action_inputs():
+        calls.clear()
+        assert check_adjunction(g0, lc, a_module) == (True, True), label
+        assert calls == {"expand": 2, "colim_E": 2,
+                         "check_functorial": 4}, label

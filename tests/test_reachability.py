@@ -21,13 +21,17 @@ PACKAGE = ROOT / "src" / "oghom"
 BENCH = ROOT / "perfbench"
 
 KEEP = {
-    # next caller: cohomology and the dual comparison (ROADMAP item 5)
+    # next callers: the theorem and the adjunction at modules over G/beta
+    # (ROADMAP item 5), then cohomology and the dual comparison (item 10)
     "randgen.random_quotient_module": "random modules over G/beta",
-    # next callers: the exactness check of colim_E (ROADMAP item 6)
+    # next callers: the exactness check of colim_E (ROADMAP item 11)
     "gmodules.GMap.is_componentwise_surjective": "epimorphisms of modules",
     "zmodule.AbHom.is_injective": "monomorphisms of groups",
     # next caller: ROADMAP item 1, homology by components and vertex groups
     "category.FiniteCategory.components": "connected components of a category",
+    # no runtime caller since check_adjunction reads E of the counit
+    # componentwise; acceptance criterion 08 and the tests call it
+    "gmodules.expand_map": "E on module maps",
     # no runtime caller since H_0 is read as a cokernel; the `homology_at`
     # doctest and the dense oracles end their complexes with it
     "zmodule.AbHom.zero": "the zero hom between two groups",

@@ -310,9 +310,11 @@ def test_group_resolution_needs_a_group():
 
 @pytest.mark.parametrize("name", ["chain2", "cyclic3"])
 def test_one_resolution_choice(name, monkeypatch):
-    # homology_profile and the quotient side of check_theorem test for a
-    # group once; the L(G) side of check_theorem stays the bar nerve, so
-    # a one-object quotient is checked against an independent algorithm
+    # homology_profile and the quotient side of check_theorem choose the
+    # resolution by one _is_group test, and group_resolution tests its
+    # own precondition once more; the L(G) side of check_theorem stays
+    # the bar nerve, so a one-object quotient is checked against an
+    # independent algorithm
     calls, where = Counter(), sys.modules["oghom.homology"]
 
     def counted(f):
@@ -327,13 +329,28 @@ def test_one_resolution_choice(name, monkeypatch):
     cat, module = bundle.lc.category, bundle.modules["const"]
     is_group = name == "cyclic3"
     homology_profile(cat, module, 2)
-    assert calls["_is_group"] == 1
+    assert calls["_is_group"] == (2 if is_group else 1)
+    assert calls["group_resolution"] == (1 if is_group else 0)
     assert calls["bar_resolution"] == (0 if is_group else 1)
     calls.clear()
     assert check_theorem(bundle.groupoid, bundle.lc, module, [0, 1, 2]).ok
     # chain2's L(G) is not a group, but its quotient is
-    assert calls == {"_is_group": 1, "group_resolution": 1,
+    assert calls == {"_is_group": 2, "group_resolution": 1,
                      "bar_resolution": 1}
+
+
+def test_defect_in_group_resolution_is_not_hidden(monkeypatch):
+    # over a group the resolution is chosen by _is_group, so a defect
+    # that group_resolution raises reaches the caller instead of being
+    # answered, more slowly, through the bar nerve
+    def defective(cat, maxdeg):
+        raise StructuralDefect("injected defect")
+
+    monkeypatch.setattr(sys.modules["oghom.homology"], "group_resolution",
+                        defective)
+    bundle = fixtures.load("z2")
+    with pytest.raises(StructuralDefect, match="injected defect"):
+        homology_profile(bundle.lc.category, bundle.modules["const"], 2)
 
 
 def character_module(cat, k, char):
