@@ -25,18 +25,35 @@ def beta_transitive(g0):
     t beta h but not g beta h.  The verdict is True exactly when every
     principal order ideal is directed.
 
-    The arrows beta-related to g are those above some k <= g."""
-    up = {a: set() for a in g0.arrows}
-    for a in g0.arrows:
+    The arrows beta-related to g are those above some k <= g, kept as a
+    bitset whose bit i is the i-th arrow in sorted order: the OR of the
+    up-sets of the k <= g.  The set of t is walked from its lowest bit,
+    and the least h is the lowest bit of what t relates and g does not.
+    The set version is the test oracle
+    `tests/oracles.py::beta_transitive_by_sets`."""
+    arrows = sorted(g0.arrows)
+    place = {a: i for i, a in enumerate(arrows)}
+    # up[i]: the bitset of the arrows above arrow i
+    up = [0] * len(arrows)
+    for i, a in enumerate(arrows):
         for k in g0.principal_ideal(a):
-            up[k].add(a)
-    related = {g: set().union(*(up[k] for k in g0.principal_ideal(g)))
-               for g in g0.arrows}
-    for g in sorted(g0.arrows):
-        for t in sorted(related[g]):
-            missing = related[t] - related[g]
+            up[place[k]] |= 1 << i
+    related = []
+    for g in arrows:
+        mask = 0
+        for k in g0.principal_ideal(g):
+            mask |= up[place[k]]
+        related.append(mask)
+    for g, mask in zip(arrows, related):
+        ts = mask
+        while ts:
+            t = (ts & -ts).bit_length() - 1
+            ts &= ts - 1
+            missing = related[t] & ~mask
             if missing:
-                return (False, (g, t, min(missing)))
+                return (False, (g, arrows[t],
+                                arrows[(missing & -missing).bit_length()
+                                       - 1]))
     return (True, None)
 
 

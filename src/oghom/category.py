@@ -1,106 +1,231 @@
-"""Small finite categories with explicit composition tables.
+"""Small finite categories with their composites kept as integer rows.
 
 Used for the left-cancellative category of an ordered groupoid, for
 quotient groupoids viewed as one-object-per-class categories, and as the
 index shape for modules, colimits, and nerves.  Composition is written
 diagrammatically: compose(m1, m2) means "m1 then m2" and is defined
 exactly when cod(m1) = dom(m2).
+
+A category keeps one `Table`: its morphisms numbered 0..N-1 in morphism
+order, and for each morphism m a row of composite numbers aligned with
+the morphisms leaving cod(m).  The public constructor converts a table
+keyed by pairs of names; `build_lcat` writes the rows directly
+(`FiniteCategory.from_rows`).  The axiom check, left cancellation,
+generators, the group test and `compose` read the rows; names stay the
+external labels.  `groupoid.validate` builds the same rows over a
+candidate's arrows, so `associativity_failures` is the one
+associativity scan.
 """
 
-from .errors import NotComposable, StructuralDefect
+from itertools import chain
+from operator import itemgetter
+
+from .errors import NotACategory, NotComposable
 from .poset import connected_components
 
 
-def associativity_failures(elements, after, cod):
-    """The triples (x, y, z) with (x y) z != x (y z), x in `elements`
-    order, y and z in row order; after[x] maps each y composable with x
-    to x y, or to None where the table has none.  If cod(x y) = cod(y),
-    row[x y] is row[y] composed after x unless a triple (x, y, z)
-    fails, and only then are the triples of (x, y) walked."""
-    row = {x: list(after_x.values()) for x, after_x in after.items()}
-    for x in elements:
-        after_x = after[x]
-        for y, xy in after_x.items():
-            if xy is None or (cod[xy] == cod[y] and row[xy]
-                              == list(map(after_x.get, row[y]))):
+class Table:
+    """Composites of finitely many elements as integer rows.
+
+    Elements are numbered 0..N-1 by their place in `elements`, and
+    index[m] is m's number.  dom[i] and cod[i] are the endpoints of
+    element i; out[o] lists the elements with domain o in number order,
+    and pos[i] is the place of i in out[dom[i]].  rows[i] holds, for
+    each y in out[cod[i]], the number of the composite i y, or None
+    where there is none.  illegal lists the keys of a name-keyed table
+    that pair two elements which do not compose."""
+
+    def __init__(self, elements, dom, cod):
+        self.elements = elements
+        self.index = {m: i for i, m in enumerate(elements)}
+        self.dom = [dom[m] for m in elements]
+        self.cod = [cod[m] for m in elements]
+        self.out, self.pos = {}, []
+        for i, o in enumerate(self.dom):
+            bucket = self.out.setdefault(o, [])
+            self.pos.append(len(bucket))
+            bucket.append(i)
+        self.rows, self.illegal = [], []
+
+    def read(self, compose):
+        """Fill the rows from `compose`, a table keyed by pairs of
+        elements, and return self.  An entry that is no element counts
+        as none; the keys are walked for illegal pairs only if the table
+        holds more entries than the composites found."""
+        index, elements, get = self.index, self.elements, compose.get
+        # named[o]: the elements with domain o
+        named = {o: [elements[j] for j in js] for o, js in self.out.items()}
+        known = 0
+        for m1, o in zip(elements, self.cod):
+            row = [index.get(get((m1, m2))) for m2 in named.get(o, ())]
+            known += len(row) - row.count(None)
+            self.rows.append(row)
+        if len(compose) > known:
+            self.illegal = [(m1, m2) for (m1, m2) in compose
+                            if m1 in index and m2 in index
+                            and self.cod[index[m1]] != self.dom[index[m2]]]
+        return self
+
+    def typed(self):
+        """For each row, whether it is complete and each composite x y
+        in it has the domain of x and the codomain of y."""
+        dom, cod, out = self.dom, self.cod, self.out
+        # ends[o]: the codomains along out[o]
+        ends = {o: [cod[y] for y in ys] for o, ys in out.items()}
+        outset = {o: set(ys) for o, ys in out.items()}
+        return [outset[o].issuperset(row)
+                and [cod[k] for k in row] == ends.get(c, [])
+                for row, o, c in zip(self.rows, dom, cod)]
+
+
+def associativity_failures(table, typed):
+    """The triples (x, y, z) of element numbers with (x y) z != x (y z),
+    x in number order, y and z in row order, where a missing composite
+    or one that is not composable counts as none; typed is
+    `table.typed()`.  Where the rows of x and y are typed, the row of
+    x y is the row of y composed after x unless a triple (x, y, z)
+    fails.  So the rows of x y for all y are first compared at once,
+    then pair by pair, and only where a pair's rows differ are its
+    triples walked."""
+    rows, out, pos = table.rows, table.out, table.pos
+    dom, cod = table.dom, table.cod
+    # pick[o] reads off the row of an x with codomain o the composites
+    # x (y z), for y in out[o] and z along the row of y, where all those
+    # rows are typed
+    pick = {}
+    for o, ys in out.items():
+        if all(map(typed.__getitem__, ys)):
+            places = [pos[k] for y in ys for k in rows[y]]
+            if len(places) > 1:
+                pick[o] = itemgetter(*places)
+    for x, row_x in enumerate(rows):
+        o = cod[x]
+        if (typed[x] and o in pick
+                and tuple(chain.from_iterable(map(rows.__getitem__, row_x)))
+                == pick[o](row_x)):
+            continue
+        for y, xy in zip(out.get(o, ()), row_x):
+            if xy is None:
                 continue
-            for z, yz in after[y].items():
-                if yz is not None and after[xy].get(z) != after_x.get(yz):
+            row_xy, same = rows[xy], cod[xy] == cod[y]
+            if same and typed[y] and row_xy == [row_x[pos[k]]
+                                                for k in rows[y]]:
+                continue
+            for j, (z, yz) in enumerate(zip(out.get(cod[y], ()), rows[y])):
+                if yz is None:
+                    continue
+                if ((row_xy[j] if same else None)
+                        != (row_x[pos[yz]] if dom[yz] == o else None)):
                     yield (x, y, z)
 
 
 class FiniteCategory:
     def __init__(self, objects, morphisms, dom, cod, identity, compose):
+        """The category whose composites `compose` tabulates, keyed by
+        pairs of morphisms; converted to rows and checked, and a failed
+        check raises NotACategory with every problem."""
+        self._keep(objects, morphisms, dom, cod, identity)
+        self._table.read(compose)
+        self._verify()
+
+    @classmethod
+    def from_rows(cls, objects, morphisms, dom, cod, identity, rows):
+        """The category whose composites are `rows`, as a `Table` over
+        `morphisms` numbers them; checked as the constructor checks."""
+        cat = cls.__new__(cls)
+        cat._keep(objects, morphisms, dom, cod, identity)
+        cat._table.rows = rows
+        cat._verify()
+        return cat
+
+    def _keep(self, objects, morphisms, dom, cod, identity):
         self.objects = list(objects)
         self.morphisms = list(morphisms)
         self.dom = dict(dom)
         self.cod = dict(cod)
         self.identity = dict(identity)
-        self._compose = dict(compose)
+        self._table = Table(self.morphisms, self.dom, self.cod)
         # outgoing[o]: the morphisms with domain o, in morphism order
         self.outgoing = {o: [] for o in self.objects}
         for m in self.morphisms:
             self.outgoing.setdefault(self.dom[m], []).append(m)
-        self._generators = None
+        self._generators = self._group = None
+
+    def _verify(self):
         problems = self.check()
         if problems:
-            raise StructuralDefect("not a category: %s" % problems[0])
+            raise NotACategory(problems)
 
     def check(self):
-        """Category axioms as a list of readable problems (empty = ok).
-
-        Each composable pair's composite is read once, into after[m1] =
-        {m2: m1 m2}; the table's keys are walked for illegal pairs only
-        if it holds more entries than the known composites found."""
+        """Category axioms as a list of readable problems (empty = ok),
+        read off the stored rows: a composite that is None is missing,
+        one whose endpoints are not those of the pair is mistyped, and
+        the pairs that the constructor's table composed illegally
+        follow."""
         out = []
         for o in self.objects:
             i = self.identity.get(o)
             if i is None or self.dom.get(i) != o or self.cod.get(i) != o:
                 out.append("identity of %r is broken" % (o,))
-        for m in self.morphisms:
-            if self.dom[m] not in self.objects or self.cod[m] not in self.objects:
+        t = self._table
+        names, rows, dom, cod = t.elements, t.rows, t.dom, t.cod
+        objects = set(self.objects)
+        for m, o1, o2 in zip(names, dom, cod):
+            if o1 not in objects or o2 not in objects:
                 out.append("morphism %r has unknown endpoints" % (m,))
-        comp, dom, cod = self._compose, self.dom, self.cod
-        after, known = {}, 0
-        for m1 in self.morphisms:
-            after[m1] = after_m1 = {}
-            for m2 in self.outgoing.get(cod[m1], ()):
-                k = after_m1[m2] = comp.get((m1, m2))
-                if k is None or k not in dom:
-                    out.append("composite (%r, %r) missing" % (m1, m2))
-                    continue
-                known += 1
-                if dom[k] != dom[m1] or cod[k] != cod[m2]:
-                    out.append("composite (%r, %r) mistyped" % (m1, m2))
-        if len(comp) > known:
-            for (m1, m2) in comp:
-                if m1 in dom and m2 in dom and cod[m1] != dom[m2]:
-                    out.append("composite (%r, %r) defined illegally"
-                               % (m1, m2))
+        typed = t.typed()
+        for m1, row in enumerate(rows):
+            if typed[m1]:
+                continue
+            for m2, k in zip(t.out.get(cod[m1], ()), row):
+                if k is None:
+                    out.append("composite (%r, %r) missing"
+                               % (names[m1], names[m2]))
+                elif dom[k] != dom[m1] or cod[k] != cod[m2]:
+                    out.append("composite (%r, %r) mistyped"
+                               % (names[m1], names[m2]))
+        for pair in t.illegal:
+            out.append("composite (%r, %r) defined illegally" % pair)
         if out:
             return out
-        for m in self.morphisms:
-            if comp[(self.identity[dom[m]], m)] != m:
-                out.append("left unit fails at %r" % (m,))
-            if comp[(m, self.identity[cod[m]])] != m:
-                out.append("right unit fails at %r" % (m,))
-        for triple in associativity_failures(self.morphisms, after, cod):
-            out.append("associativity fails at (%r, %r, %r)" % triple)
+        index, pos = t.index, t.pos
+        unit = [index[self.identity[o]] for o in dom]
+        for m, (o, row) in enumerate(zip(cod, rows)):
+            if rows[unit[m]][pos[m]] != m:
+                out.append("left unit fails at %r" % (names[m],))
+            if row[pos[index[self.identity[o]]]] != m:
+                out.append("right unit fails at %r" % (names[m],))
+        for triple in associativity_failures(t, typed):
+            out.append("associativity fails at (%r, %r, %r)"
+                       % tuple(names[i] for i in triple))
         return out
 
     def composable(self, m1, m2):
         return self.cod[m1] == self.dom[m2]
 
     def compose(self, m1, m2):
-        if not self.composable(m1, m2):
+        t = self._table
+        i, j = t.index[m1], t.index[m2]
+        if t.cod[i] != t.dom[j]:
             raise NotComposable("cod(%r) != dom(%r)" % (m1, m2))
-        return self._compose[(m1, m2)]
+        return self.morphisms[t.rows[i][t.pos[j]]]
 
     def is_identity(self, m):
         return self.identity.get(self.dom[m]) == m and self.dom[m] == self.cod[m]
 
     def nonidentity_morphisms(self):
         return [m for m in self.morphisms if not self.is_identity(m)]
+
+    def is_group(self):
+        """True iff there is one object and every morphism has a right
+        inverse, so that the morphisms form a group.  Decided from the
+        rows on the first call and kept."""
+        if self._group is None:
+            t = self._table
+            self._group = len(self.objects) == 1 and all(
+                t.index[self.identity[self.objects[0]]] in row
+                for row in t.rows)
+        return self._group
 
     def generators(self):
         """Non-identity morphisms whose composites give every non-identity
@@ -112,42 +237,43 @@ class FiniteCategory:
         product of generators, and at the end every morphism.  Computed
         on the first call and kept."""
         if self._generators is None:
-            comp, outgoing, dom, cod = (self._compose, self.outgoing,
-                                        self.dom, self.cod)
-            nonid = self.nonidentity_morphisms()
-            nonid_set = set(nonid)
-            composites = {comp[(m1, m2)] for m1 in nonid
-                          for m2 in outgoing[cod[m1]] if m2 in nonid_set}
+            t = self._table
+            rows, out, pos, dom, cod = t.rows, t.out, t.pos, t.dom, t.cod
+            unit = {t.index[m] for m in self.identity.values()}
+            nonid = [m for m in range(len(rows)) if m not in unit]
+            composites = {k for m1 in nonid
+                          for m2, k in zip(out[cod[m1]], rows[m1])
+                          if m2 not in unit}
             gens, reached, by_dom = [], set(), {}
             for m in [m for m in nonid if m not in composites] + nonid:
                 if m in reached:
                     continue
                 gens.append(m)
                 by_dom.setdefault(dom[m], []).append(m)
-                todo = [m] + [comp[(r, m)] for r in reached
+                todo = [m] + [rows[r][pos[m]] for r in reached
                               if cod[r] == dom[m]]
                 while todo:
                     r = todo.pop()
                     if r not in reached:
                         reached.add(r)
-                        todo += [comp[(r, s)] for s in by_dom.get(cod[r], ())]
-            self._generators = gens
+                        todo += [rows[r][pos[s]]
+                                 for s in by_dom.get(cod[r], ())]
+            self._generators = [self.morphisms[m] for m in gens]
         return self._generators
 
     def left_cancellative(self):
         """(verdict, witness): witness is (m, h1, h2) with m h1 = m h2,
         h1 != h2 when cancellation fails.  Only a row of composites
         m h that repeats one is walked for the witness."""
-        comp, outgoing, cod = self._compose, self.outgoing, self.cod
-        for m in self.morphisms:
-            hs = outgoing[cod[m]]
-            row = [comp[(m, h)] for h in hs]
+        t = self._table
+        names = t.elements
+        for m, row in enumerate(t.rows):
             if len(set(row)) == len(row):
                 continue
             seen = {}
-            for h, k in zip(hs, row):
-                if k in seen and seen[k] != h:
-                    return (False, (m, seen[k], h))
+            for h, k in zip(t.out[t.cod[m]], row):
+                if k in seen:
+                    return (False, (names[m], names[seen[k]], names[h]))
                 seen[k] = h
         return (True, None)
 
@@ -166,4 +292,3 @@ def groupoid_as_category(g0):
     return FiniteCategory(g0.identities, g0.arrows, g0.d, g0.r,
                           {e: e for e in g0.identities},
                           g0.composition_table())
-

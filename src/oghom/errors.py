@@ -43,6 +43,15 @@ class StructuralDefect(MathError):
     """A structure that was assumed valid turned out not to be."""
 
 
+class NotACategory(StructuralDefect):
+    """A composition table fails the category axioms; carries every
+    problem that `FiniteCategory.check` found, in its order."""
+
+    def __init__(self, problems):
+        self.problems = problems
+        super().__init__("not a category: %s" % problems[0])
+
+
 class PreconditionViolation(MathError):
     """An operation was called outside its stated precondition."""
 

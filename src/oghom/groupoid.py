@@ -27,7 +27,7 @@ when r(g) = d(h).  The axioms checked, with their witness shapes:
   OG4                  (x, e)          not exactly one y <= x, r(y) = e
 """
 
-from .category import associativity_failures
+from .category import Table, associativity_failures
 from .errors import PreconditionViolation, StructuralDefect
 from .poset import Poset, order_closure
 
@@ -108,9 +108,10 @@ def validate(cand):
 
     Order pairs are visited in sorted order, so the violation list does
     not depend on set iteration order; a pair naming a non-arrow is
-    reported and left out of the order axioms.  after[g] = {h: gh} is
-    read once per composable pair, and the keys are walked for illegal
-    pairs only as in FiniteCategory.check.  OG2 compares rows once per
+    reported and left out of the order axioms.  The table is read once
+    into the integer rows that FiniteCategory keeps (`category.Table`),
+    and its keys are walked for illegal pairs only as there; the
+    associativity scan is the category's.  OG2 compares rows once per
     order pair (x, y), and walks pairs of order pairs only where rows
     differ."""
     out = []
@@ -162,47 +163,48 @@ def validate(cand):
         if bad:
             out.append(Violation("arrow-typing", (x,)))
 
-    # composition table on exactly the composable pairs
-    leaving = {}  # leaving[e]: the arrows with domain e, sorted
-    for h in arrows:
-        leaving.setdefault(d[h], []).append(h)
-    # after[g] maps each h in leaving[r(g)] to gh, or to None where the
-    # table has no arrow; known counts the arrows found
-    after, known = {}, 0
-    for g in arrows:
-        after[g] = after_g = {}
-        for h in leaving.get(r[g], ()):
-            gh = after_g[h] = comp.get((g, h))
-            if gh in d:
-                known += 1
-            else:
-                after_g[h] = None
-                out.append(Violation("compose-domain", (g, h)))
-    if len(comp) > known:
-        for (g, h) in sorted(k for k in comp if k[0] in d and k[1] in d
-                             and r[k[0]] != d[k[1]]):
-            out.append(Violation("compose-domain", (g, h)))
+    # composition table on exactly the composable pairs, as integer
+    # rows over the arrows (category.Table): leaving[o] lists the arrows
+    # with domain o and rows[x] the composites of x with leaving[r(x)],
+    # None where the table has no arrow
+    table = Table(arrows, d, r).read(comp)
+    index, leaving, pos, rows = table.index, table.out, table.pos, table.rows
+    dom, cod = table.dom, table.cod
+    for g, row in enumerate(rows):
+        if None in row:
+            for h, k in zip(leaving.get(cod[g], ()), row):
+                if k is None:
+                    out.append(Violation("compose-domain",
+                                         (arrows[g], arrows[h])))
+    for (g, h) in sorted(table.illegal):
+        out.append(Violation("compose-domain", (g, h)))
 
     def cmp2(g, h):
-        return after[g].get(h) if g in after else None
+        if g in index and h in index and r[g] == d[h]:
+            k = rows[index[g]][pos[index[h]]]
+            return None if k is None else arrows[k]
+        return None
 
     # units, inverses, associativity
-    for g in arrows:
-        for h, k in after[g].items():
+    units = {index[e] for e in idset if e in index}
+    for g, row in enumerate(rows):
+        for h, k in zip(leaving.get(cod[g], ()), row):
             if k is None:
                 continue
-            if d[k] != d[g] or r[k] != r[h]:
-                out.append(Violation("compose-typing", (g, h, k)))
+            if dom[k] != dom[g] or cod[k] != cod[h]:
+                out.append(Violation("compose-typing",
+                                     (arrows[g], arrows[h], arrows[k])))
                 continue
-            if g in idset and k != h:
-                out.append(Violation("identity-law", (g, h)))
-            if h in idset and k != g:
-                out.append(Violation("identity-law", (g, h)))
+            if g in units and k != h:
+                out.append(Violation("identity-law", (arrows[g], arrows[h])))
+            if h in units and k != g:
+                out.append(Violation("identity-law", (arrows[g], arrows[h])))
     for x in arrows:
         if cmp2(x, inv[x]) != d[x] or cmp2(inv[x], x) != r[x]:
             out.append(Violation("inverse-law", (x,)))
-    for triple in associativity_failures(arrows, after, r):
-        out.append(Violation("associativity", triple))
+    for triple in associativity_failures(table, table.typed()):
+        out.append(Violation("associativity",
+                             tuple(arrows[i] for i in triple)))
 
     # OG1: inversion is monotone
     for (x, y) in sorted_pairs:
@@ -210,29 +212,33 @@ def validate(cand):
             out.append(Violation("OG1", (x, y)))
 
     # OG2: composition is monotone; above[(e, f)] holds the pairs
-    # u <= v with d(u) = e and d(v) = f, as a list of u's and of v's
+    # u <= v with d(u) = e and d(v) = f, as a list of the places of the
+    # u's in leaving[e], of the v's in leaving[f], and of the pairs
     above = {}
     for (u, v) in sorted_pairs:
-        us, vs = above.setdefault((d[u], d[v]), ([], []))
-        us.append(u)
-        vs.append(v)
+        us, vs, uvs = above.setdefault((d[u], d[v]), ([], [], []))
+        us.append(pos[index[u]])
+        vs.append(pos[index[v]])
+        uvs.append((u, v))
+    numbered = {(index[a], index[b]) for (a, b) in sorted_pairs}
     for (x, y) in sorted_pairs:
-        us, vs = above.get((r[x], r[y]), ((), ()))
-        if all(map(pairs.__contains__, zip(map(after[x].get, us),
-                                           map(after[y].get, vs)))):
+        us, vs, uvs = above.get((r[x], r[y]), ((), (), ()))
+        if all(map(numbered.__contains__,
+                   zip(map(rows[index[x]].__getitem__, us),
+                       map(rows[index[y]].__getitem__, vs)))):
             continue
-        for (u, v) in zip(us, vs):
+        for (u, v) in uvs:
             xu, yv = cmp2(x, u), cmp2(y, v)
             if xu is not None and yv is not None and not leq(xu, yv):
                 out.append(Violation("OG2", (x, y, u, v)))
 
     # OG3/OG4: unique restriction and corestriction
     for x in arrows:
-        below = down.get(x, ())
+        below, dx, rx = down.get(x, ()), d[x], r[x]
         for e in cand.identities:
-            if leq(e, d[x]) and sum(d[y] == e for y in below) != 1:
+            if (e, dx) in pairs and sum(d[y] == e for y in below) != 1:
                 out.append(Violation("OG3", (x, e)))
-            if leq(e, r[x]) and sum(r[y] == e for y in below) != 1:
+            if (e, rx) in pairs and sum(r[y] == e for y in below) != 1:
                 out.append(Violation("OG4", (x, e)))
 
     return ValidationReport(out)

@@ -321,15 +321,6 @@ def bar_resolution(cat, maxdeg):
     return bases, faces
 
 
-def _is_group(cat):
-    """True iff cat has one object and every morphism is invertible."""
-    if len(cat.objects) != 1:
-        return False
-    one = cat.identity[cat.objects[0]]
-    return all(any(cat.compose(m, h) == one for h in cat.morphisms)
-               for m in cat.morphisms)
-
-
 def _generated(cat, gens, one):
     """The subgroup that gens generate, breadth-first from one over
     right multiplication by gens."""
@@ -374,7 +365,7 @@ def group_resolution(cat, maxdeg):
     >>> faces(1)(0)
     [(0, None, -1), (0, ('1', 't1'), 1)]
     """
-    if not _is_group(cat):
+    if not cat.is_group():
         raise StructuralDefect("a group resolution needs a group")
     (obj,) = cat.objects
     one, size = cat.identity[obj], len(cat.morphisms)
@@ -510,7 +501,7 @@ def _refuse_negative(degrees):
 def _resolution(cat, maxdeg):
     """`group_resolution` when cat is a group and `bar_resolution`
     otherwise."""
-    return (group_resolution if _is_group(cat) else bar_resolution)(
+    return (group_resolution if cat.is_group() else bar_resolution)(
         cat, maxdeg)
 
 

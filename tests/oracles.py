@@ -30,7 +30,13 @@ with transforms, where the library runs the same passes with no
 transform tracked.
 `ideals_directed_by_scan` decides principal directedness by looking
 for two members of a principal ideal with no common lower bound in it,
-where the library decides it by the transitivity of beta.
+where the library decides it by the transitivity of beta;
+`beta_transitive_by_sets` decides that transitivity on Python sets of
+arrows, where the library ORs bitsets.
+The category checks read a `NamedTable`, a category's data with its
+composites keyed by pairs of names, where the library reads integer
+rows; an edited table reaches the library through the public
+constructor.
 The all-pairs scans visit every pair or triple of arrows
 or morphisms where the library reads only composable ones from
 per-object buckets.  The per-triple loops compare (gh)k with g(hk) one
@@ -1242,9 +1248,42 @@ def validate_by_scan(cand):
     return sorted(out)
 
 
+class NamedTable:
+    """A category's objects, morphisms, endpoints and units, with its
+    composites as a table keyed by pairs of names (`table`) and the
+    morphisms leaving each object listed as the library lists them."""
+
+    def __init__(self, objects, morphisms, dom, cod, identity, table):
+        self.objects = list(objects)
+        self.morphisms = list(morphisms)
+        self.dom, self.cod = dict(dom), dict(cod)
+        self.identity = dict(identity)
+        self.table = dict(table)
+        self.outgoing = {o: [] for o in self.objects}
+        for m in self.morphisms:
+            self.outgoing.setdefault(self.dom[m], []).append(m)
+
+    @classmethod
+    def of(cls, cat):
+        """The table of a category, read through `compose`."""
+        return cls(cat.objects, cat.morphisms, cat.dom, cat.cod,
+                   cat.identity,
+                   {(m1, m2): cat.compose(m1, m2) for m1 in cat.morphisms
+                    for m2 in cat.outgoing[cat.cod[m1]]})
+
+    def copy(self):
+        return NamedTable(self.objects, self.morphisms, self.dom, self.cod,
+                          self.identity, self.table)
+
+    def build(self):
+        """The category through the public constructor."""
+        return FiniteCategory(self.objects, self.morphisms, self.dom,
+                              self.cod, self.identity, self.table)
+
+
 def category_problems_by_scan(cat):
-    """FiniteCategory.check over all pairs and triples of morphisms,
-    problems sorted."""
+    """FiniteCategory.check over all pairs and triples of morphisms of a
+    NamedTable, problems sorted."""
     out = []
     for o in cat.objects:
         i = cat.identity.get(o)
@@ -1253,7 +1292,7 @@ def category_problems_by_scan(cat):
     for m in cat.morphisms:
         if cat.dom[m] not in cat.objects or cat.cod[m] not in cat.objects:
             out.append("morphism %r has unknown endpoints" % (m,))
-    comp = cat._compose
+    comp = cat.table
     for m1 in cat.morphisms:
         for m2 in cat.morphisms:
             if cat.cod[m1] == cat.dom[m2]:
@@ -1303,6 +1342,24 @@ def beta_transitive_by_scan(g0):
     return (worst is None, worst)
 
 
+def beta_transitive_by_sets(g0):
+    """beta_transitive on Python sets: the arrows related to g are the
+    union of the sets of arrows above each k <= g, and the least failing
+    chain is found in sorted order."""
+    up = {a: set() for a in g0.arrows}
+    for a in g0.arrows:
+        for k in g0.principal_ideal(a):
+            up[k].add(a)
+    related = {g: set().union(*(up[k] for k in g0.principal_ideal(g)))
+               for g in g0.arrows}
+    for g in sorted(g0.arrows):
+        for t in sorted(related[g]):
+            missing = related[t] - related[g]
+            if missing:
+                return (False, (g, t, min(missing)))
+    return (True, None)
+
+
 def ideals_directed_by_scan(g0):
     """(verdict, None or (t, (a, b))): the first arrow t, in arrow order,
     whose principal ideal holds a pair a, b (in sorted order) with no
@@ -1342,7 +1399,8 @@ def chain_tuples_by_scan(cat, maxdeg):
 
 
 def category_problems_by_triples(cat):
-    """FiniteCategory.check with associativity tested triple by triple."""
+    """FiniteCategory.check on a NamedTable, with associativity tested
+    triple by triple."""
     out = []
     for o in cat.objects:
         i = cat.identity.get(o)
@@ -1353,39 +1411,40 @@ def category_problems_by_triples(cat):
             out.append("morphism %r has unknown endpoints" % (m,))
     for m1 in cat.morphisms:
         for m2 in cat.outgoing.get(cat.cod[m1], ()):
-            k = cat._compose.get((m1, m2))
+            k = cat.table.get((m1, m2))
             if k is None or k not in cat.dom:
                 out.append("composite (%r, %r) missing" % (m1, m2))
             elif cat.dom[k] != cat.dom[m1] or cat.cod[k] != cat.cod[m2]:
                 out.append("composite (%r, %r) mistyped" % (m1, m2))
-    for (m1, m2) in cat._compose:
+    for (m1, m2) in cat.table:
         if (m1 in cat.dom and m2 in cat.dom
                 and cat.cod[m1] != cat.dom[m2]):
             out.append("composite (%r, %r) defined illegally" % (m1, m2))
     if out:
         return out
     for m in cat.morphisms:
-        if cat._compose[(cat.identity[cat.dom[m]], m)] != m:
+        if cat.table[(cat.identity[cat.dom[m]], m)] != m:
             out.append("left unit fails at %r" % (m,))
-        if cat._compose[(m, cat.identity[cat.cod[m]])] != m:
+        if cat.table[(m, cat.identity[cat.cod[m]])] != m:
             out.append("right unit fails at %r" % (m,))
     for m1 in cat.morphisms:
         for m2 in cat.outgoing[cat.cod[m1]]:
-            m12 = cat._compose[(m1, m2)]
+            m12 = cat.table[(m1, m2)]
             for m3 in cat.outgoing[cat.cod[m2]]:
-                if (cat._compose[(m12, m3)]
-                        != cat._compose[(m1, cat._compose[(m2, m3)])]):
+                if (cat.table[(m12, m3)]
+                        != cat.table[(m1, cat.table[(m2, m3)])]):
                     out.append("associativity fails at (%r, %r, %r)"
                                % (m1, m2, m3))
     return out
 
 
 def left_cancellative_by_loop(cat):
-    """FiniteCategory.left_cancellative, one composite at a time."""
+    """FiniteCategory.left_cancellative on a NamedTable, one composite
+    at a time."""
     for m in cat.morphisms:
         seen = {}
         for h in cat.outgoing[cat.cod[m]]:
-            k = cat._compose[(m, h)]
+            k = cat.table[(m, h)]
             if k in seen and seen[k] != h:
                 return (False, (m, seen[k], h))
             seen[k] = h

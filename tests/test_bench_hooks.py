@@ -18,7 +18,7 @@ from collections import defaultdict
 from types import SimpleNamespace
 
 from oghom import fixtures
-from oghom.homology import _is_group, nerve_complex
+from oghom.homology import nerve_complex
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                        "perfbench", "tracing.py")
@@ -78,6 +78,6 @@ def test_group_profile_calls_homology_once_per_degree(monkeypatch):
     monkeypatch.setattr(hom, "homology", spy)
     bundle = fixtures.load("cyclic3")
     cat = bundle.lc.category
-    assert _is_group(cat)
+    assert cat.is_group()
     hom.homology_profile(cat, bundle.modules["const"], 3)
     assert degrees == [0, 1, 2, 3]

@@ -25,6 +25,7 @@ from oghom.randgen import random_og
 from .oracles import (
     beta_classes_by_pairs,
     beta_transitive_by_scan,
+    beta_transitive_by_sets,
     ideals_directed_by_scan,
 )
 from .test_connected import (
@@ -37,8 +38,10 @@ from .test_connected import (
 def assert_verdict_matches_oracles(g0):
     """The kept verdict is the ideal scan's.  On a negative one, the
     scan's witness (t, (a, b)) is a failing chain a beta t beta b, and
-    the kept triple is the least failing chain of the triple scan.
+    the kept triple is the least failing chain of the triple scan.  The
+    bitset `beta_transitive` gives the set version's verdict and chain.
     Returns the verdict."""
+    assert beta_transitive(g0) == beta_transitive_by_sets(g0)
     ok, reason = is_principally_directed(g0)
     scan_ok, witness = ideals_directed_by_scan(g0)
     assert ok == scan_ok

@@ -10,7 +10,13 @@ from oghom.errors import NotComposable, StructuralDefect
 from oghom.lcat import build_lcat
 from oghom.randgen import random_og
 
-from .oracles import group_category, lcat_compose, left_cancellative_by_loop
+from .oracles import (
+    NamedTable,
+    category_problems_by_triples,
+    group_category,
+    lcat_compose,
+    left_cancellative_by_loop,
+)
 
 
 def test_clifford_morphisms():
@@ -39,11 +45,12 @@ def test_clifford_composition():
 def test_category_axioms_enforced():
     # a corrupted composition table is rejected at construction
     cat = fixtures.load("clifford").lc.category
-    comp = {k: v for k, v in cat._compose.items()}
-    comp[(("1", "s"), ("1", "s"))] = ("1", "s")
-    with pytest.raises(StructuralDefect):
+    bad = NamedTable.of(cat)
+    bad.table[(("1", "s"), ("1", "s"))] = ("1", "s")
+    with pytest.raises(StructuralDefect) as exc:
         FiniteCategory(cat.objects, cat.morphisms, cat.dom, cat.cod,
-                       cat.identity, comp)
+                       cat.identity, bad.table)
+    assert exc.value.problems == category_problems_by_triples(bad)
 
 
 def test_left_cancellative_fixtures():
@@ -81,7 +88,8 @@ def test_left_cancellative_counterexample_detected():
     assert not ok
     m, h1, h2 = witness
     assert cat.compose(m, h1) == cat.compose(m, h2) and h1 != h2
-    assert cat.left_cancellative() == left_cancellative_by_loop(cat)
+    assert cat.left_cancellative() == left_cancellative_by_loop(
+        NamedTable.of(cat))
 
 
 def test_group_category():

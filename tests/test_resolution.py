@@ -29,7 +29,7 @@ import pytest
 
 from oghom import fixtures
 from oghom.beta import is_principally_directed, quotient
-from oghom.category import groupoid_as_category
+from oghom.category import FiniteCategory, groupoid_as_category
 from oghom.errors import StructuralDefect
 from oghom.gmodules import GModule
 from oghom.groupoid import OrderedGroupoid
@@ -311,11 +311,18 @@ def test_group_resolution_needs_a_group():
 @pytest.mark.parametrize("name", ["chain2", "cyclic3"])
 def test_one_resolution_choice(name, monkeypatch):
     # homology_profile and the quotient side of check_theorem choose the
-    # resolution by one _is_group test, and group_resolution tests its
-    # own precondition once more; the L(G) side of check_theorem stays
-    # the bar nerve, so a one-object quotient is checked against an
-    # independent algorithm
-    calls, where = Counter(), sys.modules["oghom.homology"]
+    # resolution by the category's group test, and group_resolution asks
+    # it once more as its precondition; the verdict is kept on the
+    # category, so each category is scanned once.  The L(G) side of
+    # check_theorem stays the bar nerve, so a one-object quotient is
+    # checked against an independent algorithm
+    calls, scans = Counter(), Counter()
+    where, is_group = sys.modules["oghom.homology"], FiniteCategory.is_group
+
+    def spy(cat):
+        calls["is_group"] += 1
+        scans[id(cat)] += cat._group is None  # no verdict kept yet
+        return is_group(cat)
 
     def counted(f):
         def call(*args):
@@ -323,24 +330,29 @@ def test_one_resolution_choice(name, monkeypatch):
             return f(*args)
         return call
 
-    for what in ("_is_group", "group_resolution", "bar_resolution"):
+    monkeypatch.setattr(FiniteCategory, "is_group", spy)
+    for what in ("group_resolution", "bar_resolution"):
         monkeypatch.setattr(where, what, counted(getattr(where, what)))
     bundle = fixtures.load(name)
     cat, module = bundle.lc.category, bundle.modules["const"]
-    is_group = name == "cyclic3"
+    group = name == "cyclic3"
     homology_profile(cat, module, 2)
-    assert calls["_is_group"] == (2 if is_group else 1)
-    assert calls["group_resolution"] == (1 if is_group else 0)
-    assert calls["bar_resolution"] == (0 if is_group else 1)
+    assert calls["is_group"] == (2 if group else 1)
+    assert calls["group_resolution"] == (1 if group else 0)
+    assert calls["bar_resolution"] == (0 if group else 1)
+    assert dict(scans) == {id(cat): 1}
     calls.clear()
+    scans.clear()
     assert check_theorem(bundle.groupoid, bundle.lc, module, [0, 1, 2]).ok
     # chain2's L(G) is not a group, but its quotient is
-    assert calls == {"_is_group": 2, "group_resolution": 1,
+    assert calls == {"is_group": 2, "group_resolution": 1,
                      "bar_resolution": 1}
+    qcat = quotient(bundle.groupoid).category
+    assert dict(scans) == {id(qcat): 1}
 
 
 def test_defect_in_group_resolution_is_not_hidden(monkeypatch):
-    # over a group the resolution is chosen by _is_group, so a defect
+    # over a group the resolution is chosen by the group test, so a defect
     # that group_resolution raises reaches the caller instead of being
     # answered, more slowly, through the bar nerve
     def defective(cat, maxdeg):

@@ -9,15 +9,20 @@ the per-triple loops, which visit in the library's order, as lists.
 `left_cancellative` must return the per-composite loop's witness, L(G)
 must tabulate the per-pair composite, and the least failing beta triple
 and the chain order must agree exactly; the hypothesis test also holds
-the directedness verdict to the ideal scan.  Composites rewritten to
-another morphism of the same domain and codomain pass every typing
+the directedness verdict to the ideal scan.  The oracles read a
+`NamedTable`, composites keyed by pairs of names, and an edited table
+reaches the library through the public constructor, which reports
+every problem with `NotACategory`.  The stored integer rows of L(G)
+and of a groupoid's category must hold the per-pair composites, and
+`check` must read them without building a table.  Composites rewritten
+to another morphism of the same domain and codomain pass every typing
 check, so only the unit, inverse, associativity and OG2 rows can catch
 them.  `validate` and `FiniteCategory.check` share one associativity
-scan, and both must find a pair defined illegally even when a dropped
-entry leaves the table as large as the set of composable pairs.
+scan on the same integer rows, and both must find a pair defined
+illegally even when a dropped entry leaves the table as large as the
+set of composable pairs.
 """
 
-import copy
 import random
 from collections import Counter
 
@@ -32,14 +37,16 @@ from oghom.category import (
     associativity_failures,
     groupoid_as_category,
 )
-from oghom.errors import StructuralDefect
+from oghom.errors import NotACategory, StructuralDefect
 from oghom.groupoid import OrderedGroupoid, validate
 from oghom.homology import _chain_tuples
 from oghom.lcat import build_lcat
 from oghom.randgen import random_og
 
 from .oracles import (
+    NamedTable,
     beta_transitive_by_scan,
+    beta_transitive_by_sets,
     category_problems_by_scan,
     category_problems_by_triples,
     chain_tuples_by_scan,
@@ -120,36 +127,34 @@ def single_edits(make):
 
 
 def corrupt_category(cat, rng):
-    """A copy of cat with one composite dropped, added or changed."""
-    bad = copy.copy(cat)
-    bad._compose = dict(cat._compose)
+    """cat's NamedTable with one composite dropped, added or changed."""
+    bad = NamedTable.of(cat)
     kind = rng.randrange(3)
     if kind == 0:
-        del bad._compose[rng.choice(sorted(bad._compose))]
+        del bad.table[rng.choice(sorted(bad.table))]
     elif kind == 1:
         pair = (rng.choice(cat.morphisms), rng.choice(cat.morphisms))
-        bad._compose[pair] = rng.choice(cat.morphisms)
+        bad.table[pair] = rng.choice(cat.morphisms)
     else:
-        bad._compose[rng.choice(sorted(bad._compose))] = \
-            rng.choice(cat.morphisms)
+        bad.table[rng.choice(sorted(bad.table))] = rng.choice(cat.morphisms)
     return bad
 
 
 def same_type_rewrites(cat, rng, count):
-    """Up to `count` copies of cat, each with one composite of two
+    """Up to `count` NamedTables of cat, each with one composite of two
     non-identity morphisms rewritten to another morphism with the same
     domain and codomain."""
+    base = NamedTable.of(cat)
     parallel = {}
     for m in cat.morphisms:
         parallel.setdefault((cat.dom[m], cat.cod[m]), []).append(m)
-    edits = [(pair, other) for pair, k in sorted(cat._compose.items())
+    edits = [(pair, other) for pair, k in sorted(base.table.items())
              if not (cat.is_identity(pair[0]) or cat.is_identity(pair[1]))
              for other in parallel[(cat.dom[k], cat.cod[k])] if other != k]
     out = []
     for pair, other in rng.sample(edits, min(count, len(edits))):
-        bad = copy.copy(cat)
-        bad._compose = dict(cat._compose)
-        bad._compose[pair] = other
+        bad = base.copy()
+        bad.table[pair] = other
         out.append(bad)
     return out
 
@@ -186,7 +191,7 @@ def assert_lcat_table_agrees(g0):
     cat = build_lcat(g0).category
     morphisms, table = lcat_table_by_pairs(g0)
     assert cat.morphisms == morphisms
-    assert cat._compose == table
+    assert NamedTable.of(cat).table == table
 
 
 def assert_validate_agrees(cand):
@@ -198,17 +203,22 @@ def assert_validate_agrees(cand):
     assert report.ok == (not want)
 
 
-def assert_check_agrees(cat):
-    got = cat.check()
-    assert got == category_problems_by_triples(cat)
-    assert sorted(got) == category_problems_by_scan(cat)
+def assert_check_agrees(bad):
+    """The constructor, given bad's table, finds the problems of the
+    per-triple loop in its order, and the scan's as a sorted list; a
+    table that it accepts cancels on the left as the loop says."""
+    want = category_problems_by_triples(bad)
     try:
-        want = left_cancellative_by_loop(cat)
-    except KeyError:  # a dropped composite
-        with pytest.raises(KeyError):
-            cat.left_cancellative()
+        cat = bad.build()
+    except NotACategory as exc:
+        got = exc.problems
+        assert str(exc) == "not a category: %s" % got[0]
     else:
-        assert cat.left_cancellative() == want
+        got = cat.check()
+        assert cat.left_cancellative() == left_cancellative_by_loop(bad)
+    assert got == want
+    assert sorted(got) == category_problems_by_scan(bad)
+    return got
 
 
 def test_validate_matches_scan():
@@ -229,11 +239,10 @@ def test_category_check_matches_scan():
     for g0 in GROUPOIDS:
         for cat in (build_lcat(g0).category, groupoid_as_category(g0)):
             assert cat.check() == []
-            assert_check_agrees(cat)
+            assert assert_check_agrees(NamedTable.of(cat)) == []
             for _ in range(3):
-                bad = corrupt_category(cat, rng)
-                failing += bool(category_problems_by_scan(bad))
-                assert_check_agrees(bad)
+                failing += bool(assert_check_agrees(
+                    corrupt_category(cat, rng)))
     assert failing > 100
 
 
@@ -243,16 +252,14 @@ def test_same_type_rewrites_are_caught():
     for g0 in GROUPOIDS:
         for cat in (build_lcat(g0).category, groupoid_as_category(g0)):
             for bad in same_type_rewrites(cat, rng, 4):
-                want = category_problems_by_triples(bad)
-                assert_check_agrees(bad)
+                want = assert_check_agrees(bad)
                 tried += 1
                 if not want:
                     continue  # the rewrite gave another category
                 caught += 1
                 first[want[0].split()[0]] += 1
                 with pytest.raises(StructuralDefect) as exc:
-                    FiniteCategory(bad.objects, bad.morphisms, bad.dom,
-                                   bad.cod, bad.identity, bad._compose)
+                    bad.build()
                 assert str(exc.value) == "not a category: %s" % want[0]
     # some rewrites give another category, which both checks accept
     assert caught > 0.75 * tried > 100
@@ -281,28 +288,62 @@ def test_same_type_candidate_rewrites_are_caught():
 
 
 def test_validate_and_check_share_one_associativity_scan(monkeypatch):
-    calls = []
+    tables = []
 
-    def spy(elements, after, cod):
-        calls.append(list(elements))
-        return associativity_failures(elements, after, cod)
+    def spy(table, typed):
+        tables.append(table)
+        assert typed == table.typed()
+        return associativity_failures(table, typed)
 
     g0 = fixtures.load("clifford").groupoid
     cand = candidate_of(g0)
     monkeypatch.setattr(groupoid, "associativity_failures", spy)
     monkeypatch.setattr(category, "associativity_failures", spy)
     assert validate(cand).ok
-    assert calls == [g0.arrows]
+    (table,) = tables
+    # validate's rows over the arrows are the groupoid category's rows
+    assert table.elements == g0.arrows
+    assert table.rows == groupoid_as_category(g0)._table.rows
+    del tables[:]
     cat = build_lcat(g0).category  # the constructor runs check
     assert cat.check() == []
-    assert calls == [g0.arrows, cat.morphisms, cat.morphisms]
+    assert tables == [cat._table, cat._table]
     rng = random.Random(11)
     bad = next(bad for bad in same_type_rewrites(cat, rng, 20)
                if "associativity" in category_problems_by_triples(
                    bad)[0])
-    del calls[:]
-    assert bad.check() == category_problems_by_triples(bad)
-    assert calls == [cat.morphisms]
+    del tables[:]
+    assert_check_agrees(bad)
+    assert [t.elements for t in tables] == [cat.morphisms]
+
+
+def test_check_reads_the_stored_rows(monkeypatch):
+    # check() builds no table and reads the rows kept at construction:
+    # once they are edited, it reports the edit
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(category.Table, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for g0 in (fixtures.load("clifford").groupoid, connected_groupoid()):
+        for cat in (build_lcat(g0).category, groupoid_as_category(g0)):
+            rows = [list(row) for row in cat._table.rows]
+            for name in ("__init__", "read"):
+                monkeypatch.setattr(category.Table, name, counted(name))
+            assert cat.check() == []
+            assert not calls
+            monkeypatch.undo()
+            m1 = next(m for m, row in zip(cat.morphisms, rows) if row)
+            m2 = cat.outgoing[cat.cod[m1]][0]
+            cat._table.rows[cat.morphisms.index(m1)][0] = None
+            assert cat.check() == ["composite (%r, %r) missing" % (m1, m2)]
+            cat._table.rows[:] = rows
+            assert cat.check() == []
 
 
 def tie_edit(table, elements, composable, rng):
@@ -328,10 +369,9 @@ def test_illegal_key_is_found_when_the_count_ties():
         cat = build_lcat(g0).category
         pairs = [(m1, m2) for m1 in cat.morphisms
                  for m2 in cat.outgoing[cat.cod[m1]]]
-        bad = copy.copy(cat)
-        bad._compose = tie_edit(cat._compose, cat.morphisms, pairs, rng)
-        problems = bad.check()
-        assert problems == category_problems_by_triples(bad)
+        bad = NamedTable.of(cat)
+        bad.table = tie_edit(bad.table, cat.morphisms, pairs, rng)
+        problems = assert_check_agrees(bad)
         assert any(p.endswith("missing") for p in problems)
         assert any(p.endswith("defined illegally") for p in problems)
         cand = candidate_of(g0)
@@ -354,11 +394,36 @@ def test_lcat_table_matches_pairwise_composition():
         assert_lcat_table_agrees(g0)
 
 
+def assert_rows_agree(g0):
+    """The stored rows of L(G), read pair by pair, hold lcat_compose's
+    composites, and those of the groupoid's category hold the
+    candidate's table, which has no other entry."""
+    cat = build_lcat(g0).category
+    for m1, row in zip(cat.morphisms, cat._table.rows):
+        after = cat.outgoing[cat.cod[m1]]
+        assert len(row) == len(after)
+        for m2, k in zip(after, row):
+            assert cat.morphisms[k] == lcat_compose(g0, m1, m2)
+    cand = candidate_of(g0)
+    cat = groupoid_as_category(g0)
+    for g, row in zip(cat.morphisms, cat._table.rows):
+        assert [cat.morphisms[k] for k in row] == [
+            cand.compose[(g, h)] for h in cat.outgoing[cat.cod[g]]]
+    assert sum(map(len, cat._table.rows)) == len(cand.compose)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), directed=st.booleans())
+def test_rows_agree_with_pairwise_composition(seed, directed):
+    assert_rows_agree(random_groupoid(random.Random(seed), directed))
+
+
 def test_beta_transitive_matches_scan():
     verdicts = set()
     for g0 in GROUPOIDS:
         got = beta_transitive(g0)
         assert got == beta_transitive_by_scan(g0)
+        assert got == beta_transitive_by_sets(g0)
         verdicts.add(got[0])
     assert verdicts == {True, False}
 
