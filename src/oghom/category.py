@@ -17,9 +17,6 @@ candidate's arrows, so `associativity_failures` is the one
 associativity scan.
 """
 
-from itertools import chain
-from operator import itemgetter
-
 from .errors import NotACategory, NotComposable
 from .poset import connected_components
 
@@ -82,35 +79,28 @@ def associativity_failures(table, typed):
     """The triples (x, y, z) of element numbers with (x y) z != x (y z),
     x in number order, y and z in row order, where a missing composite
     or one that is not composable counts as none; typed is
-    `table.typed()`.  Where the rows of x and y are typed, the row of
-    x y is the row of y composed after x unless a triple (x, y, z)
-    fails.  So the rows of x y for all y are first compared at once,
-    then pair by pair, and only where a pair's rows differ are its
-    triples walked."""
+    `table.typed()`.  Where the row of x and the rows of all y after it
+    are typed, the rows of the composites x y, laid end to end, are the
+    rows of those y with each y z replaced by x (y z) unless a triple
+    fails.  So these are compared at once, and only an x where they
+    differ, or whose rows are not typed, is walked triple by triple."""
     rows, out, pos = table.rows, table.out, table.pos
     dom, cod = table.dom, table.cod
-    # pick[o] reads off the row of an x with codomain o the composites
-    # x (y z), for y in out[o] and z along the row of y, where all those
-    # rows are typed
-    pick = {}
-    for o, ys in out.items():
-        if all(map(typed.__getitem__, ys)):
-            places = [pos[k] for y in ys for k in rows[y]]
-            if len(places) > 1:
-                pick[o] = itemgetter(*places)
+    # places[o]: where the row of an x with codomain o holds x (y z),
+    # for y in out[o] and z along the row of y, where all those rows
+    # are typed
+    places = {o: [pos[k] for y in ys for k in rows[y]]
+              for o, ys in out.items() if all(map(typed.__getitem__, ys))}
     for x, row_x in enumerate(rows):
         o = cod[x]
-        if (typed[x] and o in pick
-                and tuple(chain.from_iterable(map(rows.__getitem__, row_x)))
-                == pick[o](row_x)):
+        if (typed[x] and o in places
+                and [k for xy in row_x for k in rows[xy]]
+                == [row_x[p] for p in places[o]]):
             continue
         for y, xy in zip(out.get(o, ()), row_x):
             if xy is None:
                 continue
             row_xy, same = rows[xy], cod[xy] == cod[y]
-            if same and typed[y] and row_xy == [row_x[pos[k]]
-                                                for k in rows[y]]:
-                continue
             for j, (z, yz) in enumerate(zip(out.get(cod[y], ()), rows[y])):
                 if yz is None:
                     continue
@@ -144,11 +134,12 @@ class FiniteCategory:
         self.dom = dict(dom)
         self.cod = dict(cod)
         self.identity = dict(identity)
-        self._table = Table(self.morphisms, self.dom, self.cod)
-        # outgoing[o]: the morphisms with domain o, in morphism order
+        self._table = t = Table(self.morphisms, self.dom, self.cod)
+        # outgoing[o]: the morphisms with domain o, in morphism order,
+        # named from the table's buckets
         self.outgoing = {o: [] for o in self.objects}
-        for m in self.morphisms:
-            self.outgoing.setdefault(self.dom[m], []).append(m)
+        self.outgoing.update((o, [self.morphisms[i] for i in js])
+                             for o, js in t.out.items())
         self._generators = self._group = None
 
     def _verify(self):

@@ -111,9 +111,9 @@ def validate(cand):
     reported and left out of the order axioms.  The table is read once
     into the integer rows that FiniteCategory keeps (`category.Table`),
     and its keys are walked for illegal pairs only as there; the
-    associativity scan is the category's.  OG2 compares rows once per
-    order pair (x, y), and walks pairs of order pairs only where rows
-    differ."""
+    associativity scan is the category's.  OG2 tests, for each order
+    pair (x, y), all the order pairs (u, v) it composes with at once, and
+    walks them one by one only where that test fails."""
     out = []
     arrows = cand.arrows
     idset = set(cand.identities)
@@ -212,33 +212,35 @@ def validate(cand):
             out.append(Violation("OG1", (x, y)))
 
     # OG2: composition is monotone; above[(e, f)] holds the pairs
-    # u <= v with d(u) = e and d(v) = f, as a list of the places of the
-    # u's in leaving[e], of the v's in leaving[f], and of the pairs
+    # u <= v with d(u) = e and d(v) = f, as the places of the u's in
+    # leaving[e] and of the v's in leaving[f], so that the composites
+    # x u and y v are read off the rows of x and y; ordered holds the
+    # order pairs by number
     above = {}
     for (u, v) in sorted_pairs:
-        us, vs, uvs = above.setdefault((d[u], d[v]), ([], [], []))
+        us, vs = above.setdefault((d[u], d[v]), ([], []))
         us.append(pos[index[u]])
         vs.append(pos[index[v]])
-        uvs.append((u, v))
-    numbered = {(index[a], index[b]) for (a, b) in sorted_pairs}
+    ordered = {(index[a], index[b]) for (a, b) in sorted_pairs}
     for (x, y) in sorted_pairs:
-        us, vs, uvs = above.get((r[x], r[y]), ((), (), ()))
-        if all(map(numbered.__contains__,
-                   zip(map(rows[index[x]].__getitem__, us),
-                       map(rows[index[y]].__getitem__, vs)))):
+        us, vs = above.get((r[x], r[y]), ((), ()))
+        row_x, row_y = rows[index[x]], rows[index[y]]
+        if all(map(ordered.__contains__, zip(map(row_x.__getitem__, us),
+                                             map(row_y.__getitem__, vs)))):
             continue
-        for (u, v) in uvs:
-            xu, yv = cmp2(x, u), cmp2(y, v)
-            if xu is not None and yv is not None and not leq(xu, yv):
-                out.append(Violation("OG2", (x, y, u, v)))
+        for (p, q) in zip(us, vs):
+            xu, yv = row_x[p], row_y[q]
+            if xu is not None and yv is not None and (xu, yv) not in ordered:
+                out.append(Violation("OG2", (x, y, arrows[leaving[r[x]][p]],
+                                             arrows[leaving[r[y]][q]])))
 
     # OG3/OG4: unique restriction and corestriction
     for x in arrows:
-        below, dx, rx = down.get(x, ()), d[x], r[x]
+        below = down.get(x, ())
         for e in cand.identities:
-            if (e, dx) in pairs and sum(d[y] == e for y in below) != 1:
+            if leq(e, d[x]) and sum(d[y] == e for y in below) != 1:
                 out.append(Violation("OG3", (x, e)))
-            if (e, rx) in pairs and sum(r[y] == e for y in below) != 1:
+            if leq(e, r[x]) and sum(r[y] == e for y in below) != 1:
                 out.append(Violation("OG4", (x, e)))
 
     return ValidationReport(out)
