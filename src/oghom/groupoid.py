@@ -111,9 +111,18 @@ def validate(cand):
     reported and left out of the order axioms.  The table is read once
     into the integer rows that FiniteCategory keeps (`category.Table`),
     and its keys are walked for illegal pairs only as there; the
-    associativity scan is the category's.  OG2 tests, for each order
-    pair (x, y), all the order pairs (u, v) it composes with at once, and
-    walks them one by one only where that test fails."""
+    associativity scan is the category's.
+
+    Valid input is accepted by one test per order pair, row or arrow:
+    transitivity at (a, b) by the up-set of a holding that of b, the
+    typing and unit laws of a row by `Table.typed` and the units'
+    places, OG2 at (x, y) by all the pairs (u, v) it composes with at
+    once, and OG3/OG4 at x by the domains and ranges of its down-set
+    being the identities below d(x) and r(x), one each.  The
+    instance-by-instance loops run only where a test fails, to name
+    what failed.  The row and arrow tests stand only on well-typed
+    identities, arrows and order pairs, so after a typing violation
+    every row and arrow is walked."""
     out = []
     arrows = cand.arrows
     idset = set(cand.identities)
@@ -136,11 +145,15 @@ def validate(cand):
         up.setdefault(a, []).append(b)
         down.setdefault(b, []).append(a)
 
-    # order is a partial order on the arrows
+    # order is a partial order on the arrows; as a and the c above b are
+    # arrows, leq(a, c) holds exactly when c is in the up-set of a
     for x in arrows:
         if not leq(x, x):
             out.append(Violation("order-reflexive", (x,)))
+    upset = {a: set(bs) for a, bs in up.items()}
     for (a, b) in sorted_pairs:
+        if upset[a].issuperset(up.get(b, ())):
+            continue
         for c in up.get(b, ()):
             if not leq(a, c):
                 out.append(Violation("order-transitive", (a, b, c)))
@@ -150,6 +163,7 @@ def validate(cand):
                 out.append(Violation("order-antisymmetry", (a, b)))
 
     # typing of identities, inverses, d and r
+    before = len(out)
     seen = set()
     for e in cand.identities:
         if e in seen:
@@ -162,6 +176,9 @@ def validate(cand):
                or inv[inv[x]] != x or d[inv[x]] != r[x] or r[inv[x]] != d[x])
         if bad:
             out.append(Violation("arrow-typing", (x,)))
+    # the row and arrow tests below stand only where no order pair names
+    # a non-arrow and no identity or arrow is mistyped
+    clean = len(out) == before and len(sorted_pairs) == len(pairs)
 
     # composition table on exactly the composable pairs, as integer
     # rows over the arrows (category.Table): leaving[o] lists the arrows
@@ -185,9 +202,16 @@ def validate(cand):
             return None if k is None else arrows[k]
         return None
 
-    # units, inverses, associativity
+    # units, inverses, associativity; a typed row holds no typing
+    # violation, and, typing being clean, the one unit that a row
+    # composes with is its codomain o, at place unit_at[o] of leaving[o]
+    typed = table.typed()
     units = {index[e] for e in idset if e in index}
+    unit_at = {o: pos[index[o]] for o in idset} if clean else {}
     for g, row in enumerate(rows):
+        if (clean and typed[g] and row[unit_at[cod[g]]] == g
+                and (g not in units or row == leaving[cod[g]])):
+            continue
         for h, k in zip(leaving.get(cod[g], ()), row):
             if k is None:
                 continue
@@ -202,7 +226,7 @@ def validate(cand):
     for x in arrows:
         if cmp2(x, inv[x]) != d[x] or cmp2(inv[x], x) != r[x]:
             out.append(Violation("inverse-law", (x,)))
-    for triple in associativity_failures(table, table.typed()):
+    for triple in associativity_failures(table, typed):
         out.append(Violation("associativity",
                              tuple(arrows[i] for i in triple)))
 
@@ -234,9 +258,18 @@ def validate(cand):
                 out.append(Violation("OG2", (x, y, arrows[leaving[r[x]][p]],
                                              arrows[leaving[r[y]][q]])))
 
-    # OG3/OG4: unique restriction and corestriction
+    # OG3/OG4: unique restriction and corestriction; typing being
+    # clean, the identities e with leq(e, o) are ids_below[o]
+    ids_below = {o: {e for e in down.get(o, ()) if e in idset}
+                 for o in idset} if clean else {}
     for x in arrows:
         below = down.get(x, ())
+        if clean:
+            ids_d, ids_r = ids_below[d[x]], ids_below[r[x]]
+            if (len(below) == len(ids_d) == len(ids_r)
+                    and ids_d == {d[y] for y in below}
+                    and ids_r == {r[y] for y in below}):
+                continue
         for e in cand.identities:
             if leq(e, d[x]) and sum(d[y] == e for y in below) != 1:
                 out.append(Violation("OG3", (x, e)))

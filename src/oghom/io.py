@@ -92,11 +92,16 @@ _WORKSPACE = {
 }
 
 
-# The checker below walks these dicts itself and knows exactly the
-# keywords they use.  It reports what Draft 2020-12 jsonschema 4.26
-# reports first (tests/oracles.py keeps that validator as the
-# reference): every error is collected in jsonschema's order, and the
-# least by its JSONPath string wins.
+# The checker below knows exactly the keywords these dicts use.  Each
+# dict reachable from them is compiled once, at import, into a test (a
+# closure specialised on its keywords) that holds exactly when _errors
+# finds nothing, so valid input is accepted by one test per subtree.
+# Where a test fails, _walk goes through that dict keyword by keyword,
+# and further only into the subtrees whose own tests fail, to name what
+# failed.  It reports what Draft 2020-12 jsonschema 4.26 reports first
+# (tests/oracles.py keeps that validator as the reference): every error
+# is collected in jsonschema's order, and the least by its JSONPath
+# string wins.
 
 
 def _is_integer(value):
@@ -163,8 +168,6 @@ def _additional_properties(value, arg, schema, path, errors):
 def _items(value, arg, schema, path, errors):
     if not isinstance(value, list):
         return
-    if arg.keys() == {"type"} and all(map(_IS_TYPE[arg["type"]], value)):
-        return
     for i, item in enumerate(value):
         _walk(item, arg, path + (i,), errors)
 
@@ -203,6 +206,8 @@ _KEYWORDS = {
 
 
 def _walk(value, schema, path, errors):
+    if _VALID[id(schema)](value):
+        return
     for keyword, arg in schema.items():
         _KEYWORDS[keyword](value, arg, schema, path, errors)
 
@@ -212,6 +217,72 @@ def _errors(value, schema):
     errors = []
     _walk(value, schema, (), errors)
     return errors
+
+
+# _VALID[id(schema)]: the test of each compiled schema dict
+_VALID = {}
+
+
+def _object(schema):
+    """The test of an object schema: required names present, each
+    property valid, and the other names refused or valid."""
+    required = frozenset(schema.get("required", ()))
+    props = [(name, _compile(sub))
+             for name, sub in schema.get("properties", {}).items()]
+    known = frozenset(schema.get("properties", {}))
+    extra = schema.get("additionalProperties", True)
+    if extra is False:
+        return lambda value: (isinstance(value, dict)
+                              and known >= value.keys() >= required
+                              and all(test(value[name])
+                                      for name, test in props
+                                      if name in value))
+    if props or required:
+        raise ValueError("no test for named properties beside a schema"
+                         " for the others")
+    others = _compile(extra)
+    return lambda value: (isinstance(value, dict)
+                          and all(map(others, value.values())))
+
+
+def _compile(schema):
+    """The test of `schema`, true of a value exactly when _errors finds
+    nothing; kept in _VALID with those of the dicts inside it, each
+    compiled once."""
+    if id(schema) in _VALID:
+        return _VALID[id(schema)]
+    keys, kind = schema.keys(), schema.get("type")
+    if keys == {"type"}:
+        test = _IS_TYPE[kind]
+    elif keys == {"const"}:
+        const = schema["const"]
+        test = lambda value: (value is const or not isinstance(value, bool)
+                              and value == const)
+    elif keys == {"oneOf"}:
+        branches = [_compile(sub) for sub in schema["oneOf"]]
+        test = lambda value: any(branch(value) for branch in branches)
+    elif kind == "integer" and keys == {"type", "minimum"}:
+        least = schema["minimum"]
+        test = lambda value: _is_integer(value) and value >= least
+    elif kind == "array" and {"type", "items"} <= keys <= {
+            "type", "items", "minItems", "maxItems"}:
+        shortest = schema.get("minItems", 0)
+        longest = schema.get("maxItems", float("inf"))
+        item = _compile(schema["items"])
+        test = lambda value: (isinstance(value, list)
+                              and shortest <= len(value) <= longest
+                              and all(map(item, value)))
+    elif kind == "object" and keys <= {"type", "required", "properties",
+                                       "additionalProperties"}:
+        test = _object(schema)
+    else:
+        raise ValueError("no test for a schema with %s" % sorted(keys))
+    _VALID[id(schema)] = test
+    return test
+
+
+# every other schema dict above is inside this one
+_compile(_WORKSPACE)
 
 
 _PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")

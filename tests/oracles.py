@@ -1153,21 +1153,29 @@ def validate_by_scan(cand):
     def leq(a, b):
         return (a, b) in pairs
 
+    # a pair naming a non-arrow is left out of the order axioms
+    for (a, b) in pairs:
+        if a not in d or b not in d:
+            out.append(("order-typing", (a, b)))
+    pairs_of_arrows = [(a, b) for (a, b) in pairs if a in d and b in d]
+
     # order is a partial order
     for x in arrows:
         if not leq(x, x):
             out.append(("order-reflexive", (x,)))
-    for (a, b) in pairs:
+    for (a, b) in pairs_of_arrows:
         for c in arrows:
             if leq(b, c) and not leq(a, c):
                 out.append(("order-transitive", (a, b, c)))
-    for (a, b) in pairs:
+    for (a, b) in pairs_of_arrows:
         if a != b and leq(b, a):
             if a < b:  # report each bad pair once
                 out.append(("order-antisymmetry", (a, b)))
 
     # typing of identities, inverses, d and r
-    for e in cand.identities:
+    for i, e in enumerate(cand.identities):
+        if e in cand.identities[:i]:
+            out.append(("identity-repeated", (e,)))
         if e not in d or d[e] != e or r[e] != e or inv[e] != e:
             out.append(("identity-typing", (e,)))
     for x in arrows:
@@ -1221,13 +1229,13 @@ def validate_by_scan(cand):
                     out.append(("associativity", (g, h, k)))
 
     # OG1: inversion is monotone
-    for (x, y) in pairs:
+    for (x, y) in pairs_of_arrows:
         if not leq(inv[x], inv[y]):
             out.append(("OG1", (x, y)))
 
     # OG2: composition is monotone
-    for (x, y) in pairs:
-        for (u, v) in pairs:
+    for (x, y) in pairs_of_arrows:
+        for (u, v) in pairs_of_arrows:
             if r[x] == d[u] and r[y] == d[v]:
                 xu, yv = cmp2(x, u), cmp2(y, v)
                 if xu is not None and yv is not None and not leq(xu, yv):
@@ -1460,7 +1468,14 @@ def violations_by_triples(cand):
     d, r, inv = cand.d, cand.r, cand.inv
     comp = cand.compose
     pairs = cand.order_pairs
-    sorted_pairs = sorted(pairs)
+    # a pair naming a non-arrow is reported and left out of the order
+    # axioms
+    sorted_pairs = []
+    for (a, b) in sorted(pairs):
+        if a in d and b in d:
+            sorted_pairs.append((a, b))
+        else:
+            out.append(("order-typing", (a, b)))
 
     def leq(a, b):
         return (a, b) in pairs
@@ -1468,10 +1483,8 @@ def violations_by_triples(cand):
     # up[x] / down[x]: the arrows above / below x, in sorted order
     up, down = {}, {}
     for (a, b) in sorted_pairs:
-        if b in d:
-            up.setdefault(a, []).append(b)
-        if a in d:
-            down.setdefault(b, []).append(a)
+        up.setdefault(a, []).append(b)
+        down.setdefault(b, []).append(a)
 
     # order is a partial order
     for x in arrows:
@@ -1487,7 +1500,9 @@ def violations_by_triples(cand):
                 out.append(("order-antisymmetry", (a, b)))
 
     # typing of identities, inverses, d and r
-    for e in cand.identities:
+    for i, e in enumerate(cand.identities):
+        if e in cand.identities[:i]:
+            out.append(("identity-repeated", (e,)))
         if e not in d or d[e] != e or r[e] != e or inv[e] != e:
             out.append(("identity-typing", (e,)))
     for x in arrows:
@@ -1667,6 +1682,18 @@ def module_action_by_dfs(lc, groups, poset_maps, arrow_maps):
 
 
 # ---------------------------------------------------------------- schema errors
+
+
+def schema_valid(value, schema):
+    """Whether jsonschema finds no error in `value` under `schema`."""
+    if id(schema) not in _VALIDATORS:
+        _VALIDATORS[id(schema)] = Draft202012Validator(schema), schema
+    return _VALIDATORS[id(schema)][0].is_valid(value)
+
+
+# _VALIDATORS[id(schema)]: jsonschema's validator for schema, and schema
+# itself, so that its id is not reused
+_VALIDATORS = {}
 
 
 def first_schema_error(doc, schema):

@@ -5,8 +5,10 @@ import copy
 import io as textio
 import json
 import os
+import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,9 +22,10 @@ from oghom.gmodules import module_from_parts
 from oghom.groupoid import OrderedGroupoid, validate
 from oghom.homology import MAX_CHAIN_RANK
 from oghom.lcat import build_lcat
+from oghom.randgen import random_og
 from oghom.zmodule import FgAbGroup, ZMatrix
 
-from .oracles import first_schema_error
+from .oracles import first_schema_error, schema_valid
 
 
 def mutated(name, mutate):
@@ -39,11 +42,48 @@ def schema_error(doc, schema):
     return None
 
 
+def schema_parts(value, schema):
+    """(part, subschema): `value` under `schema`, then each part of it
+    under each schema dict that applies there, oneOf branches and
+    parts that the schema refuses included."""
+    yield value, schema
+    for sub in schema.get("oneOf", ()):
+        yield from schema_parts(value, sub)
+    if isinstance(value, dict):
+        named = schema.get("properties", {})
+        others = schema.get("additionalProperties")
+        for name, part in value.items():
+            sub = named.get(name, others)
+            if isinstance(sub, dict):
+                yield from schema_parts(part, sub)
+    elif isinstance(value, list) and "items" in schema:
+        for part in value:
+            yield from schema_parts(part, schema["items"])
+
+
+def keyword_errors(value, schema):
+    """io._errors with every compiled test failing, so that each
+    keyword of each schema dict is checked on its own."""
+    with mock.patch.dict(io._VALID, dict.fromkeys(io._VALID, never)):
+        return io._errors(value, schema)
+
+
+def never(value):
+    return False
+
+
 def assert_schema_check_agrees(doc):
     """io's checker rejects `doc` exactly when jsonschema finds an
-    error, and then with jsonschema's first pointer and message."""
+    error, and then with jsonschema's first pointer and message; and
+    the compiled test of each schema dict, at each part of `doc` that
+    it applies to, holds exactly when the keywords and jsonschema find
+    nothing there."""
     for schema in (io._WORKSPACE, io._GROUPOID_CORE):
         assert schema_error(doc, schema) == first_schema_error(doc, schema)
+        for part, sub in schema_parts(doc, schema):
+            valid = io._VALID[id(sub)](part)
+            assert valid == (not keyword_errors(part, sub)), (part, sub)
+            assert valid == schema_valid(part, sub), (part, sub)
 
 
 # ---------------------------------------------------------------- documents
@@ -300,6 +340,43 @@ def test_module_doc_roundtrip():
     (lambda d: d.update(more=1, extra=0),
      ("/", "Additional properties are not allowed ('extra', 'more' were"
            " unexpected)")),
+    # the compiled tests' edge cases: the constant 1 against true and
+    # 1.0, integral floats and booleans in arrays, minimum, lengths,
+    # extra and missing keys, and groups that match neither branch
+    (lambda d: d.update(schema=True), ("/schema", "1 was expected")),
+    (lambda d: d.update(schema=1.0), None),
+    (lambda d: d["groupoid"].update(schema=1.0), None),
+    (lambda d: d["modules"]["sign"]["groups"].update(
+        {"1": {"rank": 0, "torsion": [2.0]}}), None),
+    (lambda d: d["modules"]["sign"]["groups"].update(
+        {"1": {"ngens": 1, "relations": [[2.0]]}}), None),
+    (lambda d: d["modules"]["sign"]["groups"].update(
+        {"1": {"rank": 0, "torsion": [True]}}),
+     ("/modules/sign/groups/1", "{'rank': 0, 'torsion': [True]} is not"
+      " valid under any of the given schemas")),
+    (lambda d: d["modules"]["sign"]["groups"].update({"1": {"rank": -1}}),
+     ("/modules/sign/groups/1",
+      "{'rank': -1} is not valid under any of the given schemas")),
+    (lambda d: d["modules"]["sign"]["groups"].update(
+        {"1": {"ngens": -1, "relations": []}}),
+     ("/modules/sign/groups/1", "{'ngens': -1, 'relations': []} is not"
+      " valid under any of the given schemas")),
+    (lambda d: d["modules"]["sign"]["groups"].update(
+        {"1": {"rank": 1, "ngens": 1}}),
+     ("/modules/sign/groups/1", "{'rank': 1, 'ngens': 1} is not valid"
+      " under any of the given schemas")),
+    (lambda d: d["modules"]["const"]["poset_maps"].update(
+        {"1>1": [[1, True]]}),
+     ("/modules/const/poset_maps/1>1/0/1", "True is not of type 'integer'")),
+    (lambda d: d["groupoid"]["compose"][0].pop(),
+     ("/groupoid/compose/0", "['s', 's'] is too short")),
+    (lambda d: d["groupoid"]["order"].append(["1", "1", "1"]),
+     ("/groupoid/order/0", "['1', '1', '1'] is too long")),
+    (lambda d: d["groupoid"]["arrows"][0].update(x="1"),
+     ("/groupoid/arrows/0",
+      "Additional properties are not allowed ('x' was unexpected)")),
+    (lambda d: d["groupoid"]["arrows"][0].pop("inv"),
+     ("/groupoid/arrows/0", "'inv' is a required property")),
 ])
 def test_schema_errors_follow_jsonschema(mutate, error):
     doc = mutated("z2", mutate)
@@ -590,6 +667,110 @@ def test_fuzzed_documents_never_crash(tmp_path, data):
             assert err == "" or err.startswith("check failed: ")
         else:
             assert code == 0 and err == ""
+
+
+def mutate_edge(data, doc):
+    """Apply one drawn edit at a keyword's edge to `doc` in place: a
+    boolean or an integral float for an integer, a negative integer, the
+    constant 1 as true or 1.0, a key added or removed, a triple or pair
+    one item too long or too short, or a group spec that matches
+    neither branch of the group schema."""
+    kind = data.draw(st.sampled_from(
+        ["bool", "float", "negative", "const", "extra", "missing",
+         "length", "group"]))
+    everything = list(nodes(doc))
+    ints = [p for p, v in everything if type(v) is int]
+    if kind in ("bool", "float", "negative") and ints:
+        path = data.draw(st.sampled_from(ints))
+        value = at(doc, path)
+        at(doc, path[:-1])[path[-1]] = {
+            "bool": bool(value), "float": float(value),
+            "negative": -1 - abs(value)}[kind]
+    elif kind == "const":
+        target = data.draw(st.sampled_from(
+            [v for p, v in everything
+             if p in ((), ("groupoid",)) and isinstance(v, dict)]))
+        target["schema"] = data.draw(st.sampled_from([True, 1.0, 1, 2]))
+    elif kind == "extra":
+        d = data.draw(st.sampled_from(
+            [v for _, v in everything if isinstance(v, dict)]))
+        d[data.draw(st.sampled_from(NAMES))] = data.draw(
+            st.sampled_from(["1", 1]))
+    elif kind == "missing":
+        dicts = [v for _, v in everything if isinstance(v, dict) and v]
+        d = data.draw(st.sampled_from(dicts))
+        del d[data.draw(st.sampled_from(sorted(d)))]
+    elif kind == "length":
+        rows = [v for p, v in everything if len(p) > 1
+                and p[-2] in ("compose", "order") and isinstance(v, list)]
+        if rows:
+            row = data.draw(st.sampled_from(rows))
+            if row and data.draw(st.booleans()):
+                row.pop()
+            else:
+                row.append(row[0] if row else "1")
+    else:
+        specs = [p for p, _ in everything if len(p) > 1 and p[-2] == "groups"]
+        if specs:
+            path = data.draw(st.sampled_from(specs))
+            at(doc, path[:-1])[path[-1]] = copy.deepcopy(
+                data.draw(st.sampled_from(BAD_GROUPS)))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_compiled_schema_tests_agree_at_keyword_edges(data):
+    doc = copy.deepcopy(fixtures.doc(data.draw(st.sampled_from(
+        fixtures.names()))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate_edge(data, doc)
+    assert_schema_check_agrees(doc)
+    if isinstance(doc.get("groupoid"), dict):
+        assert_schema_check_agrees(doc["groupoid"])
+
+
+def keyword_calls(monkeypatch):
+    """The path of each call into io._KEYWORDS from now on."""
+    paths = []
+
+    def counted(check):
+        def call(value, arg, schema, path, errors):
+            paths.append(path)
+            return check(value, arg, schema, path, errors)
+        return call
+
+    for keyword, check in list(io._KEYWORDS.items()):
+        monkeypatch.setitem(io._KEYWORDS, keyword, counted(check))
+    return paths
+
+
+def test_valid_documents_make_no_keyword_call(monkeypatch):
+    # each schema dict's compiled test accepts its whole subtree
+    docs = [fixtures.doc(name) for name in fixtures.names()]
+    g0 = random_og(random.Random(1648), 16, 48).groupoid
+    assert len(g0.arrows) == 408
+    docs.append(io.groupoid_to_doc(g0))
+    paths = keyword_calls(monkeypatch)
+    for doc in docs:
+        io.load(doc)
+    assert paths == []
+
+
+def test_bad_entry_is_walked_alone(monkeypatch):
+    # only the bad compose entry and the objects enclosing it are walked
+    doc = io.groupoid_to_doc(random_og(random.Random(1648), 16, 48).groupoid)
+    i = len(doc["compose"]) // 2
+    doc["compose"][i][1] = 7
+    workspace = {"schema": 1, "groupoid": doc,
+                 "modules": fixtures.doc("z2")["modules"]}
+    for top, base in ((doc, ()), (workspace, ("groupoid",))):
+        paths = keyword_calls(monkeypatch)
+        with pytest.raises(SchemaViolation) as exc:
+            io.load(top)
+        monkeypatch.undo()
+        bad = base + ("compose", i, 1)
+        assert exc.value.pointer == io.pointer("", *bad)
+        assert set(paths) == {bad[:n] for n in range(len(bad) + 1)}
 
 
 def test_runtime_runs_without_jsonschema(tmp_path):

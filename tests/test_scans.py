@@ -88,10 +88,63 @@ def candidate_of(g0):
     return cand
 
 
+def fallback_edits(cand):
+    """The edits of cand that each fail one of validate's fast tests,
+    by kind, each a function that applies it to a copy of cand:
+
+      transitive  (a, c) dropped for a strict chain a < b < c
+      unit        a unit composite e x or x e rewritten to another arrow
+                  with the same domain and range
+      OG3         (y, x) added for a y not below x whose domain is below
+                  d(x), so x has two restrictions to d(y)
+      OG4         y < x swapped for z with d(z) = d(y), r(z) != r(y), so
+                  x keeps one restriction per domain and loses the
+                  corestriction to r(y)
+      typing      the first OG3 edit with (zz, x) added, naming a
+                  non-arrow
+      repeated    an identity listed again"""
+    d, r, ids = cand.d, cand.r, cand.identities
+    pairs = sorted(cand.order_pairs)
+    below = {x: [y for (y, z) in pairs if z == x] for x in cand.arrows}
+    edits = {kind: [] for kind in ("transitive", "unit", "OG3", "OG4",
+                                   "typing", "repeated")}
+
+    def order(drop=(), add=()):
+        def change(c):
+            c.order_pairs.difference_update(drop)
+            c.order_pairs.update(add)
+        return change
+
+    def compose(key, k):
+        return lambda c: c.compose.__setitem__(key, k)
+
+    for (a, b) in pairs:
+        for (b2, c) in pairs:
+            if b2 == b and a != b != c:
+                edits["transitive"].append(order(drop=[(a, c)]))
+    for (g, h), k in sorted(cand.compose.items()):
+        if g in ids or h in ids:
+            edits["unit"] += [compose((g, h), z) for z in cand.arrows
+                              if z != k and d[z] == d[k] and r[z] == r[k]]
+    for x in cand.arrows:
+        for y in cand.arrows:
+            if y not in below[x] and d[y] in below[d[x]]:
+                edits["OG3"].append(order(add=[(y, x)]))
+                edits["typing"].append(order(add=[(y, x), ("zz", x)]))
+            for z in cand.arrows:
+                if (y in below[x] and z not in below[x]
+                        and d[z] == d[y] and r[z] != r[y]):
+                    edits["OG4"].append(order(drop=[(y, x)], add=[(z, x)]))
+    edits["typing"] = edits["typing"][:1]
+    edits["repeated"] = [lambda c: c.identities.append(ids[0])]
+    return edits
+
+
 def mutate_candidate(cand, rng):
-    """One random edit of the composition table or the order."""
+    """One random edit of the composition table or the order, or one
+    drawn from fallback_edits."""
     arrows = cand.arrows
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0 and cand.compose:
         del cand.compose[rng.choice(sorted(cand.compose))]
     elif kind == 1:
@@ -99,14 +152,18 @@ def mutate_candidate(cand, rng):
             rng.choice(arrows)
     elif kind == 2 and cand.compose:
         cand.compose[rng.choice(sorted(cand.compose))] = rng.choice(arrows)
-    else:
+    elif kind == 3:
         cand.order_pairs.discard(rng.choice(sorted(cand.order_pairs)))
+    else:
+        edits = [e for es in fallback_edits(cand).values() for e in es]
+        rng.choice(edits)(cand)
     return cand
 
 
 def single_edits(make):
     """Every candidate one edit away from make(): an order pair dropped,
-    a table entry dropped or rewritten, or any pair given a composite."""
+    a table entry dropped or rewritten, any pair given a composite, or
+    an edit of fallback_edits."""
     base = make()
     out = []
 
@@ -123,6 +180,9 @@ def single_edits(make):
         for h in base.arrows:
             for k in base.arrows:
                 edit(lambda c: c.compose.__setitem__((g, h), k))
+    for changes in fallback_edits(base).values():
+        for change in changes:
+            edit(change)
     return out
 
 
@@ -231,6 +291,27 @@ def test_validate_matches_scan():
     assert any(validate_by_scan(c) for c in cands)
     for cand in cands:
         assert_validate_agrees(cand)
+
+
+def test_fast_test_fallbacks_match_scan():
+    # each edit fails one of validate's fast tests, so the loop behind
+    # it must name the violations, in the oracle's order
+    found = {"transitive": "order-transitive", "unit": "identity-law",
+             "OG3": "OG3", "OG4": "OG4", "typing": "order-typing",
+             "repeated": "identity-repeated"}
+    reached = Counter()
+    for make in (connected_candidate, brandt_z2_candidate,
+                 lambda: candidate_of(fixtures.load("twofold").groupoid)):
+        for kind, changes in fallback_edits(make()).items():
+            for change in changes:
+                cand = make()
+                change(cand)
+                assert_validate_agrees(cand)
+                report = validate(cand)
+                reached[kind] += report.has(found[kind])
+                if kind == "typing":
+                    assert report.has("OG3")
+    assert all(reached[kind] for kind in found), reached
 
 
 def test_category_check_matches_scan():
