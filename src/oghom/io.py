@@ -123,9 +123,13 @@ def _type(value, arg, schema, path, errors):
         errors.append((path, "%r is not of type %r" % (value, arg)))
 
 
-def _const(value, arg, schema, path, errors):
+def _equals(value, const):
     # a boolean equals only itself, so true is not the constant 1
-    if not (value is arg or not isinstance(value, bool) and value == arg):
+    return value is const or not isinstance(value, bool) and value == const
+
+
+def _const(value, arg, schema, path, errors):
+    if not _equals(value, arg):
         errors.append((path, "%r was expected" % (arg,)))
 
 
@@ -230,7 +234,7 @@ def _object(schema):
     props = [(name, _compile(sub))
              for name, sub in schema.get("properties", {}).items()]
     known = frozenset(schema.get("properties", {}))
-    extra = schema.get("additionalProperties", True)
+    extra = schema["additionalProperties"]
     if extra is False:
         return lambda value: (isinstance(value, dict)
                               and known >= value.keys() >= required
@@ -256,8 +260,7 @@ def _compile(schema):
         test = _IS_TYPE[kind]
     elif keys == {"const"}:
         const = schema["const"]
-        test = lambda value: (value is const or not isinstance(value, bool)
-                              and value == const)
+        test = lambda value: _equals(value, const)
     elif keys == {"oneOf"}:
         branches = [_compile(sub) for sub in schema["oneOf"]]
         test = lambda value: any(branch(value) for branch in branches)
@@ -272,8 +275,8 @@ def _compile(schema):
         test = lambda value: (isinstance(value, list)
                               and shortest <= len(value) <= longest
                               and all(map(item, value)))
-    elif kind == "object" and keys <= {"type", "required", "properties",
-                                       "additionalProperties"}:
+    elif kind == "object" and {"type", "additionalProperties"} <= keys <= {
+            "type", "required", "properties", "additionalProperties"}:
         test = _object(schema)
     else:
         raise ValueError("no test for a schema with %s" % sorted(keys))
